@@ -37,11 +37,6 @@ SITES = ("S0", "S1", "S2")
 BATCH_SIZES = (1, 8, 64)
 PROTOCOLS = ("clock-rsm", "mencius")
 
-#: The async batch-64 kops committed before the zero-copy wire hot path
-#: landed (memoryview decode, fused frame assembly, deadline-heap timeouts)
-#: — the "before" of the tracked before/after.  Update when re-baselining.
-BASELINE_B64_KOPS = {"clock-rsm": 39.3, "mencius": 43.0}
-
 #: Same heavier-than-default costs as the shard benchmark: a CPU-bound
 #: saturation shape at a manageable simulated event volume.
 CPU = CpuSpec(
@@ -135,18 +130,6 @@ def test_bench_batching(report_sink):
         kops = {point["max_batch"]: point["kops"] for point in points}
         assert kops[1] < kops[8] < kops[64], (protocol, kops)
 
-    # Before/after tracking for the zero-copy wire hot path: async batch-64
-    # throughput against the committed pre-optimization baseline.
-    hot_path = {}
-    for protocol, points in async_series.items():
-        after = next(p["kops"] for p in points if p["max_batch"] == 64)
-        before = BASELINE_B64_KOPS[protocol]
-        hot_path[protocol] = {
-            "before_kops": before,
-            "after_kops": after,
-            "speedup": round(after / before, 2),
-        }
-
     payload = {
         "name": "batching",
         "workload": "saturating, window 64/site, 64 B null ops",
@@ -155,7 +138,6 @@ def test_bench_batching(report_sink):
             "async": async_series,
             "sim": sim_series,
         },
-        "hot_path": hot_path,
         "wall_s": round(time.perf_counter() - wall_start, 1),
     }
     (RESULTS_DIR / "BENCH_batching.json").write_text(json.dumps(payload, indent=2))

@@ -15,7 +15,7 @@ from typing import Any, Iterator, Optional, Type, TypeVar
 
 from ..errors import CodecError
 from ..types import ReplicaId
-from .wire import WireDecoder, WireEncoder, dataclass_fields
+from .wire import ObjectPlan, WireDecoder, WireEncoder, dataclass_fields, declared_as_tuple
 
 T = TypeVar("T")
 
@@ -26,14 +26,20 @@ class MessageRegistry:
     def __init__(self) -> None:
         self._by_name: dict[str, type] = {}
         self._by_type: dict[type, str] = {}
-        # One codec pair per registry: the hooks resolve names dynamically,
-        # so registration after construction is still picked up, and reusing
-        # the encoder keeps its internal bytearray warm across frames.  The
-        # encoder's buffer makes ``encode``/``encode_many`` single-threaded
+        # The compiled codec: one ObjectPlan per registered class, built in
+        # ``register`` and found by class on encode and by the raw utf-8
+        # type-name bytes on decode.  The codec pair below holds this dict
+        # itself, so a class registered after construction (or after the
+        # first call) is picked up.  The hooks are the reflective route the
+        # plans reproduce byte for byte; they still serve a class that has
+        # no plan and wire input that is not laid out as its plan expects.
+        self._plans: dict[Any, ObjectPlan] = {}
+        # Reusing the encoder keeps its internal bytearray warm across
+        # frames, which makes ``encode``/``encode_many`` single-threaded
         # (like the event loop that calls them); the ``*_into`` variants and
         # the decoder only touch caller-owned state and are reentrant.
-        self._encoder = WireEncoder(object_hook=self._encode_hook)
-        self._decoder = WireDecoder(object_hook=self._decode_hook)
+        self._encoder = WireEncoder(object_hook=self._encode_hook, plans=self._plans)
+        self._decoder = WireDecoder(object_hook=self._decode_hook, plans=self._plans)
 
     def register(self, cls: Type[T], name: Optional[str] = None) -> Type[T]:
         """Register *cls* under *name* (defaults to the class name)."""
@@ -45,6 +51,9 @@ class MessageRegistry:
             raise CodecError(f"message name {key!r} already registered to {existing!r}")
         self._by_name[key] = cls
         self._by_type[cls] = key
+        plan = ObjectPlan.compile(cls, key)
+        if plan is not None:
+            self._plans[cls] = self._plans[key.encode("utf-8")] = plan
         return cls
 
     def names(self) -> Iterator[str]:
@@ -113,8 +122,7 @@ def _convert_fields(cls: type, fields: dict[str, Any]) -> dict[str, Any]:
         if field is None:
             # Forward compatibility: ignore unknown fields.
             continue
-        type_repr = str(field.type)
-        if isinstance(value, list) and ("tuple" in type_repr or "Tuple" in type_repr):
+        if isinstance(value, list) and declared_as_tuple(field):
             value = tuple(value)
         converted[key] = value
     return converted

@@ -85,9 +85,10 @@ def decode_frame_body(body: Any, registry: MessageRegistry) -> Envelope:
 def decode_frame_envelopes(body: Any, registry: MessageRegistry) -> list[Envelope]:
     """Deserialize a frame body of either form into its envelopes, in order.
 
-    Accepts any bytes-like *body*; the registry decoder walks it as a
-    ``memoryview``, so envelope batches are decoded straight from the
-    received buffer with only the string/bytes leaves materialized.
+    Accepts any bytes-like *body*; the registry decoder reads ``bytes`` (what
+    a stream reader returns) in place, so envelope batches are decoded
+    straight from the received buffer with only the string/bytes leaves
+    materialized.
     """
     values = registry.decode_many(body)
     if not values:
@@ -183,6 +184,7 @@ class TcpTransport(Transport):
         self._connect_locks: dict[ReplicaId, asyncio.Lock] = {}
         self._outbound: dict[ReplicaId, deque[list[Envelope]]] = {}
         self._senders: dict[ReplicaId, asyncio.Task] = {}
+        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._accumulators: dict[ReplicaId, BatchAccumulator[Envelope]] = {}
         self._early: list[Envelope] = []
         self._closed = False
@@ -212,10 +214,12 @@ class TcpTransport(Transport):
         self._peer_addresses.update(peer_addresses)
 
     async def stop(self) -> None:
+        """Close every connection and end every task this transport started."""
         self._closed = True
         for accumulator in self._accumulators.values():
             accumulator.clear()
-        for task in self._senders.values():
+        senders = list(self._senders.values())
+        for task in senders:
             task.cancel()
         self._senders.clear()
         self._outbound.clear()
@@ -224,6 +228,12 @@ class TcpTransport(Transport):
         self._writers.clear()
         if self._server is not None:
             self._server.close()
+        # Closing an accepted connection ends its handler at the next read
+        # (EOF), so the handlers are awaited, not cancelled.
+        for writer in self._inbound.values():
+            writer.close()
+        await asyncio.gather(*senders, *self._inbound, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
 
@@ -359,13 +369,32 @@ class TcpTransport(Transport):
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         peer = writer.get_extra_info("peername")
+        task = asyncio.current_task()
+        self._inbound[task] = writer
         try:
             while not self._closed:
-                for envelope in await read_envelopes(reader, self._registry):
+                try:
+                    envelopes = await read_envelopes(reader, self._registry)
+                except TransportError as exc:  # CodecError included
+                    _LOGGER.warning(
+                        "replica %s: malformed frame from %s, closing the connection: %s",
+                        self.local_id,
+                        peer,
+                        exc,
+                    )
+                    return
+                for envelope in envelopes:
                     self._dispatch(envelope)
         except (asyncio.IncompleteReadError, ConnectionResetError):
             _LOGGER.debug("replica %s: connection from %s closed", self.local_id, peer)
+        except asyncio.CancelledError:
+            # Not re-raised: this task belongs to asyncio's stream server,
+            # whose done-callback reads ``task.exception()`` and so reports a
+            # cancelled handler to the loop's exception handler (CPython 3.11).
+            # Nothing follows but closing the connection.
+            pass
         finally:
+            del self._inbound[task]
             writer.close()
 
 

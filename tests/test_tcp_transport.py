@@ -10,6 +10,7 @@ and protocol traffic arriving before the replica's handler is wired up.
 from __future__ import annotations
 
 import asyncio
+import logging
 import socket
 import struct
 
@@ -18,7 +19,8 @@ import pytest
 from repro.core.messages import Prepare
 from repro.errors import TransportError
 from repro.net.message import Envelope, global_registry
-from repro.net.tcp import TcpTransport, encode_frame
+from repro.net.tcp import MAX_FRAME_BYTES, TcpTransport, encode_frame
+from repro.net.wire import encode
 from repro.types import Command, CommandId, Timestamp
 
 
@@ -222,3 +224,91 @@ class TestEarlyTraffic:
             await receiver.stop()
 
         run(scenario())
+
+
+class TestStopEndsEverythingItStarted:
+    def test_no_pending_task_and_no_loop_error_after_stop(self):
+        # Regression: stop() used to return with one _handle_connection task
+        # per accepted connection still pending; closing the loop cancelled
+        # them and asyncio reported each as "Exception in callback ...
+        # CancelledError()".
+        reports: list = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: reports.append(context))
+            before = asyncio.all_tasks()
+            first = TcpTransport(0, "127.0.0.1:0", {})
+            second = TcpTransport(1, "127.0.0.1:0", {})
+            arrived = asyncio.Event()
+            first.set_handler(lambda env: arrived.set())
+            second.set_handler(lambda env: arrived.set())
+            await first.start()
+            await second.start()
+            first.set_peers({1: second.bound_address})
+            second.set_peers({0: first.bound_address})
+            # One connection each way, so each end has accepted one.
+            for sender, src, dst in ((first, 0, 1), (second, 1, 0)):
+                arrived.clear()
+                sender.send(Envelope(src, dst, _prepare(src)))
+                await asyncio.wait_for(arrived.wait(), timeout=5)
+            # Something still queued when stop() runs: its sender task must end too.
+            first.send(Envelope(0, 1, _prepare(9)))
+            await first.stop()
+            await second.stop()
+            leaked = asyncio.all_tasks() - before
+            assert not leaked, [task.get_coro().__qualname__ for task in leaked]
+
+        run(scenario())
+        assert reports == []  # nor anything reported while the loop closed
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            struct.pack(">I", 5) + b"ZZZZZ",
+            struct.pack(">I", MAX_FRAME_BYTES + 1),
+            struct.pack(">I", 9) + encode(5),
+        ],
+        ids=["garbage-body", "oversize-prefix", "value-that-is-no-envelope"],
+    )
+    def test_bad_frame_closes_only_the_offending_connection(self, frame, caplog):
+        # Regression: a CodecError/TransportError from the frame reader ended
+        # the handler task with "Unhandled exception in client_connected_cb".
+        reports: list = []
+        offender: list = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: reports.append(context))
+            receiver = TcpTransport(1, "127.0.0.1:0", {})
+            received: list = []
+            done = asyncio.Event()
+            receiver.set_handler(lambda env: (received.append(env.message), done.set()))
+            await receiver.start()
+            host, port = receiver.bound_address.rsplit(":", 1)
+            _, good_writer = await asyncio.open_connection(host, int(port))
+            bad_reader, bad_writer = await asyncio.open_connection(host, int(port))
+            offender.append(bad_writer.get_extra_info("sockname")[1])
+
+            bad_writer.write(frame)
+            await bad_writer.drain()
+            # The receiver hangs up on the offender (EOF) ...
+            assert await asyncio.wait_for(bad_reader.read(), timeout=5) == b""
+            # ... and keeps serving the connection that was open beside it.
+            good_writer.write(encode_frame(Envelope(0, 1, _prepare(3)), global_registry))
+            await good_writer.drain()
+            await asyncio.wait_for(done.wait(), timeout=5)
+            assert [m.command.command_id.seqno for m in received] == [3]
+
+            bad_writer.close()
+            good_writer.close()
+            await receiver.stop()
+
+        with caplog.at_level(logging.WARNING, logger="repro.net.tcp"):
+            run(scenario())
+        assert reports == []
+        (warning,) = [r for r in caplog.records if r.name == "repro.net.tcp"]
+        assert "malformed frame" in warning.getMessage()
+        assert str(offender[0]) in warning.getMessage()  # names the peer
