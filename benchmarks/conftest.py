@@ -2,8 +2,8 @@
 
 Each benchmark regenerates one table or figure of the paper.  Results are
 printed and also written to ``benchmarks/results/<name>.txt`` so they remain
-inspectable after a captured pytest run; EXPERIMENTS.md records the
-paper-vs-measured comparison.
+inspectable after a captured pytest run; ``docs/PERFORMANCE.md`` ("What maps
+to which paper figure") says which file reproduces which figure.
 """
 
 from __future__ import annotations

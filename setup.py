@@ -1,9 +1,8 @@
 """Setuptools entry point.
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in
-offline environments whose setuptools lacks the PEP 660 editable-wheel path
-(it falls back to the classic ``setup.py develop`` route).  All project
-metadata lives in ``pyproject.toml``.
+A bare ``setup()``: the repository carries no ``pyproject.toml`` or
+``setup.cfg``, so no project metadata is declared anywhere.  Tests, examples
+and the benchmark all run from the checkout with ``PYTHONPATH=src``.
 """
 
 from setuptools import setup

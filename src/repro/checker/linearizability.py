@@ -104,13 +104,10 @@ def _apply_model(value: Optional[bytes], op: KvOp) -> tuple[Optional[bytes], Any
 
 def _decode_ops(history: OpHistory) -> Optional[dict[CommandId, KvOp]]:
     """Decode every payload as a KV operation, or ``None`` if any is opaque."""
-    decoded: dict[CommandId, KvOp] = {}
-    for record in history.ops:
-        try:
-            decoded[record.command_id] = decode_op(record.payload)
-        except CodecError:
-            return None
-    return decoded
+    try:
+        return {record.command_id: decode_op(record.payload) for record in history.ops}
+    except CodecError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..errors import CodecError
 from ..net.wire import decode, encode
 from ..statemachine import StateMachine
 from ..types import Command
-from .commands import DELETE, GET, PUT, decode_op
+from .commands import GET, PUT, REJECTED, read_op
 
 
 class KVStateMachine(StateMachine):
@@ -17,6 +18,9 @@ class KVStateMachine(StateMachine):
         * ``PUT`` returns the previous value (or ``None``).
         * ``GET`` returns the current value (or ``None``).
         * ``DELETE`` returns whether the key existed.
+        * A payload that is not a key-value operation is still applied — it
+          was agreed on, so it counts on every replica — but changes no key
+          and returns :data:`~repro.kvstore.commands.REJECTED`.
     """
 
     def __init__(self) -> None:
@@ -25,18 +29,19 @@ class KVStateMachine(StateMachine):
 
     # -- StateMachine interface ------------------------------------------------
 
-    def apply(self, command: Command) -> Optional[bytes] | bool:
-        op = decode_op(command.payload)
+    def apply(self, command: Command) -> Optional[bytes] | bool | str:
         self.applied_count += 1
-        if op.op == PUT:
-            previous = self._data.get(op.key)
-            self._data[op.key] = op.value or b""
+        try:
+            op, key, value = read_op(command.payload)
+        except CodecError:
+            return REJECTED
+        if op == PUT:
+            previous = self._data.get(key)
+            self._data[key] = value
             return previous
-        if op.op == GET:
-            return self._data.get(op.key)
-        if op.op == DELETE:
-            return self._data.pop(op.key, None) is not None
-        raise AssertionError(f"unreachable operation {op.op!r}")
+        if op == GET:
+            return self._data.get(key)
+        return self._data.pop(key, None) is not None  # DELETE
 
     def snapshot(self) -> bytes:
         return encode({"applied": self.applied_count, "data": dict(self._data)})

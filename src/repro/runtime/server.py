@@ -111,6 +111,14 @@ class ReplicaServer:
         self.driver.start()
         _LOGGER.info("replica %s (%s) started", self.replica_id, self.replica.protocol_name)
 
+    @property
+    def bound_client_address(self) -> str:
+        """The client listener's actual address (resolves a port 0 request)."""
+        if self._client_server is None or not self._client_server.sockets:
+            raise TransportError(f"replica {self.replica_id} has no client listener running")
+        host, _, _ = self.client_address.rpartition(":")
+        return f"{host}:{self._client_server.sockets[0].getsockname()[1]}"
+
     def crash(self) -> None:
         """Stop the replica abruptly: soft state is lost, the log survives.
 

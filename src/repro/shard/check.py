@@ -29,7 +29,7 @@ from ..checker.history import OpHistory
 from ..checker.linearizability import CheckerError, CheckReport, check_history
 from ..experiment.check import CheckedRun
 from ..experiment.spec import ExperimentSpec
-from ..kvstore.commands import decode_op
+from ..kvstore.commands import read_op
 from .deployment import ShardedDeployment
 from .router import ShardRouter
 
@@ -45,7 +45,7 @@ def split_history(history: OpHistory, router: ShardRouter) -> dict[int, OpHistor
     shards: dict[int, OpHistory] = {index: OpHistory() for index in range(router.shards)}
     for op in history:
         try:
-            key = decode_op(op.payload).key
+            _, key, _ = read_op(op.payload)
         except Exception as exc:
             raise CheckerError(
                 f"cannot route op {op.command_id} to a shard: {exc}"

@@ -25,7 +25,10 @@ class StateMachine(ABC):
         """Apply *command* and return its output.
 
         Must be deterministic: the output and the state transition may depend
-        only on the current state and the command payload.
+        only on the current state and the command payload.  Must also be
+        total: it runs after the command was agreed on and logged, on every
+        replica, so a payload it cannot interpret is answered with an output
+        saying so — raising would stop the replica mid-batch.
         """
 
     @abstractmethod

@@ -44,3 +44,23 @@ def make_cluster(
         state_machine_factory=factory,
         **kwargs,
     )
+
+
+LOOPBACK_ANY_PORT = "127.0.0.1:0"
+
+
+async def start_on_bound_ports(servers) -> None:
+    """Start ``ReplicaServer``s that listen on :data:`LOOPBACK_ANY_PORT`.
+
+    Fixed ports inside the kernel's ephemeral range collide with an earlier
+    test's TIME_WAIT sockets, so: listen everywhere first (a started replica
+    sends within Δ and drops sends to unknown peers), exchange the addresses
+    the kernel handed out, then start the replicas.
+    """
+    for server in servers:
+        await server.transport.start()
+    addresses = {server.replica_id: server.transport.bound_address for server in servers}
+    for server in servers:
+        server.transport.set_peers(addresses)
+    for server in servers:
+        await server.start()

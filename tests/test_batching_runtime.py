@@ -24,6 +24,8 @@ from repro.runtime.local import LocalAsyncCluster
 from repro.runtime.server import ReplicaServer
 from repro.types import Command, CommandId
 
+from tests.helpers import LOOPBACK_ANY_PORT, start_on_bound_ports
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -144,9 +146,6 @@ class TestPipelinedTcpClient:
     def test_pipelined_batched_client_over_real_sockets(self):
         async def scenario():
             spec = _spec(("CA", "VA", "IR"))
-            base = 40510
-            peers = {rid: f"127.0.0.1:{base + rid}" for rid in spec.replica_ids}
-            client_addrs = {rid: f"127.0.0.1:{base + 100 + rid}" for rid in spec.replica_ids}
             batching = BatchingOptions(max_batch=8, window_us=0, pipeline_depth=4)
             servers = [
                 ReplicaServer(
@@ -154,15 +153,15 @@ class TestPipelinedTcpClient:
                     rid,
                     spec,
                     KVStateMachine(),
-                    listen_address=peers[rid],
-                    peer_addresses=peers,
-                    client_address=client_addrs[rid],
+                    listen_address=LOOPBACK_ANY_PORT,
+                    peer_addresses={},
+                    client_address=LOOPBACK_ANY_PORT,
                     batching=batching,
                 )
                 for rid in spec.replica_ids
             ]
-            for server in servers:
-                await server.start()
+            await start_on_bound_ports(servers)
+            client_addrs = {s.replica_id: s.bound_client_address for s in servers}
             try:
                 async with ReplicatedKVClient(
                     address=client_addrs[0], batching=batching
@@ -258,6 +257,8 @@ class TestBackends:
         spec = self._experiment(
             "clock-rsm", BatchingSpec(max_batch=8, window_us=0, pipeline_depth=4)
         )
-        spec = ExperimentSpec.from_dict({**spec.to_dict(), "duration_s": 1.0})
+        # 10 s at time_scale=10 is a 1 s wall window: a loaded host can stall a
+        # loop for 0.1 s, and then nothing commits inside a window that short.
+        spec = ExperimentSpec.from_dict({**spec.to_dict(), "duration_s": 10.0})
         result = Deployment(spec, backend="async", time_scale=10).run()
         assert result.total_committed > 0

@@ -18,6 +18,8 @@ from repro.runtime.local import LocalAsyncCluster
 from repro.runtime.messages import ClientRequest, ClientResponse
 from repro.types import Command, CommandId, Timestamp
 
+from tests.helpers import LOOPBACK_ANY_PORT, start_on_bound_ports
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -124,23 +126,20 @@ class TestTcpServers:
             from repro.runtime.server import ReplicaServer
 
             spec = _spec(3)
-            base = 40310
-            peer_addresses = {rid: f"127.0.0.1:{base + rid}" for rid in spec.replica_ids}
-            client_addresses = {rid: f"127.0.0.1:{base + 100 + rid}" for rid in spec.replica_ids}
             servers = [
                 ReplicaServer(
                     "clock-rsm",
                     rid,
                     spec,
                     KVStateMachine(),
-                    listen_address=peer_addresses[rid],
-                    peer_addresses=peer_addresses,
-                    client_address=client_addresses[rid],
+                    listen_address=LOOPBACK_ANY_PORT,
+                    peer_addresses={},
+                    client_address=LOOPBACK_ANY_PORT,
                 )
                 for rid in spec.replica_ids
             ]
-            for server in servers:
-                await server.start()
+            await start_on_bound_ports(servers)
+            client_addresses = {s.replica_id: s.bound_client_address for s in servers}
             try:
                 async with ReplicatedKVClient(address=client_addresses[0]) as client0:
                     assert await client0.put("tcp-key", b"over-the-wire") is None

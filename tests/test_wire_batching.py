@@ -134,13 +134,11 @@ class TestPartialReadReassembly:
 class TestTransportCoalescing:
     def test_one_tick_of_sends_arrives_as_one_ordered_group(self):
         async def scenario():
-            base = 40610
-            addresses = {0: f"127.0.0.1:{base}", 1: f"127.0.0.1:{base + 1}"}
             sender = TcpTransport(
-                0, addresses[0], addresses,
+                0, "127.0.0.1:0", {},
                 batching=BatchingOptions(max_batch=8, window_us=0),
             )
-            receiver = TcpTransport(1, addresses[1], addresses)
+            receiver = TcpTransport(1, "127.0.0.1:0", {})
             received: list = []
             done = asyncio.Event()
             receiver.set_handler(
@@ -151,6 +149,7 @@ class TestTransportCoalescing:
             sender.set_handler(lambda env: None)
             await sender.start()
             await receiver.start()
+            sender.set_peers({1: receiver.bound_address})
             try:
                 for i in range(12):  # one tick: 8 + 4 after chunking
                     sender.send(Envelope(0, 1, _prepare(i)))
