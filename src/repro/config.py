@@ -10,6 +10,7 @@ protocols and by :mod:`repro.core.reconfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError
@@ -72,8 +73,10 @@ class ClusterSpec:
     def size(self) -> int:
         return len(self.replicas)
 
-    @property
+    @cached_property
     def replica_ids(self) -> tuple[ReplicaId, ...]:
+        # Cached per instance: the spec is frozen, and every broadcast on
+        # every backend reads this.
         return tuple(r.replica_id for r in self.replicas)
 
     @property

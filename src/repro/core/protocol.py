@@ -218,7 +218,12 @@ class ClockRsmReplica(Replica):
     def _on_prepare_ok(self, src: ReplicaId, msg: PrepareOk) -> list[Action]:
         """Algorithm 1, lines 11-13."""
         self.state.observe_clock(src, msg.clock_micros)
-        self.state.record_ack(msg.ts, src)
+        # Commits happen in timestamp order, so an ack at or below the last
+        # committed timestamp is for a command already committed here (the
+        # last of N acks routinely is): recording it would re-create the
+        # entry ``remove_pending`` dropped, and nothing would free it again.
+        if msg.ts > self.last_committed_ts:
+            self.state.record_ack(msg.ts, src)
         return self._try_commit()
 
     def _on_clock_time(self, src: ReplicaId, msg: ClockTime) -> list[Action]:

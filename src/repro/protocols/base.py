@@ -142,9 +142,7 @@ class Replica(ABC):
         self.state_machine = state_machine
         self.config = config or ProtocolConfig()
         self.observer = observer
-        #: Active configuration; starts as the full spec and is changed only
-        #: by reconfiguration.
-        self.active_config: tuple[ReplicaId, ...] = spec.replica_ids
+        self.active_config = spec.replica_ids
         #: Strictly monotonic timestamp source for this replica.
         self.ts_source = MonotonicTimestampSource(clock, replica_id)
         #: Commands executed so far, in execution order (used by tests and by
@@ -161,9 +159,19 @@ class Replica(ABC):
         return majority(self.spec.size)
 
     @property
-    def others(self) -> tuple[ReplicaId, ...]:
-        """Active replicas other than this one."""
-        return tuple(r for r in self.active_config if r != self.replica_id)
+    def active_config(self) -> tuple[ReplicaId, ...]:
+        """Active configuration; starts as the full spec and is changed only
+        by reconfiguration."""
+        return self._active_config
+
+    @active_config.setter
+    def active_config(self, active: tuple[ReplicaId, ...]) -> None:
+        self._active_config = active
+        #: Active replicas other than this one (every broadcast's targets),
+        #: rebuilt only when the configuration changes.
+        self.others: tuple[ReplicaId, ...] = tuple(
+            r for r in active if r != self.replica_id
+        )
 
     @property
     def executed_count(self) -> int:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from heapq import heappop
+from math import inf
 from typing import Callable, Optional
 
 from ..clocks.base import TimeSource
@@ -51,34 +53,53 @@ class SimulationEnvironment(TimeSource):
 
     # -- running ---------------------------------------------------------------
 
+    def _run(self, until: float, max_events: Optional[int]) -> int:
+        """The engine's one loop; returns how many events it executed.
+
+        Runs events in (time, scheduling order) while their time is <= *until*
+        and fewer than *max_events* have run.  Per event: look at the head of
+        the scheduler's heap, drop it if cancelled, otherwise pop it, advance
+        virtual time to it, count it and call it.
+        """
+        scheduler = self.scheduler
+        # The scheduler's heap of ``(time, seq, event)``, worked on in place
+        # rather than through one ``peek_time`` / ``pop`` call per event.
+        queue = scheduler._queue
+        limit = -1 if max_events is None else max_events  # -1: never reached
+        executed = 0
+        while queue:
+            time, _, event = queue[0]
+            if event.cancelled:
+                heappop(queue)
+                continue
+            if executed == limit or time > until:
+                break
+            if time < self._now:  # pragma: no cover - defensive
+                raise SimulationError("event queue produced an event in the past")
+            heappop(queue)
+            self._now = time
+            scheduler.executed_count += 1
+            executed += 1
+            event.callback()
+        return executed
+
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
-        event = self.scheduler.pop()
-        if event is None:
-            return False
-        if event.time < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event queue produced an event in the past")
-        self._now = event.time
-        self.scheduler.run_event(event)
-        return True
+        return self._run(inf, 1) == 1
 
     def run_until(self, time: Micros, max_events: Optional[int] = None) -> int:
         """Run events with timestamps <= *time*; returns how many executed.
 
         Virtual time is advanced to *time* at the end even if the queue runs
-        dry earlier, so periodic activities can be resumed consistently.
+        dry earlier, so periodic activities can be resumed consistently — but
+        not over events *max_events* left unrun, which would put them in the
+        past.
         """
-        executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                break
-            next_time = self.scheduler.peek_time()
-            if next_time is None or next_time > time:
-                break
-            self.step()
-            executed += 1
+        executed = self._run(time, max_events)
         if time > self._now:
-            self._now = time
+            pending = self.scheduler.peek_time()
+            if pending is None or pending > time:
+                self._now = time
         return executed
 
     def run_for(self, duration: Micros, max_events: Optional[int] = None) -> int:
@@ -87,9 +108,7 @@ class SimulationEnvironment(TimeSource):
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run until no events remain (bounded by *max_events*)."""
-        executed = 0
-        while executed < max_events and self.step():
-            executed += 1
+        executed = self._run(inf, max_events)
         if executed >= max_events:
             raise SimulationError(
                 f"simulation did not quiesce within {max_events} events"

@@ -9,7 +9,9 @@ paper's system model and the behaviour of a TCP connection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from random import Random
 from typing import Callable, Optional
 
 from ..net.latency import LatencyMatrix
@@ -51,6 +53,36 @@ class NetworkOptions:
             )
 
 
+class _Channel:
+    """What the network keeps per (src, dst): the delay parameters, fixed for
+    the network's lifetime, and the FIFO bookkeeping."""
+
+    __slots__ = ("base", "jitter_span", "sent", "last_delivery", "parked")
+
+    def __init__(self, base: Micros, jitter_span: int) -> None:
+        #: One-way delay of the latency matrix.
+        self.base = base
+        #: Jitter is drawn from ``range(jitter_span)``; 0 means no draw at all.
+        self.jitter_span = jitter_span
+        #: Messages sent so far — the next message's send sequence number.
+        self.sent = 0
+        #: Last scheduled delivery time, for FIFO enforcement.
+        self.last_delivery: Micros = 0
+        #: Messages held back by a partition in ``buffer`` mode, as (send
+        #: sequence, envelope), released in send order on heal.  A message
+        #: may be parked at send time or — if it was already in flight when
+        #: the partition started — at delivery time; the send sequence keeps
+        #: the channel FIFO across both cases.
+        self.parked: list[tuple[int, Envelope]] = []
+
+    def sample_delay(self, rng: Random) -> Micros:
+        """The one-way delay of one message: base plus a jitter draw."""
+        if self.jitter_span:
+            # The draw ``randint(0, jitter_span - 1)`` makes, one call down.
+            return self.base + rng.randrange(self.jitter_span)
+        return self.base
+
+
 class SimulatedNetwork:
     """Schedules envelope deliveries on the simulation environment."""
 
@@ -66,16 +98,8 @@ class SimulatedNetwork:
         self._handlers: dict[ReplicaId, Callable[[Envelope, Micros], None]] = {}
         self._partitions: set[frozenset[ReplicaId]] = set()
         self._down: set[ReplicaId] = set()
-        #: Messages held back by a partition in ``buffer`` mode, per channel
-        #: as (send sequence, envelope), released in send order on heal.  A
-        #: message may be parked at send time or — if it was already in
-        #: flight when the partition started — at delivery time; the send
-        #: sequence keeps the channel FIFO across both cases.
-        self._parked: dict[tuple[ReplicaId, ReplicaId], list[tuple[int, Envelope]]] = {}
-        #: Per-channel send sequence numbers (FIFO bookkeeping).
-        self._send_seq: dict[tuple[ReplicaId, ReplicaId], int] = {}
-        #: Last scheduled delivery time per (src, dst), for FIFO enforcement.
-        self._last_delivery: dict[tuple[ReplicaId, ReplicaId], Micros] = {}
+        #: Per-(src, dst) state, filled on a channel's first use.
+        self._channels: dict[tuple[ReplicaId, ReplicaId], _Channel] = {}
         # Statistics.
         self.sent_count = 0
         self.delivered_count = 0
@@ -115,13 +139,21 @@ class SimulatedNetwork:
             self._release_parked(a, b)
             self._release_parked(b, a)
 
-    def _park(self, envelope: Envelope, seq: int) -> None:
-        self._parked.setdefault((envelope.src, envelope.dst), []).append((seq, envelope))
+    def _open_channel(self, src: ReplicaId, dst: ReplicaId) -> _Channel:
+        """Fill in the (src, dst) entry of the channel table on first use."""
+        base = self._latency.delay(src, dst)
+        bound = int(base * self._options.jitter_fraction) + self._options.jitter_floor
+        channel = self._channels[src, dst] = _Channel(base, bound + 1 if bound > 0 else 0)
+        return channel
 
     def _release_parked(self, src: ReplicaId, dst: ReplicaId) -> None:
         """Re-send messages a healed partition had held back, in send order."""
-        for seq, envelope in sorted(self._parked.pop((src, dst), [])):
-            self._schedule_delivery(envelope, self._env.now, seq)
+        channel = self._channels.get((src, dst))
+        if channel is None or not channel.parked:
+            return
+        parked, channel.parked = sorted(channel.parked), []
+        for seq, envelope in parked:
+            self._schedule_delivery(envelope, channel, self._env.now, seq)
 
     def set_down(self, replica_id: ReplicaId, down: bool) -> None:
         """Mark a node as crashed: messages to/from it are dropped."""
@@ -139,21 +171,22 @@ class SimulatedNetwork:
 
     def one_way_delay(self, src: ReplicaId, dst: ReplicaId) -> Micros:
         """Sample the one-way delay for one message (base + jitter)."""
-        base = self._latency.delay(src, dst)
-        jitter_bound = int(base * self._options.jitter_fraction) + self._options.jitter_floor
-        if jitter_bound <= 0:
-            return base
-        return base + self._env.random.randint(0, jitter_bound)
+        channel = self._channels.get((src, dst)) or self._open_channel(src, dst)
+        return channel.sample_delay(self._env.random)
 
-    def _handle_blocked(self, envelope: Envelope, seq: int) -> bool:
-        """Drop or park *envelope* if its channel is blocked; True if handled."""
+    def _handle_blocked(self, envelope: Envelope, channel: _Channel, seq: int) -> bool:
+        """Drop or park *envelope* if its channel is blocked; True if handled.
+
+        Only reached while a fault is armed: :meth:`send` and :meth:`_deliver`
+        skip the call when nothing is down and nothing is partitioned.
+        """
         src, dst = envelope.src, envelope.dst
         if src in self._down or dst in self._down:
             self.dropped_count += 1
             return True
         if frozenset((src, dst)) in self._partitions:
             if self._options.partition_mode == "buffer":
-                self._park(envelope, seq)
+                channel.parked.append((seq, envelope))
             else:
                 self.dropped_count += 1
             return True
@@ -167,30 +200,34 @@ class SimulatedNetwork:
         """
         self.sent_count += 1
         self.bytes_sent += envelope.size_hint
-        key = (envelope.src, envelope.dst)
-        seq = self._send_seq.get(key, 0)
-        self._send_seq[key] = seq + 1
-        if self._handle_blocked(envelope, seq):
+        src, dst = envelope.src, envelope.dst
+        channel = self._channels.get((src, dst)) or self._open_channel(src, dst)
+        seq = channel.sent
+        channel.sent = seq + 1
+        if (self._down or self._partitions) and self._handle_blocked(envelope, channel, seq):
             return
         if self._options.loss_probability > 0.0:
             if self._env.random.random() < self._options.loss_probability:
                 self.dropped_count += 1
                 return
-        departure = self._env.now if send_time is None else max(send_time, self._env.now)
-        self._schedule_delivery(envelope, departure, seq)
+        now = self._env.now
+        departure = now if send_time is None or send_time < now else send_time
+        self._schedule_delivery(envelope, channel, departure, seq)
 
-    def _schedule_delivery(self, envelope: Envelope, departure: Micros, seq: int) -> None:
-        delivery = departure + self.one_way_delay(envelope.src, envelope.dst)
+    def _schedule_delivery(
+        self, envelope: Envelope, channel: _Channel, departure: Micros, seq: int
+    ) -> None:
+        delivery = departure + channel.sample_delay(self._env.random)
         # FIFO per channel: never deliver before a previously sent message.
-        key = (envelope.src, envelope.dst)
-        previous = self._last_delivery.get(key, 0)
-        if delivery < previous:
-            delivery = previous
-        self._last_delivery[key] = delivery
-        self._env.schedule_at(delivery, lambda: self._deliver(envelope, delivery, seq))
+        if delivery < channel.last_delivery:
+            delivery = channel.last_delivery
+        channel.last_delivery = delivery
+        self._env.schedule_at(delivery, partial(self._deliver, envelope, channel, delivery, seq))
 
-    def _deliver(self, envelope: Envelope, delivery_time: Micros, seq: int) -> None:
-        if self._handle_blocked(envelope, seq):
+    def _deliver(
+        self, envelope: Envelope, channel: _Channel, delivery_time: Micros, seq: int
+    ) -> None:
+        if (self._down or self._partitions) and self._handle_blocked(envelope, channel, seq):
             # The destination crashed or was partitioned while the message
             # was in flight (parked until heal in ``buffer`` mode).
             return

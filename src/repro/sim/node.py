@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 from ..net.message import Envelope
 from ..protocols.base import (
@@ -171,7 +172,9 @@ class SimulatedNode:
             return
         self.messages_received += 1
         if self.cpu_model is None:
-            self._perform(self.replica.on_message(envelope.src, envelope.message))
+            actions = self.replica.on_message(envelope.src, envelope.message)
+            if actions:
+                self._perform(actions)
         else:
             self._enqueue("msg", envelope, delivery_time)
 
@@ -184,43 +187,60 @@ class SimulatedNode:
             self._enqueue("timer", timer, self.env.now)
 
     # ------------------------------------------------------------------
-    # Action execution (zero-cost path)
+    # Action execution
     # ------------------------------------------------------------------
 
-    def _perform(self, actions: list[Action], send_time: Optional[Micros] = None) -> None:
-        for action in actions:
-            if isinstance(action, Send):
-                self._send(action.dst, action.message, send_time)
-            elif isinstance(action, Broadcast):
+    def _perform(
+        self,
+        actions: list[Action],
+        send_time: Optional[Micros] = None,
+        sizes: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Carry out *actions* in order.
+
+        A message is sized once per action — a broadcast's envelopes all
+        carry the same size.  ``sizes`` (aligned with *actions*) hands in the
+        sizes :meth:`_process_batch` already computed for its CPU cost.
+        """
+        me = self.replica_id
+        for index, action in enumerate(actions):
+            kind = type(action)
+            if kind is Send:
+                message = action.message
+                self.messages_sent += 1
+                if action.dst == me:
+                    self._deliver_to_self(message, send_time)
+                else:
+                    size = sizes[index] if sizes is not None else self.message_size(message)
+                    self.network.send(Envelope(me, action.dst, message, size), send_time)
+            elif kind is Broadcast:
+                message = action.message
+                size = sizes[index] if sizes is not None else self.message_size(message)
+                send = self.network.send
                 for dst in self.replica.broadcast_targets(include_self=False):
-                    self._send(dst, action.message, send_time)
+                    self.messages_sent += 1
+                    send(Envelope(me, dst, message, size), send_time)
                 if action.include_self:
-                    self._deliver_to_self(action.message, send_time)
-            elif isinstance(action, ClientReply):
+                    self._deliver_to_self(message, send_time, size)
+            elif kind is ClientReply:
                 if self.reply_handler is not None:
-                    self.reply_handler(
-                        self.replica_id, action.command_id, action.output, self.env.now
-                    )
-            elif isinstance(action, SetTimer):
-                self.env.schedule(action.delay, lambda t=action.timer: self._fire_timer(t))
+                    self.reply_handler(me, action.command_id, action.output, self.env.now)
+            elif kind is SetTimer:
+                self.env.schedule(action.delay, partial(self._fire_timer, action.timer))
 
-    def _send(self, dst: ReplicaId, message: Any, send_time: Optional[Micros]) -> None:
-        self.messages_sent += 1
-        if dst == self.replica_id:
-            self._deliver_to_self(message, send_time)
-            return
-        envelope = Envelope(self.replica_id, dst, message, self.message_size(message))
-        self.network.send(envelope, send_time)
-
-    def _deliver_to_self(self, message: Any, send_time: Optional[Micros]) -> None:
+    def _deliver_to_self(
+        self, message: Any, send_time: Optional[Micros], size: Optional[int] = None
+    ) -> None:
         """Loopback delivery: immediate in zero-cost mode, queued with CPU."""
         if self.cpu_model is None:
-            self._perform(self.replica.on_message(self.replica_id, message))
+            actions = self.replica.on_message(self.replica_id, message)
+            if actions:
+                self._perform(actions)
         else:
             arrival = send_time if send_time is not None else self.env.now
-            envelope = Envelope(
-                self.replica_id, self.replica_id, message, self.message_size(message)
-            )
+            if size is None:
+                size = self.message_size(message)
+            envelope = Envelope(self.replica_id, self.replica_id, message, size)
             self._enqueue("msg", envelope, arrival)
 
     # ------------------------------------------------------------------
@@ -274,28 +294,31 @@ class SimulatedNode:
                 actions.extend(self.replica.on_timer(payload))
 
         # Send costs: group outgoing messages per (destination, type); sends
-        # to self are loopback calls and cost nothing.
+        # to self are loopback calls and cost nothing.  Each message is sized
+        # once here and ``_perform`` reuses the size for its envelopes.
+        me = self.replica_id
         send_groups: set[tuple[ReplicaId, type]] = set()
         send_bytes = 0
-        for action in actions:
-            if isinstance(action, Send):
-                if action.dst == self.replica_id:
-                    continue
-                send_groups.add((action.dst, type(action.message)))
-                send_bytes += self.message_size(action.message)
-            elif isinstance(action, Broadcast):
-                size = self.message_size(action.message)
-                for dst in self.replica.broadcast_targets(action.include_self):
-                    if dst == self.replica_id:
-                        continue
-                    send_groups.add((dst, type(action.message)))
+        sizes = [0] * len(actions)
+        for index, action in enumerate(actions):
+            kind = type(action)
+            if kind is Send:
+                if action.dst != me:
+                    sizes[index] = size = self.message_size(action.message)
+                    send_groups.add((action.dst, type(action.message)))
                     send_bytes += size
+            elif kind is Broadcast:
+                sizes[index] = size = self.message_size(action.message)
+                for dst in self.replica.broadcast_targets(action.include_self):
+                    if dst != me:
+                        send_groups.add((dst, type(action.message)))
+                        send_bytes += size
         cost += self.cpu_model.send_cost(len(send_groups), send_bytes)
 
         self._cpu_free_at = start + cost
         self.busy_micros += cost
         # Messages leave the node once the CPU finishes the batch.
-        self._perform(actions, send_time=self._cpu_free_at)
+        self._perform(actions, send_time=self._cpu_free_at, sizes=sizes)
         if self._inbox:
             self._schedule_processing(self._cpu_free_at)
 

@@ -165,6 +165,22 @@ class TestCommitRule:
         assert len(replies) == 1
         assert replies[0].command_id == CommandId("client", 1)
 
+    def test_ack_arriving_after_the_commit_is_observed_but_not_recorded(self):
+        replicas = {rid: build_replica(replica_id=rid, wait_for_clock=False)[0] for rid in range(3)}
+        origin = replicas[0]
+        prepare = only(origin.on_client_request(command()), Broadcast)[0].message
+        oks = self._deliver_prepare_everywhere(replicas, prepare)
+        origin.on_message(1, oks[1])
+        origin.on_message(2, oks[2])
+        assert origin.executed_count == 1 and origin.state.pending_count() == 0
+        # The origin's own loopback PREPAREOK is the last to arrive: its clock
+        # reading still counts, but it must not re-create the ack set the
+        # commit just freed (nothing would ever free it again).
+        assert origin.on_message(0, oks[0]) == []
+        assert origin.state.latest_tv[0] == oks[0].clock_micros
+        assert origin.state.ack_count(prepare.ts) == 0
+        assert origin.state._acks == {}
+
     def test_non_origin_replicas_execute_but_do_not_reply(self):
         replicas = {rid: build_replica(replica_id=rid, wait_for_clock=False)[0] for rid in range(3)}
         origin = replicas[0]

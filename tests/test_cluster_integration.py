@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiment.sim_backend import SimBackend
+from repro.experiment.spec import ExperimentSpec, FaultSpec, WorkloadSpec
 from repro.kvstore.client import SimKVClient
 from repro.types import seconds_to_micros
 
@@ -133,3 +135,42 @@ class TestCrashTolerance:
         cluster.run_for(seconds_to_micros(2.0))
         assert cluster.replica(2).executed_count == 0
         assert cluster.replica(1).executed_count == 1
+
+
+class TestSoftStateStaysBounded:
+    """Clock-RSM's ack bookkeeping must not outlive the commands it is about."""
+
+    CLIENTS_PER_SITE = 8
+
+    @pytest.mark.parametrize("rejoin", [False, True], ids=["steady", "rejoin"])
+    def test_ack_sets_are_bounded_by_pending_plus_in_flight(self, rejoin):
+        sites = ("CA", "VA", "IR")
+        faults = (
+            FaultSpec(kind="crash", at_s=0.6, site="IR"),
+            FaultSpec(kind="recover", at_s=1.2, site="IR", rejoin=True),
+        )
+        spec = ExperimentSpec(
+            name="acks-bounded",
+            protocol="clock-rsm",
+            sites=sites,
+            workload=WorkloadSpec(
+                scenario="balanced", clients_per_site=self.CLIENTS_PER_SITE,
+                think_time_max_ms=0.0, app="kv",
+            ),
+            faults=faults if rejoin else (),
+            warmup_s=0.0,
+            duration_s=3.0,
+            seed=3,
+        )
+        run = SimBackend().prepare(spec)
+        run.cluster.run_for(spec.total_runtime_micros)
+        assert run.handle.collector.count() > 100, "the run must commit enough to leak"
+        # A closed loop keeps one command per client outstanding; an ack may
+        # precede its PREPARE, so that many entries can be ahead of pending.
+        in_flight = self.CLIENTS_PER_SITE * len(sites)
+        for replica in run.cluster.replicas():
+            state = replica.state
+            assert len(state._acks) <= state.pending_count() + in_flight, (
+                f"replica {replica.replica_id}: {len(state._acks)} ack sets for "
+                f"{state.pending_count()} pending commands"
+            )
