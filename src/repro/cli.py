@@ -54,6 +54,7 @@ from .bench.throughput import run_throughput_comparison
 from .errors import ReproError
 from .experiment import (
     BACKENDS,
+    SCENARIOS,
     BatchingSpec,
     Deployment,
     ExperimentSpec,
@@ -66,11 +67,9 @@ from .types import seconds_to_micros
 
 def _registry_epilog() -> str:
     """Help-text listing of the live registries (never hard-coded prose)."""
-    from .workload.scenarios import SCENARIO_BUILDERS
-
     return (
         f"protocols: {', '.join(available_protocols())}\n"
-        f"workload scenarios: {', '.join(sorted(SCENARIO_BUILDERS))}\n"
+        f"workload scenarios: {', '.join(sorted(SCENARIOS))}\n"
         f"backends: {', '.join(sorted(BACKENDS))}\n"
         "(see `clock-rsm-repro protocols` for the capability table)"
     )

@@ -14,15 +14,9 @@ This package provides:
   simulation.
 * :class:`~repro.clocks.physical.SystemClock` — wall-clock backed clock for
   the asyncio runtime.
-* :class:`~repro.clocks.ntp.NtpSynchronizer` — an NTP-style offset estimator
-  that keeps simulated clocks loosely synchronized.
-* :class:`~repro.clocks.hybrid.HybridLogicalClock` — an HLC variant offered
-  as an extension (not required by the paper).
 """
 
 from .base import Clock, ManualClock, MonotonicClock, MonotonicTimestampSource, TimeSource
-from .hybrid import HybridLogicalClock
-from .ntp import NtpSample, NtpSynchronizer
 from .physical import DriftingClock, PerfectClock, SkewedClock, SystemClock
 
 __all__ = [
@@ -35,7 +29,4 @@ __all__ = [
     "SkewedClock",
     "DriftingClock",
     "SystemClock",
-    "NtpSample",
-    "NtpSynchronizer",
-    "HybridLogicalClock",
 ]

@@ -35,7 +35,7 @@ class SkewedClock(Clock):
         return self._skew
 
     def adjust(self, delta: Micros) -> None:
-        """Slew the clock by *delta* microseconds (used by NTP adjustment)."""
+        """Slew the clock by *delta* microseconds."""
         self._skew += delta
 
     def now(self) -> Micros:
@@ -47,8 +47,7 @@ class DriftingClock(Clock):
 
     ``drift_ppm`` is the frequency error in parts per million: a value of 50
     means the clock gains 50 µs per true second.  Real quartz oscillators
-    exhibit tens of ppm of drift; NTP corrects the accumulated error
-    periodically (see :class:`repro.clocks.ntp.NtpSynchronizer`).
+    exhibit tens of ppm of drift.
     """
 
     def __init__(self, source: TimeSource, skew: Micros = 0, drift_ppm: float = 0.0) -> None:
@@ -77,13 +76,14 @@ class DriftingClock(Clock):
         return max(0, true_now + self.error_at(true_now))
 
 
-class SystemClock(Clock):
+class SystemClock(Clock, TimeSource):
     """Wall-clock backed clock for the asyncio runtime.
 
     Uses ``time.monotonic_ns`` anchored to ``time.time_ns`` at construction,
     mirroring the paper's use of ``clock_gettime`` to obtain monotonically
     increasing readings while remaining loosely synchronized (via the host's
-    NTP daemon) with other replicas.
+    NTP daemon) with other replicas.  It is also the live runtime's *true
+    time*: the skewed / drifting models read it as their source.
     """
 
     def __init__(self) -> None:
@@ -95,6 +95,8 @@ class SystemClock(Clock):
         if elapsed < 0:  # pragma: no cover - monotonic clocks do not go back
             raise ClockError("monotonic clock went backwards")
         return self._anchor_wall_us + elapsed
+
+    true_now = now
 
 
 __all__ = ["PerfectClock", "SkewedClock", "DriftingClock", "SystemClock"]

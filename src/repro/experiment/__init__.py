@@ -5,9 +5,9 @@ This package is the single entry point for running Clock-RSM experiments:
 * :class:`ExperimentSpec` — a frozen, serializable description of a
   deployment (protocol, sites + latency, clock models, workload, faults,
   durations) with ``from_dict``/``to_dict`` and TOML/JSON file loading;
-* :class:`Deployment` — binds a spec to a backend (``sim`` or ``async``)
-  and runs it;
-* :class:`ExperimentResult` — the uniform result shape both backends return.
+* :class:`Deployment` — binds a spec to a backend (``sim``, ``async`` or
+  ``proc``) and runs it;
+* :class:`ExperimentResult` — the uniform result shape every backend returns.
 
 Example::
 

@@ -24,25 +24,19 @@ its own scheduling jitter (the result's metadata records
 from __future__ import annotations
 
 import asyncio
-import itertools
 import logging
-import random
 from typing import Callable, Optional
 
-from ..checker.history import OpHistory
-from ..clocks.base import Clock, TimeSource
-from ..clocks.physical import DriftingClock, SkewedClock, SystemClock
-from ..config import ProtocolConfig
-from ..errors import ConfigurationError, RequestTimeout
-from ..metrics.collector import LatencyCollector
-from ..metrics.stats import LatencySummary
+from ..errors import ConfigurationError
 from ..net.latency import LatencyMatrix
 from ..runtime.local import LocalAsyncCluster
-from ..runtime.server import ReplicaServer
-from ..types import Command, CommandId, ReplicaId, ms_to_micros
-from ..workload.apps import payload_factory, state_machine_factory
-from .result import ExperimentResult, SiteResult
-from .spec import ExperimentSpec, FaultSpec
+from ..sim.failures import FailureSchedule
+from ..types import ReplicaId, micros_to_seconds
+from ..workload.apps import state_machine_factory
+from ..workload.live import LiveClients
+from .result import ExperimentResult, build_result, split_metrics
+from .spec import ExperimentSpec
+from .walltime import clock_factory, scaled_batching, scaled_protocol_config
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -72,16 +66,6 @@ def resolve_loop_factory(use_uvloop: bool) -> Optional[Callable[[], asyncio.Abst
         )
         return None
     return uvloop.new_event_loop
-
-
-class _WallTimeSource(TimeSource):
-    """Adapts the asyncio runtime's system clock to the TimeSource interface."""
-
-    def __init__(self) -> None:
-        self._clock = SystemClock()
-
-    def true_now(self) -> int:
-        return self._clock.now()
 
 
 def _scaled_matrix(matrix: LatencyMatrix, scale: float) -> LatencyMatrix:
@@ -139,65 +123,17 @@ class AsyncBackend:
     # Cluster construction
     # ------------------------------------------------------------------
 
-    def _clock_factory(self, spec: ExperimentSpec):
-        offsets = spec.clock_offsets()
-        drifts = spec.clock_drift_ppm()
-        # Clock-jump faults step clocks mid-run, so every replica then needs
-        # an adjustable clock even if it starts perfectly synchronized.
-        jumpy = any(fault.kind == "clock-jump" for fault in spec.faults)
-        if not offsets and not drifts and not jumpy:
-            return None
-        scale = self.time_scale
-
-        def factory(replica_id: ReplicaId) -> Optional[Clock]:
-            offset = int(offsets.get(replica_id, 0) / scale)
-            drift = drifts.get(replica_id, 0.0)
-            if drift:
-                return DriftingClock(_WallTimeSource(), skew=offset, drift_ppm=drift)
-            if offset or jumpy:
-                return SkewedClock(_WallTimeSource(), skew=offset)
-            return None
-
-        return factory
-
     def build_cluster(self, spec: ExperimentSpec) -> LocalAsyncCluster:
         """Wire the asyncio cluster a spec describes (without workload)."""
         self._check_supported(spec)
-        config = spec.protocol_config()
         return LocalAsyncCluster(
             spec.protocol,
             spec.cluster_spec(),
             latency=_scaled_matrix(spec.latency_matrix(), self.time_scale),
-            protocol_config=ProtocolConfig(
-                leader=config.leader,
-                clocktime_interval=max(
-                    ms_to_micros(1.0),
-                    int(config.clocktime_interval / self.time_scale),
-                ),
-                wait_for_clock=config.wait_for_clock,
-            ),
+            protocol_config=scaled_protocol_config(spec, self.time_scale),
             state_machine_factory=state_machine_factory(spec.workload.app),
-            clock_factory=self._clock_factory(spec),
-            batching=self._scaled_batching(spec),
-        )
-
-    def _scaled_batching(self, spec: ExperimentSpec):
-        """The spec's batching options with the window in wall-clock time.
-
-        ``window_us`` is a spec-time duration like every other delay, so it
-        is divided by ``time_scale`` (sizes and depths are dimensionless).
-        """
-        if spec.batching is None:
-            return None
-        options = spec.batching.options()
-        if options.window_us == 0 or self.time_scale == 1:
-            return options
-        from ..config import BatchingOptions
-
-        return BatchingOptions(
-            max_batch=options.max_batch,
-            window_us=max(1, int(options.window_us / self.time_scale)),
-            pipeline_depth=options.pipeline_depth,
+            clock_factory=clock_factory(spec, self.time_scale),
+            batching=scaled_batching(spec, self.time_scale),
         )
 
     def _check_supported(self, spec: ExperimentSpec) -> None:
@@ -214,54 +150,6 @@ class AsyncBackend:
                 "the async backend has no CPU cost model (the real event loop "
                 "is the CPU); remove the [cpu] section or use the sim backend"
             )
-
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-
-    def _fault_actions(
-        self, spec: ExperimentSpec, cluster: LocalAsyncCluster
-    ) -> list[tuple[float, "callable"]]:
-        """(delay-seconds, thunk) pairs implementing the spec's fault schedule."""
-        cluster_spec = spec.cluster_spec()
-        rid = lambda site: cluster_spec.by_site(site).replica_id
-        scale = self.time_scale
-        actions: list[tuple[float, "callable"]] = []
-        for fault in spec.faults:
-            at = fault.at_s / scale
-            heal_at = fault.heal_at_s / scale if fault.heal_at_s is not None else None
-            if fault.kind == "crash":
-                actions.append((at, lambda f=fault: cluster.crash(rid(f.site))))
-            elif fault.kind == "recover":
-                actions.append(
-                    (at, lambda f=fault: cluster.recover(rid(f.site), rejoin=f.rejoin))
-                )
-            elif fault.kind == "partition":
-                actions.append(
-                    (at, lambda f=fault: cluster.partition(rid(f.site), rid(f.peer)))
-                )
-                if heal_at is not None:
-                    actions.append(
-                        (heal_at, lambda f=fault: cluster.heal(rid(f.site), rid(f.peer)))
-                    )
-            elif fault.kind == "isolate":
-                actions.append((at, lambda f=fault: cluster.isolate(rid(f.site))))
-                if heal_at is not None:
-                    def _heal_isolation(f: FaultSpec = fault) -> None:
-                        isolated = rid(f.site)
-                        for other in cluster_spec.replica_ids:
-                            if other != isolated:
-                                cluster.heal(isolated, other)
-
-                    actions.append((heal_at, _heal_isolation))
-            elif fault.kind == "clock-jump":
-                delta = int(ms_to_micros(fault.offset_ms) / scale)
-                actions.append(
-                    (at, lambda f=fault, d=delta: cluster.clock_jump(rid(f.site), d))
-                )
-            else:  # pragma: no cover - _check_supported validates kinds
-                raise AssertionError(f"unhandled fault kind {fault.kind!r}")
-        return actions
 
     # ------------------------------------------------------------------
     # Running
@@ -282,186 +170,57 @@ class AsyncBackend:
         deployments run their groups side by side.
         """
         cluster = self.build_cluster(spec)  # validates backend support
-        workload = spec.workload
-        cluster_spec = spec.cluster_spec()
-        collector = LatencyCollector(warmup_until=spec.warmup_micros)
         loop = asyncio.get_running_loop()
-        start_wall = loop.time()
-
-        def virtual_micros() -> int:
-            # Wall seconds since start, scaled back to spec-time microseconds.
-            return int((loop.time() - start_wall) * self.time_scale * 1_000_000)
-
-        uid = itertools.count(1)
-        app_payloads = payload_factory(workload.app, workload.payload_size)
-        history = OpHistory() if spec.record_history else None
-        # Null-app payloads are a constant; one shared bytes object instead
-        # of a fresh allocation per command.
-        null_payload = bytes(workload.payload_size)
-
-        def make_payload(rng: random.Random) -> bytes:
-            if app_payloads is not None:
-                return app_payloads(rng)
-            return null_payload
-
-        stop = asyncio.Event()
-        pipeline_depth = (
-            spec.batching.pipeline_depth if spec.batching is not None else 1
-        )
-
-        async def run_command(
-            server: ReplicaServer, rid: ReplicaId, name: str, rng: random.Random
-        ) -> None:
-            command = Command(CommandId(name, next(uid)), make_payload(rng))
-            submitted_at = virtual_micros()
-            if history is not None:
-                history.invoke(
-                    command.command_id, rid, command.payload, submitted_at
-                )
-            try:
-                output = await server.submit(command, timeout=self.submit_timeout)
-            except RequestTimeout:
-                if history is not None:
-                    history.fail(command.command_id, virtual_micros())
-                return
-            committed_at = virtual_micros()
-            if history is not None:
-                history.complete(command.command_id, output, committed_at)
-            # Commands draining after the measurement window ended would
-            # never have committed on the sim backend (it hard-stops at
-            # total_runtime_micros); keep the two backends comparable.  The
-            # submit timestamp is in hand across the await, so the span is
-            # recorded directly — no per-command collector dict entry.
-            if committed_at <= spec.total_runtime_micros:
-                collector.record_span(rid, submitted_at, committed_at)
-
-        async def closed_loop_client(
-            server: ReplicaServer, rid: ReplicaId, site: str, index: int, think: bool
-        ) -> None:
-            # Deterministic per-client stream (independent of PYTHONHASHSEED).
-            rng = random.Random(spec.seed * 1_000_003 + rid * 1_009 + index)
-            think_min = workload.think_time_min_ms / 1_000.0 / self.time_scale
-            think_max = workload.think_time_max_ms / 1_000.0 / self.time_scale
-            # Scoped by the spec name so concurrent deployments in one loop
-            # (sharded runs) never produce colliding client ids.
-            name = f"{spec.name}/{site}/async{index}"
-            # Loop on the stop event rather than relying on cancellation:
-            # Python 3.11's wait_for can swallow a cancellation that races
-            # with the commit future resolving, which would leave this loop
-            # running (and the run hanging) forever.
-            #
-            # With pipeline_depth > 1 the client does not await each commit
-            # before issuing the next command: up to `depth` submissions stay
-            # in flight concurrently (message pipelining).
-            in_flight: set[asyncio.Task] = set()
-            while not stop.is_set():
-                if think and think_max > 0:
-                    await asyncio.sleep(rng.uniform(think_min, think_max))
-                if pipeline_depth == 1:
-                    await run_command(server, rid, name, rng)
-                    continue
-                in_flight.add(
-                    asyncio.create_task(run_command(server, rid, name, rng))
-                )
-                if len(in_flight) >= pipeline_depth:
-                    done, in_flight = await asyncio.wait(
-                        in_flight, return_when=asyncio.FIRST_COMPLETED
-                    )
-                    for task in done:
-                        task.result()  # propagate failures like depth == 1
-            if in_flight:
-                # Drain phase: stop is set, stragglers may be cancelled by
-                # the teardown — swallow only that, not real failures.
-                await asyncio.gather(*in_flight, return_exceptions=True)
-
-        tasks: list[asyncio.Task] = []
+        clients = LiveClients(spec, self.time_scale, self.submit_timeout)
+        faults = FailureSchedule.from_spec(spec.faults, cluster.spec, self.time_scale)
         fault_handles: list[asyncio.TimerHandle] = []
         async with cluster:
-            for delay, thunk in self._fault_actions(spec, cluster):
-                fault_handles.append(loop.call_later(delay, thunk))
-            for replica_spec in cluster_spec.replicas:
-                rid = replica_spec.replica_id
-                site = replica_spec.site
-                if workload.scenario == "imbalanced" and site != workload.origin_site:
-                    continue
-                server = cluster.servers[rid]
-                if workload.scenario == "saturating":
-                    count, think = workload.outstanding_per_site, False
-                else:
-                    count, think = workload.clients_per_site, True
-                for index in range(count):
-                    tasks.append(
-                        asyncio.create_task(
-                            closed_loop_client(server, rid, site, index, think)
-                        )
-                    )
-            await asyncio.sleep((spec.warmup_s + spec.duration_s) / self.time_scale)
-            stop.set()
+            faults.install(
+                cluster,
+                lambda at, thunk: fault_handles.append(
+                    loop.call_later(micros_to_seconds(at), thunk)
+                ),
+            )
+            for replica_spec in cluster.spec.replicas:
+                clients.attach(
+                    replica_spec.replica_id,
+                    replica_spec.site,
+                    cluster.servers[replica_spec.replica_id].submit,
+                )
+            await clients.window()
             # Faults scheduled past the end of the run (e.g. a heal_at after
             # duration_s) must not fire into the tear-down.
             for handle in fault_handles:
                 handle.cancel()
-            # Let in-flight submissions drain, then cancel stragglers.
-            _done, pending = await asyncio.wait(tasks, timeout=self.submit_timeout)
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
+            await clients.drain()
 
-            sites: dict[str, SiteResult] = {}
-            replica_metrics: dict[ReplicaId, dict[str, float]] = {}
-            for replica_spec in cluster_spec.replicas:
-                rid = replica_spec.replica_id
-                committed = collector.count(rid)
-                summary: LatencySummary | None = None
-                cdf = None
-                if committed:
-                    summary = collector.summary(rid)
-                    if replica_spec.site in spec.cdf_sites:
-                        cdf = collector.cdf_ms(rid)
-                sites[replica_spec.site] = SiteResult(
-                    site=replica_spec.site,
-                    replica_id=rid,
-                    committed=committed,
-                    summary=summary,
-                    cdf_ms=cdf,
-                )
-                replica_metrics[rid] = {
-                    "executed": float(cluster.servers[rid].replica.executed_count),
+            replica_metrics: dict[ReplicaId, dict[str, float]] = {
+                rid: {
+                    "executed": float(server.replica.executed_count),
+                    **split_metrics(server.driver.latency_split(), self.time_scale),
                 }
-                split = cluster.servers[rid].driver.latency_split()
-                if split is not None:
-                    # Wall seconds × time_scale → spec-time microseconds,
-                    # like every recorded latency.
-                    to_us = 1_000_000.0 * self.time_scale
-                    replica_metrics[rid].update(
-                        {
-                            "queue_wait_mean_us": round(split["queue_wait_s"] * to_us, 1),
-                            "protocol_mean_us": round(split["protocol_s"] * to_us, 1),
-                            "split_samples": split["samples"],
-                        }
-                    )
-            if history is not None:
-                history.record_apply_orders(
+                for rid, server in cluster.servers.items()
+            }
+            if clients.history is not None:
+                clients.history.record_apply_orders(
                     {
                         rid: tuple(server.replica.execution_order)
                         for rid, server in cluster.servers.items()
                     }
                 )
 
-        total = collector.count()
-        return ExperimentResult(
-            name=spec.name,
-            protocol=spec.protocol,
-            backend=self.name,
-            duration_s=spec.duration_s,
-            sites=sites,
-            total_committed=total,
-            throughput_kops=total / spec.duration_s / 1_000.0,
-            replica_metrics=replica_metrics,
-            metadata={
+        return build_result(
+            spec,
+            self.name,
+            {
+                rid: clients.collector.latencies_micros(rid)
+                for rid in cluster.spec.replica_ids
+            },
+            replica_metrics,
+            {
                 "seed": spec.seed,
                 "time_scale": self.time_scale,
-                "wall_clock_s": round(loop.time() - start_wall, 3),
+                "wall_clock_s": clients.wall_clock_s(),
                 # The spec's synthetic jitter is not injected here: the live
                 # event loop contributes its own natural scheduling jitter.
                 "jitter_applied": False,
@@ -470,7 +229,7 @@ class AsyncBackend:
                 # requested-but-not-installed fallback).
                 "event_loop": type(loop).__module__.partition(".")[0],
             },
-            history=history,
+            clients.history,
         )
 
 

@@ -1,20 +1,22 @@
 """The uniform result of one experiment run, backend-agnostic.
 
-Both the simulator backend and the asyncio backend reduce their runs to an
-:class:`ExperimentResult`: per-site commit-latency summaries (and optional
-CDFs), committed-command counts, aggregate throughput, and per-replica
-metrics.  Consumers — the CLI, the bench harness, tests — never need to know
-which backend produced a result.
+All three backends (``sim``, ``async``, ``proc``) hand what they measured to
+:func:`build_result`, which reduces it to an :class:`ExperimentResult`:
+per-site commit-latency summaries (and optional CDFs), committed-command
+counts, aggregate throughput, and per-replica metrics.  Consumers — the CLI,
+the bench harness, tests — never need to know which backend produced a
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from ..checker.history import OpHistory
-from ..metrics.stats import LatencySummary
-from ..types import ReplicaId
+from ..metrics.stats import LatencySummary, cdf_points, summarize_micros
+from ..types import Micros, ReplicaId, micros_to_ms
+from .spec import ExperimentSpec
 
 
 @dataclass
@@ -153,4 +155,69 @@ class ExperimentResult:
         return data
 
 
-__all__ = ["SiteResult", "ExperimentResult"]
+def split_metrics(
+    split: Optional[Mapping[str, float]], time_scale: float
+) -> dict[str, float]:
+    """A live driver's queue-wait/protocol split as ``replica_metrics`` entries.
+
+    ``split`` is :meth:`repro.runtime.driver.ReplicaDriver.latency_split`
+    (wall seconds, ``None`` before the first reply); the means come back in
+    spec-time microseconds like every recorded latency.
+    """
+    if split is None:
+        return {}
+    to_us = 1_000_000.0 * time_scale
+    return {
+        "queue_wait_mean_us": round(split["queue_wait_s"] * to_us, 1),
+        "protocol_mean_us": round(split["protocol_s"] * to_us, 1),
+        "split_samples": float(split["samples"]),
+    }
+
+
+def build_result(
+    spec: ExperimentSpec,
+    backend: str,
+    latencies_by_replica: Mapping[ReplicaId, Sequence[Micros]],
+    replica_metrics: dict[ReplicaId, dict[str, float]],
+    metadata: dict[str, Any],
+    history: Optional[OpHistory] = None,
+) -> ExperimentResult:
+    """Reduce one run's raw measurements to the uniform result.
+
+    ``latencies_by_replica`` holds the spec-time commit latencies (µs)
+    recorded at each originating replica inside the measurement window;
+    replicas without samples may be missing.
+    """
+    sites: dict[str, SiteResult] = {}
+    total = 0
+    for replica_spec in spec.cluster_spec().replicas:
+        latencies = latencies_by_replica.get(replica_spec.replica_id, ())
+        total += len(latencies)
+        summary: Optional[LatencySummary] = None
+        cdf = None
+        if latencies:
+            summary = summarize_micros(latencies)
+            if replica_spec.site in spec.cdf_sites:
+                cdf = cdf_points([micros_to_ms(v) for v in latencies])
+        sites[replica_spec.site] = SiteResult(
+            site=replica_spec.site,
+            replica_id=replica_spec.replica_id,
+            committed=len(latencies),
+            summary=summary,
+            cdf_ms=cdf,
+        )
+    return ExperimentResult(
+        name=spec.name,
+        protocol=spec.protocol,
+        backend=backend,
+        duration_s=spec.duration_s,
+        sites=sites,
+        total_committed=total,
+        throughput_kops=total / spec.duration_s / 1_000.0,
+        replica_metrics=replica_metrics,
+        metadata=metadata,
+        history=history,
+    )
+
+
+__all__ = ["SiteResult", "ExperimentResult", "build_result", "split_metrics"]

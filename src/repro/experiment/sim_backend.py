@@ -6,17 +6,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..checker.history import HistoryRecorder
-from ..metrics.stats import LatencySummary
 from ..sim.cluster import SimulatedCluster
 from ..sim.environment import SimulationEnvironment
 from ..sim.failures import FailureSchedule
 from ..sim.network import NetworkOptions
 from ..sim.node import CpuModel
-from ..types import ReplicaId, ms_to_micros, seconds_to_micros
+from ..types import ReplicaId
 from ..workload.apps import state_machine_factory
 from ..workload.scenarios import WorkloadHandle, build_workload
-from .result import ExperimentResult, SiteResult
-from .spec import CpuSpec, ExperimentSpec, FaultSpec
+from .result import ExperimentResult, build_result
+from .spec import CpuSpec, ExperimentSpec
 
 
 def _cpu_model(cpu: CpuSpec) -> CpuModel:
@@ -27,37 +26,6 @@ def _cpu_model(cpu: CpuSpec) -> CpuModel:
         send_per_byte=cpu.send_per_byte,
         client_fixed=cpu.client_fixed,
     )
-
-
-def _fault_schedule(spec: ExperimentSpec) -> FailureSchedule:
-    cluster_spec = spec.cluster_spec()
-    rid = lambda site: cluster_spec.by_site(site).replica_id
-    schedule = FailureSchedule()
-    for fault in spec.faults:
-        at = seconds_to_micros(fault.at_s)
-        if fault.kind == "crash":
-            schedule.crash(at, rid(fault.site))
-        elif fault.kind == "recover":
-            schedule.recover(at, rid(fault.site), rejoin=fault.rejoin)
-        elif fault.kind == "partition":
-            heal_at = (
-                seconds_to_micros(fault.heal_at_s) if fault.heal_at_s is not None else None
-            )
-            schedule.partition(at, rid(fault.site), rid(fault.peer), heal_at=heal_at)
-        elif fault.kind == "isolate":
-            for other in cluster_spec.sites:
-                if other != fault.site:
-                    heal_at = (
-                        seconds_to_micros(fault.heal_at_s)
-                        if fault.heal_at_s is not None
-                        else None
-                    )
-                    schedule.partition(at, rid(fault.site), rid(other), heal_at=heal_at)
-        elif fault.kind == "clock-jump":
-            schedule.clock_jump(at, rid(fault.site), ms_to_micros(fault.offset_ms))
-        else:  # pragma: no cover - FaultSpec validates kinds
-            raise AssertionError(f"unhandled fault kind {fault.kind!r}")
-    return schedule
 
 
 @dataclass
@@ -116,7 +84,7 @@ class SimBackend:
         recorder = HistoryRecorder(cluster) if spec.record_history else None
         handle = build_workload(cluster, spec.workload, warmup=spec.warmup_micros)
         if spec.faults:
-            _fault_schedule(spec).install(cluster)
+            FailureSchedule.from_spec(spec.faults, cluster.spec).install(cluster)
         return PreparedSimRun(spec=spec, cluster=cluster, handle=handle, recorder=recorder)
 
     def collect(self, prepared: PreparedSimRun) -> ExperimentResult:
@@ -129,25 +97,6 @@ class SimBackend:
             # not by every experiment run.
             cluster.assert_consistent_order()
 
-        sites: dict[str, SiteResult] = {}
-        for replica_spec in cluster.spec.replicas:
-            rid = replica_spec.replica_id
-            committed = handle.collector.count(rid)
-            summary: LatencySummary | None = None
-            cdf = None
-            if committed:
-                summary = handle.collector.summary(rid)
-                if replica_spec.site in spec.cdf_sites:
-                    cdf = handle.collector.cdf_ms(rid)
-            sites[replica_spec.site] = SiteResult(
-                site=replica_spec.site,
-                replica_id=rid,
-                committed=committed,
-                summary=summary,
-                cdf_ms=cdf,
-            )
-
-        total = handle.collector.count()
         replica_metrics: dict[ReplicaId, dict[str, float]] = {}
         for rid, node in cluster.nodes.items():
             metrics: dict[str, float] = {
@@ -159,19 +108,13 @@ class SimBackend:
                 )
             replica_metrics[rid] = metrics
 
-        return ExperimentResult(
-            name=spec.name,
-            protocol=spec.protocol,
-            backend=self.name,
-            duration_s=spec.duration_s,
-            sites=sites,
-            total_committed=total,
-            throughput_kops=total / spec.duration_s / 1_000.0,
-            replica_metrics=replica_metrics,
-            metadata={"seed": spec.seed, "simulated_s": spec.warmup_s + spec.duration_s},
-            history=(
-                prepared.recorder.finish() if prepared.recorder is not None else None
-            ),
+        return build_result(
+            spec,
+            self.name,
+            {rid: handle.collector.latencies_micros(rid) for rid in cluster.nodes},
+            replica_metrics,
+            {"seed": spec.seed, "simulated_s": spec.warmup_s + spec.duration_s},
+            prepared.recorder.finish() if prepared.recorder is not None else None,
         )
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:

@@ -31,7 +31,7 @@ from ..protocols.registry import protocol_capabilities
 from ..types import Micros, ReplicaId, ms_to_micros
 
 #: Workload scenarios understood by the backends (see
-#: :mod:`repro.workload.scenarios`).
+#: :meth:`WorkloadSpec.population`).
 SCENARIOS: tuple[str, ...] = ("balanced", "imbalanced", "saturating")
 
 #: State-machine applications selectable per spec.
@@ -113,6 +113,20 @@ class WorkloadSpec:
                 f"origin_site only applies to the imbalanced scenario, "
                 f"not {self.scenario!r}"
             )
+
+    def population(self, site: str) -> Optional[tuple[int, bool]]:
+        """The clients *site* hosts as ``(count, think)``, or ``None`` for none.
+
+        The one place a scenario's meaning lives: every backend's client
+        engine asks this instead of branching on the scenario name.  Clients
+        that ``think`` pause for a random think time before each command;
+        the saturating scenario's never do.
+        """
+        if self.scenario == "imbalanced" and site != self.origin_site:
+            return None
+        if self.scenario == "saturating":
+            return self.outstanding_per_site, False
+        return self.clients_per_site, True
 
 
 @dataclass(frozen=True, slots=True)

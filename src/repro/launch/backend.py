@@ -22,13 +22,12 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Optional
 
-from ..checker.history import OpHistory, OpRecord
+from ..checker.history import OpHistory
 from ..errors import ConfigurationError
-from ..metrics.stats import LatencySummary, cdf_points, summarize_micros
-from ..types import CommandId, ReplicaId, micros_to_ms
-from .supervisor import Supervisor
-from ..experiment.result import ExperimentResult, SiteResult
+from ..experiment.result import ExperimentResult, build_result, split_metrics
 from ..experiment.spec import ExperimentSpec
+from ..types import CommandId, ReplicaId
+from .supervisor import Supervisor
 
 
 class ProcessBackend:
@@ -90,41 +89,18 @@ class ProcessBackend:
         supervisor: Supervisor,
         wall_clock_s: float,
     ) -> ExperimentResult:
-        sites: dict[str, SiteResult] = {}
+        latencies: dict[ReplicaId, list[int]] = {}
         replica_metrics: dict[ReplicaId, dict[str, float]] = {}
         history: Optional[OpHistory] = OpHistory() if spec.record_history else None
         apply_orders: dict[ReplicaId, tuple[CommandId, ...]] = {}
-        total = 0
 
-        for replica_spec in spec.cluster_spec().replicas:
-            rid = replica_spec.replica_id
+        for rid in spec.cluster_spec().replica_ids:
             payload = payloads[rid]
-            latencies = [int(v) for v in payload.get("latencies_us", [])]
-            total += len(latencies)
-            summary: Optional[LatencySummary] = None
-            cdf = None
-            if latencies:
-                summary = summarize_micros(latencies)
-                if replica_spec.site in spec.cdf_sites:
-                    cdf = cdf_points([micros_to_ms(v) for v in latencies])
-            sites[replica_spec.site] = SiteResult(
-                site=replica_spec.site,
-                replica_id=rid,
-                committed=len(latencies),
-                summary=summary,
-                cdf_ms=cdf,
-            )
-            replica_metrics[rid] = {"executed": float(payload.get("executed", 0.0))}
-            split = payload.get("split")
-            if split is not None:
-                to_us = 1_000_000.0 * self.time_scale
-                replica_metrics[rid].update(
-                    {
-                        "queue_wait_mean_us": round(split["queue_wait_s"] * to_us, 1),
-                        "protocol_mean_us": round(split["protocol_s"] * to_us, 1),
-                        "split_samples": float(split["samples"]),
-                    }
-                )
+            latencies[rid] = [int(v) for v in payload.get("latencies_us", [])]
+            replica_metrics[rid] = {
+                "executed": float(payload.get("executed", 0.0)),
+                **split_metrics(payload.get("split"), self.time_scale),
+            }
             if history is not None and payload.get("history") is not None:
                 for record in OpHistory.from_dict(payload["history"]).ops:
                     history.add(record)
@@ -136,16 +112,12 @@ class ProcessBackend:
         if history is not None:
             history.record_apply_orders(apply_orders)
 
-        return ExperimentResult(
-            name=spec.name,
-            protocol=spec.protocol,
-            backend=self.name,
-            duration_s=spec.duration_s,
-            sites=sites,
-            total_committed=total,
-            throughput_kops=total / spec.duration_s / 1_000.0,
-            replica_metrics=replica_metrics,
-            metadata={
+        return build_result(
+            spec,
+            self.name,
+            latencies,
+            replica_metrics,
+            {
                 "seed": spec.seed,
                 "time_scale": self.time_scale,
                 "wall_clock_s": round(wall_clock_s, 3),
@@ -159,7 +131,7 @@ class ProcessBackend:
                     for rid, outcome in sorted(supervisor.worker_exits.items())
                 },
             },
-            history=history,
+            history,
         )
 
 

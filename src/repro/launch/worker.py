@@ -32,150 +32,51 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import itertools
 import logging
 import os
-import random
 import signal
 import sys
 import traceback
 from typing import Any, Optional
 
-from ..checker.history import OpHistory
-from ..config import ProtocolConfig
-from ..errors import RequestTimeout
-from ..experiment.async_backend import AsyncBackend
 from ..experiment.spec import ExperimentSpec, ProcessesSpec
-from ..metrics.collector import LatencyCollector
+from ..experiment.walltime import clock_factory, scaled_batching, scaled_protocol_config
 from ..net.tcp import TcpTransport
 from ..runtime.server import ReplicaServer
-from ..types import Command, CommandId, ms_to_micros
-from ..workload.apps import payload_factory, state_machine_factory
+from ..workload.apps import state_machine_factory
+from ..workload.live import LiveClients
 from .control import connect_with_retry, expect, send_json
 
 _LOGGER = logging.getLogger(__name__)
 
 
-def _scaled_protocol_config(spec: ExperimentSpec, time_scale: float) -> ProtocolConfig:
-    """The spec's protocol config with time-valued knobs in wall-clock units."""
-    config = spec.protocol_config()
-    return ProtocolConfig(
-        leader=config.leader,
-        clocktime_interval=max(
-            ms_to_micros(1.0), int(config.clocktime_interval / time_scale)
-        ),
-        wait_for_clock=config.wait_for_clock,
-    )
-
-
-async def _run_workload(
+async def _play_site(
     spec: ExperimentSpec,
     server: ReplicaServer,
-    rid: int,
     site: str,
     time_scale: float,
     submit_timeout: float,
 ) -> dict[str, Any]:
-    """Play this site's share of the workload; return the result payload.
-
-    Mirrors the async backend's client model exactly (same scenarios, same
-    per-client seeded streams, same commit cutoff) so proc and async results
-    are comparable run for run.
-    """
-    workload = spec.workload
-    collector = LatencyCollector(warmup_until=spec.warmup_micros)
-    loop = asyncio.get_running_loop()
-    start_wall = loop.time()
-
-    def virtual_micros() -> int:
-        return int((loop.time() - start_wall) * time_scale * 1_000_000)
-
-    uid = itertools.count(1)
-    app_payloads = payload_factory(workload.app, workload.payload_size)
-    history = OpHistory() if spec.record_history else None
-    # Null-app payloads are a constant; share one bytes object per worker.
-    null_payload = bytes(workload.payload_size)
-
-    def make_payload(rng: random.Random) -> bytes:
-        if app_payloads is not None:
-            return app_payloads(rng)
-        return null_payload
-
-    stop = asyncio.Event()
-    pipeline_depth = spec.batching.pipeline_depth if spec.batching is not None else 1
-
-    async def run_command(name: str, rng: random.Random) -> None:
-        command = Command(CommandId(name, next(uid)), make_payload(rng))
-        submitted_at = virtual_micros()
-        if history is not None:
-            history.invoke(command.command_id, rid, command.payload, submitted_at)
-        try:
-            output = await server.submit(command, timeout=submit_timeout)
-        except RequestTimeout:
-            if history is not None:
-                history.fail(command.command_id, virtual_micros())
-            return
-        committed_at = virtual_micros()
-        if history is not None:
-            history.complete(command.command_id, output, committed_at)
-        if committed_at <= spec.total_runtime_micros:
-            collector.record_span(rid, submitted_at, committed_at)
-
-    async def client(index: int, think: bool) -> None:
-        rng = random.Random(spec.seed * 1_000_003 + rid * 1_009 + index)
-        think_min = workload.think_time_min_ms / 1_000.0 / time_scale
-        think_max = workload.think_time_max_ms / 1_000.0 / time_scale
-        name = f"{spec.name}/{site}/proc{index}"
-        in_flight: set[asyncio.Task] = set()
-        while not stop.is_set():
-            if think and think_max > 0:
-                await asyncio.sleep(rng.uniform(think_min, think_max))
-            if pipeline_depth == 1:
-                await run_command(name, rng)
-                continue
-            in_flight.add(asyncio.create_task(run_command(name, rng)))
-            if len(in_flight) >= pipeline_depth:
-                done, in_flight = await asyncio.wait(
-                    in_flight, return_when=asyncio.FIRST_COMPLETED
-                )
-                for task in done:
-                    task.result()
-        if in_flight:
-            await asyncio.gather(*in_flight, return_exceptions=True)
-
-    tasks: list[asyncio.Task] = []
-    serves_clients = not (
-        workload.scenario == "imbalanced" and site != workload.origin_site
-    )
-    if serves_clients:
-        if workload.scenario == "saturating":
-            count, think = workload.outstanding_per_site, False
-        else:
-            count, think = workload.clients_per_site, True
-        for index in range(count):
-            tasks.append(asyncio.create_task(client(index, think)))
-
-    await asyncio.sleep((spec.warmup_s + spec.duration_s) / time_scale)
-    stop.set()
-    if tasks:
-        _done, pending = await asyncio.wait(tasks, timeout=submit_timeout)
-        for task in pending:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+    """Play this site's share of the workload; return the result payload."""
+    rid = server.replica_id
+    clients = LiveClients(spec, time_scale, submit_timeout)
+    clients.attach(rid, site, server.submit)
+    await clients.window()
+    await clients.drain()
 
     payload: dict[str, Any] = {
         "type": "result",
         "site": site,
         "replica_id": rid,
-        "latencies_us": collector.latencies_micros(rid),
+        "latencies_us": clients.collector.latencies_micros(rid),
         "executed": float(server.replica.executed_count),
-        "wall_clock_s": round(loop.time() - start_wall, 3),
+        "wall_clock_s": clients.wall_clock_s(),
     }
     split = server.driver.latency_split()
     if split is not None:
         payload["split"] = split
-    if history is not None:
-        payload["history"] = history.to_dict()
+    if clients.history is not None:
+        payload["history"] = clients.history.to_dict()
         payload["apply_order"] = [
             [cid.client, cid.seqno] for cid in server.replica.execution_order
         ]
@@ -199,11 +100,8 @@ async def run_worker(supervisor: str, replica_id: int, token: str) -> None:
         submit_timeout = float(setup["submit_timeout"])
         processes = spec.processes or ProcessesSpec()
 
-        # The async backend already knows how to scale clocks and batching
-        # windows from spec time to wall time; reuse its rules verbatim.
-        scaling = AsyncBackend(time_scale=time_scale, submit_timeout=submit_timeout)
-        batching = scaling._scaled_batching(spec)
-        clock_factory = scaling._clock_factory(spec)
+        batching = scaled_batching(spec, time_scale)
+        clocks = clock_factory(spec, time_scale)
 
         transport = TcpTransport(
             replica_id,
@@ -227,17 +125,15 @@ async def run_worker(supervisor: str, replica_id: int, token: str) -> None:
             cluster_spec,
             state_machine_factory(spec.workload.app)(replica_id),
             transport=transport,
-            protocol_config=_scaled_protocol_config(spec, time_scale),
-            clock=clock_factory(replica_id) if clock_factory is not None else None,
+            protocol_config=scaled_protocol_config(spec, time_scale),
+            clock=clocks(replica_id) if clocks is not None else None,
             batching=batching,
         )
         await server.start()
         await send_json(writer, {"type": "running"})
 
         await expect(reader, "run", timeout=120.0, who="supervisor")
-        result = await _run_workload(
-            spec, server, replica_id, site, time_scale, submit_timeout
-        )
+        result = await _play_site(spec, server, site, time_scale, submit_timeout)
         await send_json(writer, result)
 
         await expect(reader, "exit", timeout=120.0, who="supervisor")

@@ -1,11 +1,10 @@
-"""Measurement utilities: latency statistics, CDFs, throughput counters."""
+"""Measurement utilities: latency collection, statistics, CDFs."""
 
-from .collector import LatencyCollector, ThroughputCounter
+from .collector import LatencyCollector
 from .stats import LatencySummary, cdf_points, percentile, summarize_micros
 
 __all__ = [
     "LatencyCollector",
-    "ThroughputCounter",
     "LatencySummary",
     "percentile",
     "cdf_points",

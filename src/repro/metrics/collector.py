@@ -1,9 +1,8 @@
-"""Collectors that attach to a simulated cluster and record measurements."""
+"""Collectors the workload clients of every backend record measurements into."""
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Optional
 
 from ..types import CommandId, Micros, ReplicaId, micros_to_ms
@@ -77,24 +76,4 @@ class LatencyCollector:
         return cdf_points([micros_to_ms(v) for v in self.latencies_micros(replica_id)])
 
 
-@dataclass
-class ThroughputCounter:
-    """Counts committed commands in a measurement window."""
-
-    window_start: Micros = 0
-    window_end: Micros = 0
-    committed: int = 0
-
-    def record(self, time: Micros) -> None:
-        if self.window_start <= time and (self.window_end == 0 or time <= self.window_end):
-            self.committed += 1
-
-    def throughput_kops(self) -> float:
-        """Committed commands per second, in thousands (the paper's kop/s)."""
-        if self.window_end <= self.window_start:
-            raise ValueError("measurement window is empty")
-        seconds = (self.window_end - self.window_start) / 1_000_000
-        return self.committed / seconds / 1_000.0
-
-
-__all__ = ["LatencyCollector", "ThroughputCounter"]
+__all__ = ["LatencyCollector"]

@@ -276,12 +276,19 @@ class SimulatedCluster:
         """Crash a replica; its stable log survives, its soft state does not."""
         self.nodes[replica_id].crash()
 
-    def recover(self, replica_id: ReplicaId) -> Replica:
-        """Recover a crashed replica from its stable log and restart it."""
+    def recover(self, replica_id: ReplicaId, rejoin: bool = False) -> Replica:
+        """Recover a crashed replica from its stable log and restart it.
+
+        With ``rejoin`` the recovered replica immediately triggers a
+        reconfiguration back to the full deployment (protocols with the
+        reconfiguration capability only).
+        """
         replica = self._build_replica(replica_id, recover=True)
         node = self.nodes[replica_id]
         node.set_replica(replica)
         node.start()
+        if rejoin and getattr(replica, "reconfig", None) is not None:
+            node._perform(replica.reconfig.trigger(tuple(self.spec.replica_ids)))
         return replica
 
     def partition(self, a: ReplicaId, b: ReplicaId) -> None:

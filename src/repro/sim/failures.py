@@ -1,18 +1,30 @@
-"""Scripted fault injection for simulated clusters.
+"""Scripted fault injection, for simulated and live clusters alike.
 
 Failure scenarios (crash a replica at t=2 s, recover it at t=6 s, partition a
-pair for a while, ...) are expressed declaratively and installed onto a
-:class:`~repro.sim.cluster.SimulatedCluster`, which keeps experiment scripts
-and failure-handling tests readable.
+pair for a while, ...) are expressed declaratively — by the builder methods
+or from a spec's ``[[faults]]`` tables (:meth:`FailureSchedule.from_spec`) —
+and installed through the timer the cluster runs on: a
+:class:`~repro.sim.cluster.SimulatedCluster`'s environment by default,
+event-loop timers for a :class:`~repro.runtime.local.LocalAsyncCluster`.
+Both expose the fault methods a schedule calls (``crash``, ``recover``,
+``partition``, ``heal``, ``clock_jump``; an isolation is a partition from
+every peer).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-from ..types import Micros, ReplicaId
-from .cluster import SimulatedCluster
+from ..config import ClusterSpec
+from ..errors import ConfigurationError
+from ..types import Micros, ReplicaId, ms_to_micros, seconds_to_micros
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiment.spec import FaultSpec
+
+#: ``timer(at, thunk)``: run *thunk* at time *at* (µs since the run started).
+Timer = Callable[[Micros, Callable[[], None]], Any]
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,6 +87,40 @@ class FailureSchedule:
     def __init__(self, events: Optional[list[FailureEvent]] = None) -> None:
         self.events: list[FailureEvent] = list(events or [])
 
+    @classmethod
+    def from_spec(
+        cls, faults: Iterable["FaultSpec"], cluster_spec: ClusterSpec, time_scale: float = 1.0
+    ) -> "FailureSchedule":
+        """The schedule a spec's ``[[faults]]`` tables describe, on any backend.
+
+        Times and clock-jump deltas are spec-time durations: they are divided
+        by *time_scale* like every other delay of a live run (sim runs at 1).
+        """
+
+        def micros(seconds: float) -> Micros:
+            return seconds_to_micros(seconds / time_scale)
+
+        schedule = cls()
+        for fault in faults:
+            at = micros(fault.at_s)
+            heal_at = micros(fault.heal_at_s) if fault.heal_at_s is not None else None
+            rid = cluster_spec.by_site(fault.site).replica_id
+            if fault.kind == "crash":
+                schedule.crash(at, rid)
+            elif fault.kind == "recover":
+                schedule.recover(at, rid, rejoin=fault.rejoin)
+            elif fault.kind == "partition":
+                schedule.partition(at, rid, cluster_spec.by_site(fault.peer).replica_id, heal_at)
+            elif fault.kind == "isolate":
+                for other in cluster_spec.replica_ids:
+                    if other != rid:
+                        schedule.partition(at, rid, other, heal_at)
+            elif fault.kind == "clock-jump":
+                schedule.clock_jump(at, rid, int(ms_to_micros(fault.offset_ms) / time_scale))
+            else:
+                raise ConfigurationError(f"no backend can inject fault kind {fault.kind!r}")
+        return schedule
+
     def crash(self, at: Micros, replica_id: ReplicaId) -> "FailureSchedule":
         self.events.append(CrashEvent(at, replica_id))
         return self
@@ -99,43 +145,31 @@ class FailureSchedule:
         self.events.append(ClockJumpEvent(at, replica_id, delta))
         return self
 
-    def install(self, cluster: SimulatedCluster) -> None:
-        """Schedule every event on the cluster's simulation environment."""
-        cluster.start()
+    def install(self, cluster: Any, timer: Optional[Timer] = None) -> None:
+        """Schedule every event against *cluster* on *timer*.
+
+        Without a timer, *cluster* is a simulated cluster: it is started and
+        the events go onto its own simulation environment.
+        """
+        if timer is None:
+            cluster.start()
+            timer = cluster.env.schedule_at
         for event in self.events:
-            self._install_one(cluster, event)
-
-    def _install_one(self, cluster: SimulatedCluster, event: FailureEvent) -> None:
-        if isinstance(event, CrashEvent):
-            cluster.env.schedule_at(event.at, lambda e=event: cluster.crash(e.replica_id))
-        elif isinstance(event, RecoverEvent):
-            cluster.env.schedule_at(
-                event.at, lambda e=event: self._recover(cluster, e)
-            )
-        elif isinstance(event, PartitionEvent):
-            cluster.env.schedule_at(event.at, lambda e=event: cluster.partition(e.a, e.b))
-            if event.heal_at is not None:
-                cluster.env.schedule_at(
-                    event.heal_at, lambda e=event: cluster.heal(e.a, e.b)
-                )
-        elif isinstance(event, ReconfigureEvent):
-            cluster.env.schedule_at(
-                event.at, lambda e=event: self._reconfigure(cluster, e)
-            )
-        elif isinstance(event, ClockJumpEvent):
-            cluster.env.schedule_at(
-                event.at, lambda e=event: cluster.clock_jump(e.replica_id, e.delta)
-            )
+            if isinstance(event, CrashEvent):
+                timer(event.at, lambda e=event: cluster.crash(e.replica_id))
+            elif isinstance(event, RecoverEvent):
+                timer(event.at, lambda e=event: cluster.recover(e.replica_id, rejoin=e.rejoin))
+            elif isinstance(event, PartitionEvent):
+                timer(event.at, lambda e=event: cluster.partition(e.a, e.b))
+                if event.heal_at is not None:
+                    timer(event.heal_at, lambda e=event: cluster.heal(e.a, e.b))
+            elif isinstance(event, ReconfigureEvent):
+                timer(event.at, lambda e=event: self._reconfigure(cluster, e))
+            elif isinstance(event, ClockJumpEvent):
+                timer(event.at, lambda e=event: cluster.clock_jump(e.replica_id, e.delta))
 
     @staticmethod
-    def _recover(cluster: SimulatedCluster, event: RecoverEvent) -> None:
-        replica = cluster.recover(event.replica_id)
-        if event.rejoin and hasattr(replica, "reconfig") and replica.reconfig is not None:
-            actions = replica.reconfig.trigger(tuple(cluster.spec.replica_ids))
-            cluster.nodes[event.replica_id]._perform(actions)
-
-    @staticmethod
-    def _reconfigure(cluster: SimulatedCluster, event: ReconfigureEvent) -> None:
+    def _reconfigure(cluster: Any, event: ReconfigureEvent) -> None:
         replica = cluster.replica(event.initiator)
         if not hasattr(replica, "reconfig") or replica.reconfig is None:
             raise ValueError(

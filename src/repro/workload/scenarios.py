@@ -1,15 +1,14 @@
-"""The paper's workload scenarios: balanced, imbalanced, and saturating.
+"""The paper's workload scenarios on the simulator.
 
-Besides the scenario-specific helpers, this module hosts the scenario
-registry used by the declarative experiment API: :func:`build_workload`
-attaches the workload described by a :class:`repro.experiment.WorkloadSpec`
-to a simulated cluster, dispatching on the spec's ``scenario`` name.
+Besides the scenario-specific helpers for scripts and tests,
+:func:`build_workload` attaches the workload described by a
+:class:`repro.experiment.WorkloadSpec` to a simulated cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..metrics.collector import LatencyCollector
 from ..sim.cluster import SimulatedCluster
@@ -86,68 +85,39 @@ def saturating_workload(
     return WorkloadHandle(collector, generators)
 
 
-# ---------------------------------------------------------------------------
-# Scenario registry (declarative experiment API)
-# ---------------------------------------------------------------------------
-
-
-def _workload_options(spec: "WorkloadSpec") -> WorkloadOptions:
-    return WorkloadOptions(
-        clients_per_replica=spec.clients_per_site,
-        payload_size=spec.payload_size,
-        think_time_min=ms_to_micros(spec.think_time_min_ms),
-        think_time_max=ms_to_micros(spec.think_time_max_ms),
-        payload_factory=app_payload_factory(spec.app, spec.payload_size),
-    )
-
-
-def _build_balanced(
-    cluster: SimulatedCluster, spec: "WorkloadSpec", warmup: Micros
-) -> WorkloadHandle:
-    return balanced_workload(cluster, _workload_options(spec), warmup=warmup)
-
-
-def _build_imbalanced(
-    cluster: SimulatedCluster, spec: "WorkloadSpec", warmup: Micros
-) -> WorkloadHandle:
-    origin = cluster.spec.by_site(spec.origin_site).replica_id
-    return imbalanced_workload(cluster, origin, _workload_options(spec), warmup=warmup)
-
-
-def _build_saturating(
-    cluster: SimulatedCluster, spec: "WorkloadSpec", warmup: Micros
-) -> WorkloadHandle:
-    return saturating_workload(
-        cluster,
-        spec.payload_size,
-        window_per_replica=spec.outstanding_per_site,
-        warmup=warmup,
-        payload_factory=app_payload_factory(spec.app, spec.payload_size),
-    )
-
-
-ScenarioBuilder = Callable[[SimulatedCluster, "WorkloadSpec", Micros], WorkloadHandle]
-
-#: Scenario name -> builder; the experiment backends dispatch through this.
-SCENARIO_BUILDERS: dict[str, ScenarioBuilder] = {
-    "balanced": _build_balanced,
-    "imbalanced": _build_imbalanced,
-    "saturating": _build_saturating,
-}
-
-
 def build_workload(
     cluster: SimulatedCluster, spec: "WorkloadSpec", warmup: Micros = 0
 ) -> WorkloadHandle:
-    """Attach the workload described by an experiment spec to *cluster*."""
-    try:
-        builder = SCENARIO_BUILDERS[spec.scenario]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload scenario {spec.scenario!r}; "
-            f"available: {sorted(SCENARIO_BUILDERS)}"
-        ) from None
-    return builder(cluster, spec, warmup)
+    """Attach the workload described by an experiment spec to *cluster*.
+
+    Which sites host clients, how many, and whether they think comes from
+    :meth:`WorkloadSpec.population` — the same answer the live backends'
+    client engine (:mod:`repro.workload.live`) gets.
+    """
+    collector = LatencyCollector(warmup_until=warmup)
+    payloads = app_payload_factory(spec.app, spec.payload_size)
+    generators: list = []
+    for replica in cluster.spec.replicas:
+        population = spec.population(replica.site)
+        if population is None:
+            continue
+        count, think = population
+        if think:
+            options = WorkloadOptions(
+                clients_per_replica=count,
+                payload_size=spec.payload_size,
+                think_time_min=ms_to_micros(spec.think_time_min_ms),
+                think_time_max=ms_to_micros(spec.think_time_max_ms),
+                payload_factory=payloads,
+            )
+            generator = ClosedLoopClients(cluster, replica.replica_id, options, collector)
+        else:
+            generator = SaturatingClients(
+                cluster, replica.replica_id, spec.payload_size, count, collector, payloads
+            )
+        generator.start()
+        generators.append(generator)
+    return WorkloadHandle(collector, generators)
 
 
 __all__ = [
@@ -155,6 +125,5 @@ __all__ = [
     "balanced_workload",
     "imbalanced_workload",
     "saturating_workload",
-    "SCENARIO_BUILDERS",
     "build_workload",
 ]

@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError
 from repro.experiment import ExperimentSpec, FaultSpec, WorkloadSpec, check_spec
 from repro.experiment.async_backend import ASYNC_FAULT_KINDS, AsyncBackend
 from repro.experiment.spec import FAULT_KINDS
+from repro.experiment.walltime import clock_factory
 from repro.kvstore.commands import encode_get, encode_put
 from repro.runtime.local import LocalAsyncCluster
 
@@ -86,7 +87,7 @@ class TestAsyncFaultInjection:
         spec = small_spec(
             faults=(FaultSpec(kind="clock-jump", at_s=0.1, site="CA", offset_ms=5.0),),
         )
-        factory = backend._clock_factory(spec)
+        factory = clock_factory(spec, backend.time_scale)
         assert factory is not None
         for replica_id in (0, 1, 2):
             clock = factory(replica_id)

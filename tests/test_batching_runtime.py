@@ -240,18 +240,18 @@ class TestBackends:
         assert checked.linearizable, checked.report.describe()
 
     def test_async_backend_scales_the_window_like_every_other_delay(self):
-        from repro.experiment.async_backend import AsyncBackend
+        from repro.experiment.walltime import scaled_batching
 
         spec = self._experiment(
             "mencius", BatchingSpec(max_batch=8, window_us=500, pipeline_depth=2)
         )
-        scaled = AsyncBackend(time_scale=10)._scaled_batching(spec)
+        scaled = scaled_batching(spec, 10)
         assert scaled.window_us == 50  # spec-time 500 us -> wall-clock 50 us
         assert (scaled.max_batch, scaled.pipeline_depth) == (8, 2)
-        unscaled = AsyncBackend(time_scale=1)._scaled_batching(spec)
+        unscaled = scaled_batching(spec, 1)
         assert unscaled.window_us == 500
         zero = self._experiment("mencius", BatchingSpec(max_batch=8, window_us=0))
-        assert AsyncBackend(time_scale=10)._scaled_batching(zero).window_us == 0
+        assert scaled_batching(zero, 10).window_us == 0
 
     def test_pipeline_depth_applies_to_async_clients(self):
         spec = self._experiment(

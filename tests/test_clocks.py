@@ -7,8 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.clocks.base import ManualClock, MonotonicClock, MonotonicTimestampSource
-from repro.clocks.hybrid import HlcReading, HybridLogicalClock
-from repro.clocks.ntp import NtpSample, NtpSynchronizer
 from repro.clocks.physical import DriftingClock, PerfectClock, SkewedClock, SystemClock
 from repro.errors import ClockError
 from repro.sim.environment import SimulationEnvironment
@@ -126,50 +124,3 @@ class TestPhysicalClocks:
         clock = SystemClock()
         readings = [clock.now() for _ in range(100)]
         assert readings == sorted(readings)
-
-
-class TestNtpSynchronizer:
-    def test_offset_and_delay_estimates(self):
-        # Server clock 1000 ahead; symmetric 200 one-way delay.
-        sample = NtpSample(t1=0, t2=1200, t3=1250, t4=450)
-        assert sample.delay == 400
-        assert sample.offset == 1000
-
-    def test_synchronizer_slews_toward_reference(self):
-        env = SimulationEnvironment()
-        clock = SkewedClock(env, skew=-1000)
-        sync = NtpSynchronizer(clock, slew_fraction=1.0)
-        correction = sync.ingest(NtpSample(t1=0, t2=1200, t3=1250, t4=450))
-        assert correction == 1000
-        assert clock.skew == 0
-
-    def test_dead_band_ignores_small_offsets(self):
-        env = SimulationEnvironment()
-        clock = SkewedClock(env, skew=-50)
-        sync = NtpSynchronizer(clock, slew_fraction=1.0, min_correction=100)
-        assert sync.ingest(NtpSample(t1=0, t2=40, t3=40, t4=10)) == 0
-        assert clock.skew == -50
-
-    def test_invalid_slew_fraction(self):
-        env = SimulationEnvironment()
-        with pytest.raises(ValueError):
-            NtpSynchronizer(SkewedClock(env), slew_fraction=0.0)
-
-
-class TestHybridLogicalClock:
-    def test_tick_is_strictly_increasing(self):
-        hlc = HybridLogicalClock(ManualClock(100))
-        readings = [hlc.tick() for _ in range(5)]
-        assert readings == sorted(readings)
-        assert len(set(readings)) == 5
-
-    def test_merge_respects_remote_reading(self):
-        hlc = HybridLogicalClock(ManualClock(100))
-        merged = hlc.merge(HlcReading(500, 3))
-        assert merged > HlcReading(500, 3)
-
-    def test_now_flattens_to_increasing_micros(self):
-        hlc = HybridLogicalClock(ManualClock(100))
-        values = [hlc.now() for _ in range(10)]
-        assert values == sorted(values)
-        assert len(set(values)) == 10

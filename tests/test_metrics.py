@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics.collector import LatencyCollector, ThroughputCounter
+from repro.metrics.collector import LatencyCollector
 from repro.metrics.stats import cdf_points, percentile, summarize_micros
 from repro.types import CommandId
 
@@ -113,18 +113,3 @@ class TestLatencyCollector:
             collector.record_commit(CommandId("a", seq), time=(seq + 1) * 1_000)
         assert len(collector.all_latencies_micros()) == 10
         assert set(collector.summaries()) == {0, 1}
-
-
-class TestThroughputCounter:
-    def test_counts_only_inside_window(self):
-        counter = ThroughputCounter(window_start=1_000_000, window_end=2_000_000)
-        counter.record(500_000)
-        counter.record(1_500_000)
-        counter.record(1_999_999)
-        counter.record(2_500_000)
-        assert counter.committed == 2
-        assert counter.throughput_kops() == pytest.approx(2 / 1.0 / 1000)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            ThroughputCounter(0, 0).throughput_kops()
