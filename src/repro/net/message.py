@@ -28,11 +28,12 @@ class MessageRegistry:
         self._by_type: dict[type, str] = {}
         # The compiled codec: one ObjectPlan per registered class, built in
         # ``register`` and found by class on encode and by the raw utf-8
-        # type-name bytes on decode.  The codec pair below holds this dict
-        # itself, so a class registered after construction (or after the
-        # first call) is picked up.  The hooks are the reflective route the
-        # plans reproduce byte for byte; they still serve a class that has
-        # no plan and wire input that is not laid out as its plan expects.
+        # type-name bytes on decode; its reader and writer are generated
+        # when the class is first coded.  The codec pair below holds this
+        # dict itself, so a class registered after construction (or after
+        # the first call) is picked up.  The hooks are the reflective route
+        # the plans reproduce byte for byte; they still serve a class that
+        # has no plan and wire input that is not laid out as its plan expects.
         self._plans: dict[Any, ObjectPlan] = {}
         # Reusing the encoder keeps its internal bytearray warm across
         # frames, which makes ``encode``/``encode_many`` single-threaded
@@ -53,6 +54,11 @@ class MessageRegistry:
         self._by_type[cls] = key
         plan = ObjectPlan.compile(cls, key)
         if plan is not None:
+            if cls in self._plans:
+                # A second name for the class: code generated for a class
+                # that nests it has the first name's bytes inlined.
+                for other in self._plans.values():
+                    other.reset()
             self._plans[cls] = self._plans[key.encode("utf-8")] = plan
         return cls
 

@@ -72,16 +72,6 @@ def encode_batch_frame(batch: EnvelopeBatch, registry: MessageRegistry) -> bytes
     return _seal_frame(buf)
 
 
-def decode_frame_body(body: Any, registry: MessageRegistry) -> Envelope:
-    """Deserialize a single-message frame body into an envelope."""
-    decoded = registry.decode(body)
-    if not isinstance(decoded, dict) or not {"src", "dst", "message"} <= decoded.keys():
-        raise TransportError("malformed frame body")
-    return Envelope(
-        src=decoded["src"], dst=decoded["dst"], message=decoded["message"], size_hint=len(body)
-    )
-
-
 def decode_frame_envelopes(body: Any, registry: MessageRegistry) -> list[Envelope]:
     """Deserialize a frame body of either form into its envelopes, in order.
 
@@ -119,16 +109,6 @@ def decode_frame_envelopes(body: Any, registry: MessageRegistry) -> list[Envelop
         Envelope(src=header["src"], dst=header["dst"], message=message, size_hint=hint)
         for message in values[1:]
     ]
-
-
-async def read_frame(reader: asyncio.StreamReader, registry: MessageRegistry) -> Envelope:
-    """Read one single-message frame; raises ``IncompleteReadError`` at EOF."""
-    header = await reader.readexactly(_LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(f"frame length {length} exceeds limit")
-    body = await reader.readexactly(length)
-    return decode_frame_body(body, registry)
 
 
 async def read_envelopes(
@@ -300,10 +280,17 @@ class TcpTransport(Transport):
                 queue.clear()
                 return
             envelopes = queue.popleft()
-            if len(envelopes) == 1:
-                frame = encode_frame(envelopes[0], self._registry)
-            else:
-                frame = encode_batch_frame(EnvelopeBatch.of(envelopes), self._registry)
+            try:
+                if len(envelopes) == 1:
+                    frame = encode_frame(envelopes[0], self._registry)
+                else:
+                    frame = encode_batch_frame(EnvelopeBatch.of(envelopes), self._registry)
+            except TransportError as exc:  # CodecError included: this unit alone is lost
+                _LOGGER.warning(
+                    "replica %s cannot frame %d message(s) for %s, dropping them: %s",
+                    self.local_id, len(envelopes), dst, exc,
+                )  # fmt: skip
+                continue
             try:
                 writer.write(frame)
                 await writer.drain()
@@ -409,9 +396,7 @@ __all__ = [
     "TcpTransport",
     "encode_frame",
     "encode_batch_frame",
-    "decode_frame_body",
     "decode_frame_envelopes",
-    "read_frame",
     "read_envelopes",
     "MAX_FRAME_BYTES",
 ]

@@ -29,19 +29,22 @@ Implementation notes (the wire hot path):
   depth is a checked limit (:data:`MAX_DEPTH`) raising
   :class:`~repro.errors.CodecError` — never a Python ``RecursionError`` a
   malicious peer could trigger remotely.
-* Registered dataclasses are coded from **compiled plans**
-  (:class:`ObjectPlan`, one per class, built when the class is registered):
-  everything about an OBJ that is constant per class — its head
-  ``'O' STR(type-name) 'M' u32(n)`` and each ``STR(field-name)`` key — is
-  bytes made once.  Encoding appends them around the field values; decoding
-  finds the plan by the raw type-name bytes, compares head and keys against
-  the input in place and calls ``cls(*values)``.  The plan routes recurse,
-  but only from one OBJ into a value nested in it, each OBJ costing two
-  levels of the same checked ``max_depth``.  The bytes are those of the
-  reflective object-hook route, which remains for classes without a plan
-  and for input that is not laid out as its plan expects (unknown, missing
-  or reordered fields) — what decodes, and to what, does not depend on the
-  route.
+* Registered dataclasses are coded by **generated straight-line code**
+  (:class:`ObjectPlan`, built when the class is registered; its reader and
+  writer are generated when the class is first coded).  Everything constant
+  between two variable leaves — the OBJ head ``'O' STR(type-name) 'M'
+  u32(n)``, the ``STR(field-name)`` keys, the tag of a field declared
+  ``int`` / ``str`` / ``bytes``, head and keys of a nested class made only
+  of such leaves — is one ``bytes`` constant: packed with the leaf after it
+  on encode, compared in place on decode, which ends in ``cls(*values)``.
+  A LIST whose elements begin with one planned class's head is looped over
+  that class's reader, a run of one planned class over its writer.  The
+  generated code recurses only from an OBJ into a value nested in it, each
+  OBJ costing two levels of the same checked ``max_depth``.  The bytes are
+  those of the reflective object-hook route, which remains for classes
+  without a plan and for input not laid out as its plan expects (unknown,
+  missing or reordered fields; the object moves there where it stands,
+  never re-read) — what decodes, and to what, does not depend on the route.
 * The encoder appends into one reusable ``bytearray`` using preallocated
   :class:`struct.Struct` packers with fused tag+value formats — no
   per-value ``bytes`` temporaries joined at the end.  ``encode_into`` /
@@ -65,7 +68,10 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import re
 import struct
+import types
+import typing
 from typing import Any, Callable, Mapping, Optional
 
 from ..errors import CodecError
@@ -110,10 +116,63 @@ def declared_as_tuple(field: dataclasses.Field) -> bool:
     """Whether a dataclass field is annotated as a tuple.
 
     The wire format does not distinguish tuples from lists; fields declared
-    as tuples are converted back on decode so equality round-trips.
+    as tuples are converted back on decode so equality round-trips.  Only the
+    annotation's outermost type counts: ``tuple[...]`` / ``Tuple[...]``,
+    alone or as every non-``None`` member of an ``Optional`` / union.
     """
-    type_repr = str(field.type)
-    return "tuple" in type_repr or "Tuple" in type_repr
+    annotation = field.type
+    if not isinstance(annotation, str):
+        union = typing.get_origin(annotation) in (typing.Union, types.UnionType)
+        members = typing.get_args(annotation) if union else (annotation,)
+        members = [m for m in members if m is not type(None)]
+        return bool(members) and all((typing.get_origin(m) or m) is tuple for m in members)
+    # Source text (``from __future__ import annotations``): unwrap Optional /
+    # Union, drop every bracketed parameter list, look at the names left.
+    text = annotation.replace(" ", "")
+    wrapped = re.fullmatch(r"(?:\w+\.)?(?:Optional|Union)\[(.*)\]", text)
+    text, dropped = (wrapped[1] if wrapped else text), 1
+    while dropped:
+        text, dropped = re.subn(r"\[[^\[\]]*\]", "", text)
+    members = [m for m in re.split(r"[|,]", text) if m != "None"]
+    return bool(members) and all(re.fullmatch(r"(?:\w+\.)?[tT]uple", m) for m in members)
+
+
+def _type_hints(cls: type) -> dict[str, Any]:
+    try:
+        return typing.get_type_hints(cls)
+    except Exception:  # evaluating annotations runs arbitrary expressions
+        return {}  # unresolvable (a class local to a function): all fields generic
+
+
+class _OffPlan(struct.error):
+    """Raised by generated code: the field at hand is not what its plan says."""
+
+
+#: Wire tag of a field whose *declared* type is exactly one of these.
+_LEAF_TAGS = {int: b"I", str: b"S", bytes: b"B"}
+
+# Source of the generated reader (see ``ObjectPlan._generate``): one leaf whose
+# tag ends at ``pos`` into ``{into}``, and one constructor call into ``{into}``.
+_READ_SIZED = (
+    "if pos + 4 > end: raise CodecError('truncated wire data')\n"
+    "  n = u32(data, pos)[0]; pos += 4\n"
+    "  if n > end - pos: raise CodecError("
+    "f'declared length {{n}} exceeds the {{end - pos}} bytes remaining')\n"
+    "  {into} = data[pos:pos + n]; pos += n"
+)
+_READ_LEAF = {
+    int: "if pos + 8 > end: raise CodecError('truncated wire data')\n"
+    "  {into} = i64(data, pos)[0]; pos += 8",
+    bytes: _READ_SIZED,
+    str: _READ_SIZED + "\n  try: {into} = {into}.decode('utf-8')\n"
+    "  except UnicodeDecodeError as exc: raise CodecError(f'invalid utf-8 in string: {{exc}}') from exc",
+}
+_BUILD = (
+    "try: {into} = {cls}({args})\n"
+    "{pad}except CodecError: raise\n"
+    "{pad}except Exception as exc: raise CodecError("
+    "f'cannot build {{{name}!r}} from its decoded fields: {{exc}}') from exc"
+)
 
 
 class ObjectPlan:
@@ -122,12 +181,15 @@ class ObjectPlan:
     Compiled once, at registration, from what is constant per class: the
     OBJ head ``'O' STR(type-name) 'M' u32(field-count)`` and one
     ``STR(field-name)`` key per field as ready-made bytes, the field names
-    in declared order, and which fields are declared as tuples.  Encoding
-    an instance appends those constants around the field values; decoding
-    compares them against the input in place and calls ``cls(*values)``.
+    in declared order, and which fields are declared as tuples.
+
+    ``read(decoder, data, pos, end, depth) -> (value, pos)``, called with
+    *pos* at the ``'O'`` tag of an OBJ that has this plan's type name, and
+    ``write(encoder, buf, value, depth)`` are that layout as straight-line
+    code, generated the first time either is called (:meth:`_generate`).
     """
 
-    __slots__ = ("cls", "name", "head", "fields")
+    __slots__ = ("cls", "name", "head", "fields", "read", "write")
 
     def __init__(self, cls: type, name: str) -> None:
         fields = dataclasses.fields(cls)
@@ -139,6 +201,7 @@ class ObjectPlan:
         self.fields = tuple(
             (f.name, encode(f.name), declared_as_tuple(f)) for f in fields
         )
+        self.reset()
 
     @classmethod
     def compile(cls, dataclass: type, name: str) -> Optional["ObjectPlan"]:
@@ -161,6 +224,154 @@ class ObjectPlan:
         ):
             return None
         return cls(dataclass, name)
+
+    def reset(self) -> None:
+        """Forget the generated ``read`` / ``write``: the next call of either builds both."""
+
+        def first(attr: str) -> Callable[..., Any]:
+            def stub(codec: Any, *args: Any) -> Any:
+                self._generate(codec._plans)
+                return getattr(self, attr)(codec, *args)
+
+            return stub
+
+        self.read, self.write = first("read"), first("write")
+
+    @staticmethod
+    def _leaves(key: bytes, hint: Any, plans: Mapping[Any, "ObjectPlan"]):
+        """How a field declared as *hint* is coded in place, if it is.
+
+        Returns ``(nested plan or None, [(constant, leaf type), ...])``: each
+        variable leaf with the constant bytes before it — the field's *key*,
+        head and keys of an inlined class, the leaf's tag.  ``int`` / ``str``
+        / ``bytes`` is one leaf; a class of *plans* made only of those is
+        inlined (without fields: one constant, no leaf); any other field has
+        no leaves and goes through the generic routines.
+        """
+        if not isinstance(hint, type):
+            return None, []
+        if hint in _LEAF_TAGS:
+            return None, [(key + _LEAF_TAGS[hint], hint)]
+        nested, hints = plans.get(hint), _type_hints(hint)
+        if nested is None or any(hints.get(n) not in _LEAF_TAGS for n, _, _ in nested.fields):
+            return None, []
+        leaves, constant = [], key + nested.head
+        for name, inner_key, _ in nested.fields:
+            leaves.append((constant + inner_key + _LEAF_TAGS[hints[name]], hints[name]))
+            constant = b""
+        return nested, leaves or [(constant, None)]
+
+    def _generate(self, plans: Mapping[Any, "ObjectPlan"]) -> None:
+        """Build ``read`` and ``write`` from this plan, as ``dataclasses`` builds ``__init__``.
+
+        Everything constant between two variable leaves is one ``bytes``
+        constant: packed by the writer with the leaf that follows it,
+        compared in place by the reader.  A field that is not what its
+        declaration says — another type, an int beyond int64, a leaf under
+        another tag, a nested object in another layout — raises ``OffPlan``
+        and goes through the codec's generic routines, that field alone; a
+        *key* that is not the planned one: :meth:`WireDecoder._leave_plan`.
+        Only offsets and field names are written into the source; bytes,
+        classes and type names enter through *scope*.
+        """
+        scope: dict[str, Any] = {
+            "plan": self, "CodecError": CodecError, "OffPlan": _OffPlan,
+            "struct_error": struct.error, "u32": _U32.unpack_from, "i64": _I64.unpack_from,
+        }  # fmt: skip
+
+        def const(value: Any) -> str:
+            scope[f"c{len(scope)}"] = value
+            return f"c{len(scope) - 1}"
+
+        def build(pad: str, into: str, plan: ObjectPlan, var: str) -> str:
+            args = ", ".join(f"{var}{i}" for i in range(len(plan.fields)))
+            return pad + _BUILD.format(
+                pad=pad, into=into, cls=const(plan.cls), name=const(plan.name), args=args
+            )
+
+        leave = "return codec._leave_plan(plan, data, pos, end, depth, ({}))"
+        hints = _type_hints(self.cls)
+        read: list[str] = []
+        write: list[str] = []
+        # Levels below *depth* the reader enters without a checking callee.
+        need = 2 if self.fields else 1  # the OBJ, and its MAP if it has entries
+        for i, (name, key, as_tuple) in enumerate(self.fields):
+            key = self.head * (not i) + key  # the head is part of the first constant
+            nested, leaves = self._leaves(key, hints.get(name), plans)
+            if nested:  # ... and the same again for a class it inlines
+                need = max(need, 3 + bool(nested.fields))
+            key_const = const(key)
+            generic = [
+                f"if not data.startswith({key_const}, pos): "
+                + leave.format("".join(f"v{k}, " for k in range(i))),
+                f"v{i}, pos = codec._read(data, pos + {len(key)}, end, d2)",
+                *[f"if type(v{i}) is list: v{i} = tuple(v{i})"] * as_tuple,
+            ]
+            write.append(f" item = value.{name}")
+            if not leaves:
+                read += [" " + line for line in generic]
+                write += [
+                    f" buf += {key_const}",
+                    " if type(item) is tuple or type(item) is list:"
+                    " codec._write_sequence(buf, item, d2)",
+                    " else: codec._write(buf, item, d2)",
+                ]
+                continue
+            read += [" at = pos", " try:"]
+            write.append(" try:")
+            if nested:
+                write.append(f"  if room < 2 or type(item) is not {const(nested.cls)}: raise OffPlan")
+            append = []
+            for j, (constant, kind) in enumerate(leaves):
+                read += [
+                    f"  if not data.startswith({const(constant)}, pos): raise OffPlan",
+                    f"  pos += {len(constant)}",
+                ]
+                if kind is None:
+                    append.append(f"  buf += {const(constant)}")
+                    continue
+                read.append("  " + _READ_LEAF[kind].format(into=f"n{j}" if nested else f"v{i}"))
+                pack = struct.Struct(f">{len(constant)}s{'q' if kind is int else 'I'}").pack
+                write += [
+                    f"  a{j} = item.{nested.fields[j][0]}" if nested else f"  a{j} = item",
+                    f"  if type(a{j}) is not {kind.__name__}: raise OffPlan",
+                    *[f"  a{j} = a{j}.encode('utf-8')"] * (kind is str),
+                    f"  s{j} = {const(pack)}({const(constant)}, "
+                    + (f"a{j})" if kind is int else f"len(a{j}))"),
+                ]
+                append.append(f"  buf += s{j}" + f"; buf += a{j}" * (kind is not int))
+            if nested:
+                read.append(build("  ", f"v{i}", nested, "n"))
+            read += [" except OffPlan:", "  pos = at", *["  " + line for line in generic]]
+            write += [
+                " except struct_error:",  # off its declaration, or beyond int64 / u32
+                f"  buf += {key_const}; codec._write(buf, item, d2)",
+                " else:",
+                *append,
+            ]
+        if not self.fields:
+            head = const(self.head)
+            read += [
+                f" if not data.startswith({head}, pos): {leave.format('')}",
+                f" pos += {len(self.head)}",
+            ]
+            write.append(f" buf += {head}")
+        source = [
+            "def read(codec, data, pos, end, depth):",
+            f" if depth + {need} > codec._max_depth: {leave.format('')}",
+            " d2 = depth + 2",
+            *read,
+            build(" ", "value", self, "v"),
+            " return value, pos",
+            "def write(codec, buf, value, depth):",
+            " room = codec._max_depth - depth - 2",
+            " if room < 0: raise CodecError("
+            "f'value nests deeper than max_depth={codec._max_depth}')",
+            " d2 = depth + 2",
+            *write,
+        ]
+        exec("\n".join(source), scope)
+        self.read, self.write = scope["read"], scope["write"]
 
 
 #: Shared "no plans" default, so a primitive-only codec allocates nothing.
@@ -244,7 +455,7 @@ class WireEncoder:
         plans = self._plans
         plan = plans.get(type(value))
         if plan is not None:
-            self._write_planned(buf, value, plan, depth)
+            plan.write(self, buf, value, depth)
             return
         # Iterative depth-first encode: the stack holds (value, depth)
         # pairs still to be emitted; container children are pushed in
@@ -331,7 +542,7 @@ class WireEncoder:
             else:
                 plan = plans.get(type(value))
                 if plan is not None:
-                    self._write_planned(buf, value, plan, depth)
+                    plan.write(self, buf, value, depth)
                     continue
                 if self._object_hook is None:
                     raise CodecError(
@@ -345,50 +556,6 @@ class WireEncoder:
                 push((fields, child_depth))
                 push((type_name, child_depth))
 
-    def _write_planned(
-        self, buf: bytearray, value: Any, plan: ObjectPlan, depth: int
-    ) -> None:
-        """Append the OBJ encoding of *value*, an instance of ``plan.cls``.
-
-        Recursive, but only through values that nest — and an OBJ costs two
-        levels of the checked ``max_depth`` (the OBJ and its field MAP), so
-        the Python stack stays shallow.  Exact ``int``/``bytes``/``str``
-        fields are packed here; everything else — other primitives,
-        subclasses, containers, an int64 or u32 overflow — goes through
-        :meth:`_write`, which owns those encodings and their errors.
-        """
-        child_depth = depth + 2
-        if child_depth > self._max_depth:
-            raise CodecError(f"value nests deeper than max_depth={self._max_depth}")
-        buf += plan.head
-        plans = self._plans
-        for name, key, _ in plan.fields:
-            buf += key
-            item = getattr(value, name)
-            kind = type(item)
-            try:
-                if kind is int:
-                    buf += _TAG_I64.pack(_TAG_I, item)
-                    continue
-                if kind is bytes:
-                    buf += _TAG_U32.pack(_TAG_B, len(item))
-                    buf += item
-                    continue
-                if kind is str:
-                    raw = item.encode("utf-8")
-                    buf += _TAG_U32.pack(_TAG_S, len(raw))
-                    buf += raw
-                    continue
-            except struct.error:
-                pass  # beyond int64 / u32: _write encodes a BIGINT or raises
-            nested = plans.get(kind)
-            if nested is not None:
-                self._write_planned(buf, item, nested, child_depth)
-            elif kind is tuple or kind is list:
-                self._write_sequence(buf, item, child_depth)
-            else:
-                self._write(buf, item, child_depth)
-
     def _write_sequence(self, buf: bytearray, items: Any, depth: int) -> None:
         """Append the LIST encoding of an exact ``list``/``tuple``."""
         if depth >= self._max_depth:
@@ -399,10 +566,17 @@ class WireEncoder:
             raise CodecError(
                 f"list of {len(items)} items exceeds the u32 count field"
             ) from None
-        write = self._write
+        plans = self._plans
         child_depth = depth + 1
+        kind = plan = None
         for item in items:
-            write(buf, item, child_depth)
+            if type(item) is not kind:  # a run of one planned class: its writer, directly
+                kind = type(item)
+                plan = plans.get(kind)
+            if plan is not None:
+                plan.write(self, buf, item, child_depth)
+            else:
+                self._write(buf, item, child_depth)
 
 
 # Decoder frame kinds (the explicit stack replacing recursion).
@@ -539,16 +713,12 @@ class WireDecoder:
                     raise CodecError(
                         f"input nests deeper than max_depth={max_depth}"
                     )
-                planned = (
-                    self._read_planned(data, pos, end, depth + len(stack))
-                    if plans
-                    else None
-                )
-                if planned is None:
+                plan = self._plan_at(data, pos, end) if plans else None
+                if plan is None:
                     stack.append([_F_OBJ, []])
                     have_value = False
                 else:
-                    value, pos = planned
+                    value, pos = plan.read(self, data, pos - 1, end, depth + len(stack))
             elif tag == _TAG_N:
                 value = None
             elif tag == _TAG_T:
@@ -590,8 +760,20 @@ class WireDecoder:
                         raise CodecError(
                             f"input nests deeper than max_depth={max_depth}"
                         )
-                    stack.append([_F_LIST, [], count])
-                    have_value = False
+                    value = []
+                    here = depth + len(stack) + 1  # the depth of the elements
+                    if plans and data[pos] == _TAG_O and here < max_depth:
+                        # Elements that begin with one planned class's head
+                        # are read in place by its reader; the first that
+                        # does not leaves the rest to the loop below.
+                        plan = self._plan_at(data, pos + 1, end)
+                        while count and plan is not None and data.startswith(plan.head, pos):
+                            item, pos = plan.read(self, data, pos, end, here)
+                            value.append(item)
+                            count -= 1
+                    if count:
+                        stack.append([_F_LIST, value, count])
+                        have_value = False
             elif tag == _TAG_M:
                 if pos + 4 > end:
                     raise CodecError("truncated wire data")
@@ -672,96 +854,35 @@ class WireDecoder:
                             f"object hook failed for type {type_name!r}: {exc}"
                         ) from exc
 
-    def _read_planned(
-        self, data: bytes, pos: int, end: int, depth: int
-    ) -> Optional[tuple[Any, int]]:
-        """Read the OBJ whose ``'O'`` tag ends at *pos* from its class's plan.
-
-        Returns ``None`` — nothing consumed, the caller takes the hook route
-        from the tag — unless the bytes start with a plan's head: a STR type
-        name that has a plan, then a MAP of exactly its field count.  The
-        field keys are then compared against the plan's in place, exact
-        ``I``/``B``/``S`` leaves are read here and every other value by
-        :meth:`_read` two levels down (the OBJ and its MAP, as on the hook
-        route).  Recursive through nested values only, so ``max_depth``
-        bounds the Python stack too.
-
-        A key that is not the planned one (reordered fields, an unknown name
-        where a known one was due) moves the object to the hook route where
-        it stands: :meth:`_read` resumes inside an OBJ frame holding the
-        fields read so far.  The object is not read again from its tag —
-        hostile nesting would make that exponential.
-        """
+    def _plan_at(self, data: bytes, pos: int, end: int) -> Optional[ObjectPlan]:
+        """The plan of the OBJ whose type name should be the STR at *pos*."""
         name_at = pos + 5
         if name_at > end or data[pos] != _TAG_S:
             return None
         name_end = name_at + _U32.unpack_from(data, pos + 1)[0]
-        plan = self._plans.get(data[name_at:name_end]) if name_end <= end else None
-        if plan is None:
-            return None
-        head = plan.head
-        fields = plan.fields
-        head_at = pos - 1
-        pos = head_at + len(head)
-        child_depth = depth + 2
-        max_depth = self._max_depth
-        if data[head_at:pos] != head or (fields and child_depth > max_depth):
-            return None  # not MAP(n); or too deep, which the hook route reports
-        values: list[Any] = []
-        for _, key, as_tuple in fields:
-            key_end = pos + len(key)
-            if data[pos:key_end] != key:
-                done = {name: value for (name, _, _), value in zip(fields, values)}
-                resume = [
-                    [_F_OBJ, [plan.name]],
-                    [_F_MAP, done, len(fields) - len(values), None, False],
-                ]
-                return self._read(data, pos, end, depth, resume)
-            if key_end >= end:
-                raise CodecError("truncated wire data")
-            tag = data[key_end]
-            pos = key_end + 1
-            if tag == _TAG_I:
-                if pos + 8 > end:
-                    raise CodecError("truncated wire data")
-                values.append(_I64.unpack_from(data, pos)[0])
-                pos += 8
-                continue
-            if tag == _TAG_B or tag == _TAG_S:
-                if pos + 4 > end:
-                    raise CodecError("truncated wire data")
-                n = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                if n > end - pos:
-                    raise CodecError(
-                        f"declared length {n} exceeds the {end - pos} bytes remaining"
-                    )
-                value = data[pos : pos + n]
-                pos += n
-                if tag == _TAG_S:
-                    try:
-                        value = value.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise CodecError(f"invalid utf-8 in string: {exc}") from exc
-                values.append(value)
-                continue
-            nested = (
-                self._read_planned(data, pos, end, child_depth)
-                if tag == _TAG_O and child_depth < max_depth
-                else None
-            )
-            value, pos = nested or self._read(data, key_end, end, child_depth)
-            if as_tuple and type(value) is list:
-                value = tuple(value)
-            values.append(value)
-        try:
-            return plan.cls(*values), pos
-        except CodecError:
-            raise
-        except Exception as exc:
-            raise CodecError(
-                f"cannot build {plan.name!r} from its decoded fields: {exc}"
-            ) from exc
+        return self._plans.get(data[name_at:name_end]) if name_end <= end else None
+
+    def _leave_plan(
+        self, plan: ObjectPlan, data: bytes, pos: int, end: int, depth: int, values: tuple
+    ) -> tuple[Any, int]:
+        """Finish on the hook route an OBJ that is not laid out as *plan* expects.
+
+        *values* are the fields its reader has read and *pos* is the key
+        after them (unknown or reordered): :meth:`_read` resumes inside an
+        OBJ and a MAP frame holding them — the object is not read again from
+        its tag, which hostile nesting would make exponential.  Without
+        *values*, *pos* is still at the ``'O'`` tag and only the type name
+        is known to match (field count, depth, first key): the hook route
+        takes over right after the name.
+        """
+        frames: list[list[Any]] = [[_F_OBJ, [plan.name]]]
+        if values:
+            done = {name: value for (name, _, _), value in zip(plan.fields, values)}
+            frames.append([_F_MAP, done, len(plan.fields) - len(values), None, False])
+        else:
+            pos += len(plan.head) - _TAG_U32.size
+        return self._read(data, pos, end, depth, frames)
+
 
 def _as_bytes(data: Any) -> bytes:
     """*data* itself if it is ``bytes``, else one copy of the buffer."""

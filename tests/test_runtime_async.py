@@ -11,7 +11,7 @@ from repro.config import ClusterSpec, ProtocolConfig
 from repro.errors import TransportError
 from repro.kvstore.kv import KVStateMachine
 from repro.net.message import Envelope, global_registry
-from repro.net.tcp import decode_frame_body, encode_frame
+from repro.net.tcp import decode_frame_envelopes, encode_frame
 from repro.protocols.multipaxos import Phase2a
 from repro.runtime.client import ReplicatedKVClient
 from repro.runtime.local import LocalAsyncCluster
@@ -31,14 +31,14 @@ class TestFrameCodec:
         envelope = Envelope(0, 2, Phase2a(7, command))
         frame = encode_frame(envelope, global_registry)
         # Skip the 4-byte length prefix when decoding the body directly.
-        decoded = decode_frame_body(frame[4:], global_registry)
+        (decoded,) = decode_frame_envelopes(frame[4:], global_registry)
         assert decoded.src == 0 and decoded.dst == 2
         assert decoded.message == Phase2a(7, command)
         assert decoded.size_hint == len(frame) - 4
 
     def test_malformed_body_rejected(self):
         with pytest.raises(TransportError):
-            decode_frame_body(global_registry.encode({"nope": 1}), global_registry)
+            decode_frame_envelopes(global_registry.encode({"nope": 1}), global_registry)
 
     def test_client_messages_round_trip(self):
         request = ClientRequest(Command(CommandId("cli", 9), b"x"))

@@ -16,7 +16,8 @@ import struct
 
 import pytest
 
-from repro.core.messages import Prepare
+from repro.config import BatchingOptions
+from repro.core.messages import ClockTime, Prepare
 from repro.errors import TransportError
 from repro.net.message import Envelope, global_registry
 from repro.net.tcp import MAX_FRAME_BYTES, TcpTransport, encode_frame
@@ -312,3 +313,63 @@ class TestMalformedFrames:
         (warning,) = [r for r in caplog.records if r.name == "repro.net.tcp"]
         assert "malformed frame" in warning.getMessage()
         assert str(offender[0]) in warning.getMessage()  # names the peer
+
+
+class _Unregistered:
+    pass
+
+
+class TestUnencodableMessage:
+    @pytest.mark.parametrize(
+        "max_batch, sent, expected",
+        [
+            (1, [ClockTime(1), _Unregistered(), ClockTime(2)], [ClockTime(1), ClockTime(2)]),
+            # Write units of two: the offender takes ClockTime(3) down with it, nothing else.
+            (
+                2,
+                [ClockTime(1), ClockTime(2), _Unregistered(), ClockTime(3), ClockTime(4)],
+                [ClockTime(1), ClockTime(2), ClockTime(4)],
+            ),
+        ],
+        ids=["single-frames", "batch-frames"],
+    )
+    def test_only_the_offending_write_unit_is_dropped(self, max_batch, sent, expected, caplog):
+        # Regression: encode_frame raised outside the sender task's try, so a
+        # message of an unregistered class ended the task with an exception
+        # nobody retrieved and stranded whatever was queued behind it until
+        # some later send() happened to restart the drain.
+        reports: list = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: reports.append(context))
+            receiver = TcpTransport(1, "127.0.0.1:0", {})
+            received: list = []
+            complete = asyncio.Event()
+            receiver.set_handler(
+                lambda env: (
+                    received.append(env.message),
+                    len(received) == len(expected) and complete.set(),
+                )
+            )
+            await receiver.start()
+            sender = TcpTransport(
+                0,
+                "127.0.0.1:0",
+                {1: receiver.bound_address},
+                batching=BatchingOptions(max_batch=max_batch),
+            )
+            await sender.start()
+            for message in sent:
+                sender.send(Envelope(0, 1, message))
+            await asyncio.wait_for(complete.wait(), timeout=5)  # no further send() needed
+            assert received == expected
+            await sender.stop()
+            await receiver.stop()
+
+        with caplog.at_level(logging.WARNING, logger="repro.net.tcp"):
+            run(scenario())
+        assert reports == []  # no "Task exception was never retrieved"
+        (warning,) = [r for r in caplog.records if r.name == "repro.net.tcp"]
+        assert "cannot frame" in warning.getMessage()
+        assert "_Unregistered" in warning.getMessage()  # names the error

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import struct
+import typing
+from typing import Any, Optional
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import CodecError
@@ -14,6 +17,7 @@ from repro.net.wire import (
     WireDecoder,
     WireEncoder,
     dataclass_fields,
+    declared_as_tuple,
     decode,
     decode_many,
     encode,
@@ -210,25 +214,51 @@ def _normalize(value):
     return value
 
 
+def _typed(value):
+    """*value* as the codec tells values apart.
+
+    Python's ``==`` is coarser than the wire: ``False == 0 == 0.0`` and
+    ``-0.0 == 0.0`` (one tag or sign bit each on the wire), and equal dicts
+    may differ in order (a MAP is written in insertion order).  Here every
+    leaf carries its type and its ``repr``, and a dict its order.
+    """
+    if isinstance(value, list):
+        return [_typed(item) for item in value]
+    if isinstance(value, dict):
+        return tuple((_typed(key), _typed(item)) for key, item in value.items())
+    return (type(value), repr(value))
+
+
 class TestCodecProperties:
     @given(_values)
+    @example(False)
     def test_round_trip_property(self, value):
-        assert decode(encode(value)) == value
+        decoded = decode(encode(value))
+        assert decoded == value
+        assert _typed(decoded) == _typed(value)  # False does not come back as 0
 
     @given(_values_with_tuples)
     def test_round_trip_up_to_tuple_normalization(self, value):
         assert decode(encode(value)) == _normalize(value)
 
     @given(st.lists(_values, max_size=5))
+    @example([False, 0, 0.0, -0.0])
     def test_stream_round_trip_property(self, values):
-        assert decode_many(encode_many(values)) == values
+        decoded = decode_many(encode_many(values))
+        assert decoded == values
+        assert _typed(decoded) == _typed(values)
 
     @given(_values, _values)
+    # Equal to Python, two encodings: the oracle has to compare leaf types.
+    @example(a={"": {"0": True}, "0": [False, False]}, b={"": {"0": True}, "0": [False, 0]})
+    @example(a=[1, 1.0, True], b=[1, 1, 1])
+    @example(a={"x": 1, "y": 2}, b={"y": 2, "x": 1})
+    @example(a=[[], {}], b=[{}, []])
     def test_encoding_is_deterministic_and_injective_enough(self, a, b):
         ea, eb = encode(a), encode(b)
         assert ea == encode(a)
-        if a == b:
-            assert ea == eb
+        # Same bytes exactly when the values are the same *to the codec*.
+        assert (ea == eb) == (_typed(a) == _typed(b))
 
 
 class TestMalformedInputProperties:
@@ -259,3 +289,46 @@ class TestMalformedInputProperties:
             decode(bytes(data))
         except CodecError:
             pass
+
+
+class TestDeclaredAsTuple:
+    """Only the annotation's outermost type decides, as an object or as source text."""
+
+    @pytest.mark.parametrize(
+        "annotation, expected",
+        [
+            ("tuple[int, ...]", True),
+            ("Tuple[int, ...]", True),
+            ("typing.Tuple[PrepareRecord, ...]", True),
+            ("tuple", True),
+            ("Optional[tuple[int, ...]]", True),
+            ("typing.Optional[Tuple[int, int]]", True),
+            ("tuple[int, ...] | None", True),
+            ("None | tuple[int, ...]", True),
+            ("Union[tuple[int, int], None]", True),
+            ("list[tuple[int, int]]", False),
+            ("dict[str, tuple]", False),
+            ("Optional[list[tuple[int, int]]]", False),
+            ("tuple[int, ...] | list[int]", False),
+            ("Optional[int]", False),
+            ("None", False),
+            ("CommandUnit", False),
+            ("tuples.Pair", False),
+            (tuple[int, ...], True),
+            (typing.Tuple[int, int], True),
+            (tuple, True),
+            (Optional[tuple[int, ...]], True),
+            (tuple[int, ...] | None, True),
+            (list[tuple[int, int]], False),
+            (dict[str, tuple], False),
+            (typing.Union[tuple[int, ...], list[int]], False),
+            (Optional[int], False),
+            (type(None), False),
+            (Any, False),
+        ],
+        ids=repr,
+    )
+    def test_outermost_type_decides(self, annotation, expected):
+        cls = dataclasses.make_dataclass("Declared", [("field", annotation)])
+        (field,) = dataclasses.fields(cls)
+        assert declared_as_tuple(field) is expected

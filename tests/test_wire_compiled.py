@@ -588,3 +588,334 @@ class TestLateRegistration:
         new = registry.encode(Thing(1))
         assert old != new
         assert registry.decode(old) == registry.decode(new) == Thing(1)
+
+
+# ---------------------------------------------------------------------------
+# (g) the generated readers and writers: fused constants, inlined leaf
+#     classes, sequences of one planned class looped in place
+# ---------------------------------------------------------------------------
+#
+# Module-level classes, so ``typing.get_type_hints`` resolves their
+# annotations and the generator sees the declared types (a class local to a
+# test function keeps every field generic).
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    text: str
+    number: int
+
+
+@dataclass(frozen=True)
+class _Holder:
+    leaf: _Leaf
+    nothing: _Leafless
+    blob: bytes
+    items: tuple[_Leaf, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Node:
+    child: Any
+    mark: int = 0
+
+
+@dataclass(frozen=True)
+class _Pairs:
+    pairs: list[tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class _SubCommand(Command):
+    pass
+
+
+_GENERATED_CLASSES = {
+    **CLASSES,
+    "_Leaf": _Leaf,
+    "_Holder": _Holder,
+    "_Leafless": _Leafless,
+    "_Pairs": _Pairs,
+    "_SubCommand": _SubCommand,
+}
+
+
+def _registry_and_reference(classes=_GENERATED_CLASSES, max_depth: int = MAX_DEPTH):
+    registry = MessageRegistry()
+    for name, cls in classes.items():
+        registry.register(cls, name)
+    return (registry, *reference_codec(classes, max_depth))
+
+
+def _list_of(*elements: bytes) -> bytes:
+    return b"L" + struct.pack(">I", len(elements)) + b"".join(elements)
+
+
+def _count_reader_calls(registry: MessageRegistry, cls: type) -> list:
+    """Wrap *cls*'s generated reader; returns the list its calls are appended to."""
+    plan = registry._plans[cls]
+    plan._generate(registry._plans)  # otherwise built on first use, replacing the wrapper
+    calls: list = []
+    generated = plan.read
+
+    def counting(codec, data, pos, end, depth):
+        calls.append(pos)
+        return generated(codec, data, pos, end, depth)
+
+    plan.read = counting
+    return calls
+
+
+class TestGeneratedOnFirstUse:
+    def test_registration_generates_nothing(self):
+        registry, _, _ = _registry_and_reference({"_Leaf": _Leaf, "_Holder": _Holder})
+        leaf, holder = registry._plans[_Leaf], registry._plans[_Holder]
+        stubs = (leaf.read, leaf.write, holder.read, holder.write)
+        assert all(fn.__name__ == "stub" for fn in stubs)
+        data = registry.encode(_Leaf("a", 1))
+        assert (leaf.read.__name__, leaf.write.__name__) == ("read", "write")
+        assert holder.read.__name__ == holder.write.__name__ == "stub"  # not its turn yet
+        assert registry.decode(data) == _Leaf("a", 1)
+
+    def test_a_second_name_reaches_classes_that_inlined_the_first(self):
+        registry = MessageRegistry()
+        registry.register(_Leaf, "old")
+        registry.register(_Leafless)
+        registry.register(_Holder)
+        value = _Holder(_Leaf("a", 1), _Leafless(), b"b", (_Leaf("c", 2),))
+        before = registry.encode(value)  # generated with "old" inlined
+        registry.register(_Leaf, "new")
+        ref_encoder, ref_decoder = reference_codec(
+            {"new": _Leaf, "_Leafless": _Leafless, "_Holder": _Holder}
+        )
+        after = registry.encode(value)
+        assert after == ref_encoder.encode(value) != before
+        assert registry.decode(before) == registry.decode(after) == value
+
+
+class TestOffDeclarationValues:
+    """Fields holding what their annotation does not say still match the hook route."""
+
+    VALUES = [
+        Command(CommandId("c", 2**70), b"", -(2**70)),              # BIGINT leaves
+        Command(CommandId(5, "seqno"), "text", None),               # every leaf another type
+        Command(CommandId("c", True), bytearray(b"p"), 1.5),        # bool is not int
+        Command(Timestamp(1, 2), b"p", 3),                          # another class inside
+        Command(None, b"p", 3),
+        Command({"client": "c", "seqno": 1}, [1, 2], (3, 4)),
+        PrepareOk(Timestamp(2**70, "r"), None, []),
+        PrepareOk(Timestamp(1, 2), 2**63, -(2**63) - 1),            # just past int64
+        PrepareOk(Timestamp(-(2**63), 2**63 - 1), 2**63 - 1, -(2**63)),  # just inside
+        _Holder(_Leaf("ü\x00", 0), _Leafless(), b"", ()),
+        _Holder(_Leaf(1, "x"), None, "blob", [_Leaf("a", 1), 7]),
+        _Holder(_Leafless(), _Leaf("a", 1), b"b", (_Leafless(),)),
+        CommandBatch((_command(1), _SubCommand(CommandId("s", 1), b"sub"), _command(2))),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_bytes_and_round_trip_match_reference(self, value):
+        registry, ref_encoder, ref_decoder = _registry_and_reference()
+        data = registry.encode(value)
+        assert data == ref_encoder.encode(value)
+        assert outcome(registry.decode, data) == outcome(ref_decoder.decode, data)
+        assert outcome(registry.decode, data)[0] == "ok"
+
+    def test_an_unregistered_subclass_is_refused_by_both_routes(self):
+        classes = {name: cls for name, cls in _GENERATED_CLASSES.items() if cls is not _SubCommand}
+        registry, ref_encoder, _ = _registry_and_reference(classes)
+        value = CommandBatch((_command(1), _SubCommand(CommandId("s", 1), b"sub")))
+        assert outcome(registry.encode, value) == outcome(ref_encoder.encode, value) == ("error",)
+        assert registry.encode(_command(3)) == ref_encoder.encode(_command(3))  # buffer still sane
+
+    def test_a_list_of_tuples_field_stays_a_list(self):
+        # ``declared_as_tuple`` used to say yes to any annotation *containing*
+        # "tuple", on both routes (they share the function).
+        registry, _, ref_decoder = _registry_and_reference()
+        data = registry.encode(_Pairs([(1, 2), (3, 4)]))
+        for decoded in (registry.decode(data), ref_decoder.decode(data)):
+            assert decoded == _Pairs([[1, 2], [3, 4]]) and type(decoded.pairs) is list
+
+
+_BATCHED_PREPARE = Prepare(CommandBatch((_command(1), _command(2), _command(3))), _TS, epoch=4)
+
+
+class TestBatchedPrepare:
+    def test_every_truncation_and_every_single_byte_corruption(self):
+        data = global_registry.encode(_BATCHED_PREPARE)
+        assert global_registry.decode(data) == _BATCHED_PREPARE
+        for cut in range(len(data)):
+            assert_decodes_like_reference(data[:cut])
+        corrupted = bytearray(data)
+        for pos, original in enumerate(data):
+            for byte in range(256):
+                if byte != original:
+                    corrupted[pos] = byte
+                    assert_decodes_like_reference(bytes(corrupted))
+            corrupted[pos] = original
+
+
+def _reordered_command_id(client: str, seqno: int) -> bytes:
+    return _obj("CommandId", {"seqno": seqno, "client": client})
+
+
+def _command_bytes(command_id: bytes, payload: Any = b"p", created_at: Any = 0) -> bytes:
+    return (
+        b"O" + _str("Command") + b"M" + struct.pack(">I", 3)
+        + _str("command_id") + command_id
+        + _str("payload") + REF_ENCODER.encode(payload)
+        + _str("created_at") + REF_ENCODER.encode(created_at)
+    )
+
+
+_FIRST = REF_ENCODER.encode(_command(1))
+_THIRD = REF_ENCODER.encode(_command(3))
+
+#: Second element of a three-element sequence whose other two are plain Commands.
+SECOND_ELEMENTS = {
+    "another planned class": REF_ENCODER.encode(_TS),
+    "a plain int": encode(7),
+    "a nested list of commands": _list_of(_FIRST),
+    "a Command subclass": None,  # filled in below, needs the subclass registered
+    "nested CommandId with reordered fields": _command_bytes(_reordered_command_id("c", 2)),
+    "seqno past int64": REF_ENCODER.encode(Command(CommandId("c", 2**70), b"p")),
+    "payload under another tag": _command_bytes(REF_ENCODER.encode(CommandId("c", 2)), "text"),
+    "command_id is not an object": _command_bytes(encode(None)),
+    "Command with reordered fields": _obj(
+        "Command", {"payload": b"p", "created_at": 1, "command_id": CommandId("c", 2)}
+    ),
+    "Command with an unknown last field": _obj(
+        "Command", {"command_id": CommandId("c", 2), "payload": b"p", "future": 1}
+    ),
+    "Command with another field count": _obj("Command", {"command_id": CommandId("c", 2)}),
+    "created_at is a list": _command_bytes(REF_ENCODER.encode(CommandId("c", 2)), b"p", []),
+    "unregistered type name": _obj("NoSuchCommand", {"x": 1}),
+    "truncated element": _FIRST[:40],
+}
+
+
+class TestSequences:
+    @pytest.mark.parametrize("second", SECOND_ELEMENTS.keys())
+    def test_an_element_of_another_kind_sends_the_rest_to_the_generic_route(self, second):
+        registry, ref_encoder, ref_decoder = _registry_and_reference()
+        element = SECOND_ELEMENTS[second]
+        if element is None:
+            element = ref_encoder.encode(_SubCommand(CommandId("s", 1), b"sub"))
+        for elements in ((_FIRST, element, _THIRD), (element, _THIRD), (_FIRST, element)):
+            data = _list_of(*elements)
+            assert_decodes_like_reference(data, registry, ref_decoder)
+            # ... and as the tuple field the batch keeps its commands in.
+            batch = b"O" + _str("CommandBatch") + b"M" + struct.pack(">I", 1) + _str("commands")
+            assert_decodes_like_reference(batch + data, registry, ref_decoder)
+
+    def test_the_elements_kinds_cover_both_verdicts(self):
+        _, _, ref_decoder = _registry_and_reference()
+        verdicts = {
+            name: outcome(ref_decoder.decode, _list_of(_FIRST, element, _THIRD))[0]
+            for name, element in SECOND_ELEMENTS.items()
+            if element is not None
+        }
+        for name in ("a plain int", "seqno past int64", "nested CommandId with reordered fields"):
+            assert verdicts[name] == "ok"
+        for name in ("unregistered type name", "truncated element"):
+            assert verdicts[name] == "error"
+
+    def test_mixed_sequences_encode_like_reference(self):
+        registry, ref_encoder, _ = _registry_and_reference()
+        sub = _SubCommand(CommandId("s", 1), b"sub")
+        for items in (
+            [_command(1), _TS, _command(2)],
+            [_command(1), 7, _command(2), None, [_command(3)]],
+            (_command(1), sub, sub, _command(2)),
+            [_Leafless(), _Leafless(), _Leaf("a", 1)],
+            [],
+        ):
+            assert registry.encode(items) == ref_encoder.encode(items)
+            holder = _Holder(_Leaf("a", 1), _Leafless(), b"", items)
+            assert registry.encode(holder) == ref_encoder.encode(holder)
+
+    def test_empty_sequences(self):
+        registry, ref_encoder, ref_decoder = _registry_and_reference()
+        for value in ([], SuspendOk(1, ()), _Holder(_Leaf("a", 1), _Leafless(), b"", ())):
+            data = registry.encode(value)
+            assert data == ref_encoder.encode(value)
+            assert registry.decode(data) == ref_decoder.decode(data) == value
+        # A batch must not be empty: both routes let its constructor say so.
+        empty_batch = _obj("CommandBatch", {"commands": []})
+        assert outcome(registry.decode, empty_batch) == outcome(ref_decoder.decode, empty_batch)
+        assert outcome(registry.decode, empty_batch) == ("error",)
+
+    @pytest.mark.parametrize("count", [4, 2**16, 2**32 - 1])
+    def test_a_hostile_count_fails_before_any_element_is_read(self, count):
+        registry, _, ref_decoder = _registry_and_reference()
+        calls = _count_reader_calls(registry, Command)
+        data = b"L" + struct.pack(">I", count) + _FIRST  # one element, far fewer bytes than count
+        if count > len(_FIRST):
+            with pytest.raises(CodecError, match="declared count"):
+                registry.decode(data)
+            assert calls == []
+        assert_decodes_like_reference(data, registry, ref_decoder)
+
+    def test_work_is_linear_under_hostile_alternation_of_batch_and_mismatch(self):
+        # Each level is a list whose first element is a planned object that
+        # leaves its plan only at its *last* key — after the list nested in
+        # it was read — and whose second element ends the in-place loop.
+        # Reading anything again from its tag would double per level.
+        registry, _, reference = _registry_and_reference({"_Node": _Node})
+        calls = _count_reader_calls(registry, _Node)
+        levels = 20  # list + OBJ + MAP per level: depth 60 of the 64 allowed
+        data = encode(0)
+        for level in range(levels):
+            mismatch = (
+                b"O" + _str("_Node") + b"M" + struct.pack(">I", 2)
+                + _str("child") + data + _str("future") + encode(level)
+            )
+            matching = b"O" + _str("_Node") + REF_ENCODER.encode({"child": None, "mark": level})
+            data = _list_of(matching, mismatch, encode(level), matching)
+        decoded = registry.decode(data)
+        assert repr(decoded) == repr(reference.decode(data))
+        assert len(calls) == 3 * levels  # one per OBJ on the wire
+        assert len(calls) < len(data)
+
+
+_SEQUENCE_DEPTH_SHAPES = [
+    [_command(1), _command(2)],                              # the loop at the top
+    CommandBatch((_command(1), _command(2))),                # ... as a tuple field
+    Prepare(CommandBatch((_command(1), _command(2))), _TS),  # ... one object further down
+    [_command(1), 7, _command(2)],                           # leaves the loop half way
+    [_TS, _TS],                                              # elements that are all leaves
+    [_Leafless(), _Leafless()],                              # elements that are only a head
+    [PrepareOk(_TS, 3), PrepareOk(_TS, 4)],                  # elements with an inlined class
+    SuspendOk(1, (PrepareRecord(_command(1), _TS), PrepareRecord(_command(2), _TS))),
+    _Holder(_Leaf("a", 1), _Leafless(), b"b", (_Leaf("c", 2), _Leaf("d", 3))),
+]
+
+
+class TestSequenceDepthLimit:
+    @pytest.mark.parametrize("shape", _SEQUENCE_DEPTH_SHAPES, ids=repr)
+    def test_both_directions_agree_with_reference_at_every_depth_around_the_limit(self, shape):
+        registry, ref_encoder, ref_decoder = _registry_and_reference()
+        unlimited, _ = reference_codec(_GENERATED_CLASSES, max_depth=4 * MAX_DEPTH)
+        verdicts = []
+        for wraps in range(MAX_DEPTH - 12, MAX_DEPTH + 2):
+            value = shape
+            for _ in range(wraps):
+                value = [value]
+            encoded = outcome(registry.encode, value)
+            assert encoded == outcome(ref_encoder.encode, value), wraps
+            data = unlimited.encode(value)
+            decoded = outcome(registry.decode, data)
+            assert decoded == outcome(ref_decoder.decode, data), wraps
+            verdicts.append((encoded[0], decoded[0]))
+        # One threshold per direction, the same in both: ok ... ok error ... error.
+        assert verdicts[0] == ("ok", "ok") and verdicts[-1] == ("error", "error")
+        assert verdicts == sorted(verdicts, reverse=True)
+
+    def test_a_command_list_at_value_depth_d_needs_d_plus_5_levels(self):
+        registry, _, _ = _registry_and_reference()
+        unlimited, _ = reference_codec(_GENERATED_CLASSES, max_depth=4 * MAX_DEPTH)
+        for depth, verdict in ((MAX_DEPTH - 5, "ok"), (MAX_DEPTH - 4, "error")):
+            value = [_command(1), _command(2)]
+            for _ in range(depth):
+                value = [value]
+            assert outcome(registry.encode, value)[0] == verdict
+            assert outcome(registry.decode, unlimited.encode(value))[0] == verdict
