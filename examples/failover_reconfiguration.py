@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from repro import ClusterSpec, ProtocolConfig, SimulatedCluster
 from repro.analysis import ec2_latency_matrix
-from repro.failure.detector import FailureDetector
 from repro.kvstore import KVStateMachine, SimKVClient
 from repro.sim.failures import FailureSchedule
-from repro.types import micros_to_ms, ms_to_micros, seconds_to_micros
+from repro.types import micros_to_ms, seconds_to_micros
 
 
 def banner(text: str) -> None:
@@ -49,18 +48,9 @@ def main() -> None:
     cluster.crash(ir)
     print(f"  t={micros_to_ms(cluster.now):9.1f} ms  IR is down; new commands cannot commit yet")
 
-    # A timeout-based failure detector at CA notices the silence and triggers
-    # the reconfiguration protocol to drop IR from the active configuration.
-    # (VA keeps sending CLOCKTIME broadcasts, so only IR goes silent.)
-    detector = FailureDetector(spec.others(0), timeout=ms_to_micros(500.0), now=cluster.now)
-    detection_time = cluster.now + ms_to_micros(600.0)
-    cluster.env.run_until(detection_time)
-    detector.heard_from(spec.by_site("VA").replica_id, cluster.now)
-    suspicions = detector.check(cluster.now)
-    suspected = [change.replica_id for change in suspicions] or [ir]
-    print(f"  t={micros_to_ms(cluster.now):9.1f} ms  failure detector suspects replica(s) {suspected}")
-
-    survivors = tuple(r for r in spec.replica_ids if r not in suspected)
+    # IR is known to have crashed, so CA runs the reconfiguration protocol to
+    # drop it from the active configuration.
+    survivors = tuple(r for r in spec.replica_ids if r != ir)
     FailureSchedule().reconfigure(cluster.now + 1_000, initiator=0, new_config=survivors).install(cluster)
     cluster.run_for(seconds_to_micros(1.0))
     ca_replica = cluster.replica(0)

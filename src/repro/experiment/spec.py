@@ -19,9 +19,10 @@ before anything is deployed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from ..analysis.ec2 import EC2_SITES, ec2_latency_matrix
 from ..config import BatchingOptions, ClusterSpec, ProtocolConfig
@@ -589,126 +590,19 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict[str, Any]:
         """A plain, JSON/TOML-compatible dictionary representation."""
-        data: dict[str, Any] = {
-            "name": self.name,
-            "protocol": self.protocol,
-            "sites": list(self.sites),
-            "latency": self.latency,
-            "jitter_fraction": self.jitter_fraction,
-            "duration_s": self.duration_s,
-            "warmup_s": self.warmup_s,
-            "seed": self.seed,
-            "clocktime_interval_ms": self.clocktime_interval_ms,
-            "wait_for_clock": self.wait_for_clock,
-            "workload": asdict(self.workload),
-        }
-        if self.leader_site is not None:
-            data["leader_site"] = self.leader_site
-        if self.latency == "uniform":
-            data["one_way_ms"] = self.one_way_ms
-        if self.clocks:
-            data["clocks"] = {site: asdict(clock) for site, clock in self.clocks}
-        if self.faults:
-            data["faults"] = [asdict(fault) for fault in self.faults]
-        if self.cpu is not None:
-            data["cpu"] = asdict(self.cpu)
-        if self.cdf_sites:
-            data["cdf_sites"] = list(self.cdf_sites)
-        if self.record_history:
-            data["record_history"] = True
-        if self.sharding is not None:
-            table: dict[str, Any] = {
-                "shards": self.sharding.shards,
-                "placement": self.sharding.placement,
-            }
-            if self.sharding.overrides:
-                table["overrides"] = [
-                    {
-                        key: value
-                        for key, value in asdict(override).items()
-                        if value is not None
-                    }
-                    for override in self.sharding.overrides
-                ]
-            data["sharding"] = table
-        if self.batching is not None:
-            data["batching"] = asdict(self.batching)
-        if self.processes is not None:
-            data["processes"] = asdict(self.processes)
-        if self.runtime is not None:
-            data["runtime"] = asdict(self.runtime)
-        # TOML has no null: drop None-valued optional keys everywhere (and
-        # the clock-jump-only offset_ms when it is at its 0.0 default).
-        data["workload"] = {
-            key: value for key, value in data["workload"].items() if value is not None
-        }
-        if "faults" in data:
-            data["faults"] = [
-                {
-                    key: value
-                    for key, value in fault.items()
-                    if value is not None and (key != "offset_ms" or value)
-                }
-                for fault in data["faults"]
-            ]
-        return data
+        return _table(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         """Build a spec from a plain dictionary (inverse of :meth:`to_dict`)."""
-        known = {
-            "name", "protocol", "sites", "leader_site", "latency", "one_way_ms",
-            "jitter_fraction", "clocks", "workload", "faults", "cpu",
-            "duration_s", "warmup_s", "seed", "clocktime_interval_ms",
-            "wait_for_clock", "cdf_sites", "record_history", "sharding",
-            "batching", "processes", "runtime",
-        }
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(_shapes(cls)))
         if unknown:
             raise ConfigurationError(f"unknown experiment spec keys: {unknown}")
         for required in ("name", "protocol", "sites"):
             if required not in data:
                 raise ConfigurationError(f"experiment spec needs a {required!r} key")
-        kwargs: dict[str, Any] = {
-            key: data[key]
-            for key in known
-            - {
-                "sites", "clocks", "workload", "faults", "cpu", "cdf_sites",
-                "sharding", "batching", "processes", "runtime",
-            }
-            if key in data
-        }
-        kwargs["sites"] = tuple(data["sites"])
-        if "cdf_sites" in data:
-            kwargs["cdf_sites"] = tuple(data["cdf_sites"])
-        clocks = data.get("clocks", {})
-        if not isinstance(clocks, Mapping):
-            raise ConfigurationError("clocks must map site name to a clock table")
-        kwargs["clocks"] = tuple(
-            (site, _build(ClockSpec, entry, f"clocks.{site}"))
-            for site, entry in clocks.items()
-        )
-        if "workload" in data:
-            kwargs["workload"] = _build(WorkloadSpec, data["workload"], "workload")
-        faults = data.get("faults", [])
-        if not isinstance(faults, Sequence) or isinstance(faults, (str, bytes)):
-            raise ConfigurationError("faults must be a list of fault tables")
-        kwargs["faults"] = tuple(
-            _build(FaultSpec, entry, f"faults[{index}]")
-            for index, entry in enumerate(faults)
-        )
-        if "cpu" in data:
-            kwargs["cpu"] = _build(CpuSpec, data["cpu"], "cpu")
-        if "sharding" in data:
-            kwargs["sharding"] = _build_sharding(data["sharding"])
-        if "batching" in data:
-            kwargs["batching"] = _build(BatchingSpec, data["batching"], "batching")
-        if "processes" in data:
-            kwargs["processes"] = _build(ProcessesSpec, data["processes"], "processes")
-        if "runtime" in data:
-            kwargs["runtime"] = _build(RuntimeSpec, data["runtime"], "runtime")
         try:
-            return cls(**kwargs)
+            return cls(**_values(cls, data, ""))
         except TypeError as exc:
             # e.g. duration_s = "2" in a TOML file: the key is known but the
             # value's type breaks validation arithmetic.
@@ -745,41 +639,92 @@ class ExperimentSpec:
         return cls.from_dict(data)
 
 
-def _build_sharding(data: Any) -> ShardingSpec:
-    """Build a :class:`ShardingSpec` (with nested overrides) from a mapping."""
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(
-            f"sharding must be a table/mapping, got {type(data).__name__}"
-        )
-    unknown = sorted(set(data) - {"shards", "placement", "overrides"})
-    if unknown:
-        raise ConfigurationError(f"unknown keys in sharding: {unknown}")
-    overrides = data.get("overrides", [])
-    if not isinstance(overrides, Sequence) or isinstance(overrides, (str, bytes)):
-        raise ConfigurationError("sharding.overrides must be a list of tables")
-    kwargs: dict[str, Any] = {
-        key: data[key] for key in ("shards", "placement") if key in data
-    }
-    kwargs["overrides"] = tuple(
-        _build(ShardOverride, entry, f"sharding.overrides[{index}]")
-        for index, entry in enumerate(overrides)
-    )
-    try:
-        return ShardingSpec(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"invalid value in sharding: {exc}") from exc
+# ----------------------------------------------------------------------
+# The spec-table codec: one walk over the spec dataclasses
+# ----------------------------------------------------------------------
+
+
+@cache
+def _shapes(cls: type) -> dict[str, tuple[Optional[str], Any]]:
+    """Each field of a spec dataclass as ``(shape, nested class)``.
+
+    ``"table"``: a nested (possibly optional) spec dataclass ↔ a table;
+    ``"list"``: ``tuple[X, ...]`` of one ↔ a list of tables; ``"sites"``:
+    the ``(site, X)`` pairs of ``clocks`` ↔ a table keyed by site name;
+    ``None``: a plain value (tuples of plain values ↔ lists).
+    """
+    shapes: dict[str, tuple[Optional[str], Any]] = {}
+    for name, hint in get_type_hints(cls).items():
+        if get_origin(hint) is Union:  # Optional[X]
+            hint = get_args(hint)[0]
+        item = get_args(hint)[0] if get_origin(hint) is tuple else None
+        if is_dataclass(hint):
+            shapes[name] = ("table", hint)
+        elif is_dataclass(item):
+            shapes[name] = ("list", item)
+        elif get_origin(item) is tuple:
+            shapes[name] = ("sites", get_args(item)[1])
+        else:
+            shapes[name] = (None, None)
+    return shapes
+
+
+def _table(spec: Any) -> dict[str, Any]:
+    """One spec dataclass as a table; ``None`` values are omitted (TOML has
+    no null)."""
+    table: dict[str, Any] = {}
+    for name, (shape, _cls) in _shapes(type(spec)).items():
+        value = getattr(spec, name)
+        if value is None:
+            continue
+        if shape == "table":
+            value = _table(value)
+        elif shape == "list":
+            value = [_table(entry) for entry in value]
+        elif shape == "sites":
+            value = {site: _table(entry) for site, entry in value}
+        elif isinstance(value, tuple):
+            value = list(value)
+        table[name] = value
+    return table
+
+
+def _values(cls: type, data: Mapping[str, Any], prefix: str) -> dict[str, Any]:
+    """The constructor arguments of *cls* from a table (keys already checked)."""
+    shapes = _shapes(cls)
+    values: dict[str, Any] = {}
+    for key, value in data.items():
+        shape, nested = shapes[key]
+        where = prefix + key
+        if shape == "table":
+            value = _build(nested, value, where)
+        elif shape == "list":
+            if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+                raise ConfigurationError(f"{where} must be a list of tables")
+            value = tuple(
+                _build(nested, entry, f"{where}[{index}]")
+                for index, entry in enumerate(value)
+            )
+        elif shape == "sites":
+            if not isinstance(value, Mapping):
+                raise ConfigurationError(f"{where} must map site name to a table")
+            value = tuple(
+                (site, _build(nested, entry, f"{where}.{site}"))
+                for site, entry in value.items()
+            )
+        values[key] = value
+    return values
 
 
 def _build(cls: type, data: Any, where: str) -> Any:
     """Instantiate a nested spec dataclass from a mapping with key checking."""
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"{where} must be a table/mapping, got {type(data).__name__}")
-    fields = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-    unknown = sorted(set(data) - fields)
+    unknown = sorted(set(data) - set(_shapes(cls)))
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {unknown}")
     try:
-        return cls(**data)
+        return cls(**_values(cls, data, where + "."))
     except TypeError as exc:
         raise ConfigurationError(f"invalid value in {where}: {exc}") from exc
 

@@ -1,12 +1,17 @@
-"""One accumulate-and-flush primitive for every asyncio batching site.
+"""One accumulate-and-flush primitive for every batching site.
 
-Three places coalesce work on the event loop — the replica driver (commands
-into :class:`~repro.protocols.records.CommandBatch` units), the TCP
-transport (per-peer envelopes into multi-message frames), and the KV client
-(request frames into one write).  They all share the same semantics, so they
-share this accumulator: flush when ``max_batch`` items are queued or when
-the window expires, where ``window_us = 0`` means "flush whatever the
-current event-loop tick queues, never wait".
+Four places coalesce work — the replica driver (commands into
+:class:`~repro.protocols.records.CommandBatch` units), the TCP transport
+(per-peer envelopes into multi-message frames), the KV client (request
+frames into one write), and the simulator's submission path (commands into
+units, per replica).  They all share the same semantics, so they share this
+accumulator: flush when ``max_batch`` items are queued or when the window
+expires, where ``window_us = 0`` means "flush whatever the current instant
+queues, never wait" — the current event-loop tick, or the current virtual
+instant in the simulator.  Time comes from the
+:class:`~repro.sim.scheduler.Timer` the owner passes: a
+:class:`~repro.sim.scheduler.LoopTimer` on the asyncio loop, the
+:class:`~repro.sim.environment.SimulationEnvironment` in the simulator.
 
 A size-triggered flush cancels the armed window timer (and vice versa), so
 a flush can never fire into the *next* accumulation — the queue length at
@@ -15,27 +20,27 @@ flush time is always ≤ ``max_batch``, which callers may rely on.
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Callable, Generic, List, Optional, TypeVar, Union
+from typing import TYPE_CHECKING, Any, Callable, Generic, List, Optional, TypeVar
 
 from ..config import BatchingOptions
-from ..types import micros_to_seconds
+
+if TYPE_CHECKING:
+    from ..sim.scheduler import Timer
 
 T = TypeVar("T")
-
-_Handle = Union[asyncio.Handle, asyncio.TimerHandle]
 
 
 class BatchAccumulator(Generic[T]):
     """Accumulates items and hands them to *flush* in bounded groups."""
 
     def __init__(
-        self, options: BatchingOptions, flush: Callable[[List[T]], None]
+        self, options: BatchingOptions, flush: Callable[[List[T]], None], timer: Timer
     ) -> None:
         self._options = options
         self._flush_cb = flush
+        self._timer = timer
         self._items: list[T] = []
-        self._handle: Optional[_Handle] = None
+        self._handle: Optional[Any] = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -46,13 +51,7 @@ class BatchAccumulator(Generic[T]):
         if len(self._items) >= self._options.max_batch:
             self.flush()
         elif self._handle is None:
-            loop = asyncio.get_running_loop()
-            if self._options.window_us == 0:
-                self._handle = loop.call_soon(self.flush)
-            else:
-                self._handle = loop.call_later(
-                    micros_to_seconds(self._options.window_us), self.flush
-                )
+            self._handle = self._timer.schedule(self._options.window_us, self.flush)
 
     def flush(self) -> None:
         """Deliver everything queued (≤ max_batch items) to the callback."""

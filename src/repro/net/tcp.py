@@ -28,6 +28,7 @@ from typing import Any, Optional
 
 from ..config import BatchingOptions
 from ..errors import TransportError
+from ..sim.scheduler import LoopTimer
 from ..types import ReplicaId
 from .batching import BatchAccumulator
 from .message import Envelope, EnvelopeBatch, MessageRegistry, global_registry
@@ -166,6 +167,7 @@ class TcpTransport(Transport):
         self._senders: dict[ReplicaId, asyncio.Task] = {}
         self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._accumulators: dict[ReplicaId, BatchAccumulator[Envelope]] = {}
+        self._timer = LoopTimer()
         self._early: list[Envelope] = []
         self._closed = False
 
@@ -248,6 +250,7 @@ class TcpTransport(Transport):
             accumulator = BatchAccumulator(
                 self._batching,
                 lambda envelopes, dst=envelope.dst: self._enqueue(dst, envelopes),
+                self._timer,
             )
             self._accumulators[envelope.dst] = accumulator
         accumulator.add(envelope)

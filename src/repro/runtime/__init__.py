@@ -10,8 +10,9 @@ this package runs the very same protocol objects as live asyncio services:
 * :class:`~repro.runtime.client.ReplicatedKVClient` — an asyncio key-value
   client that talks to a :class:`ReplicaServer`.
 * :class:`~repro.runtime.local.LocalAsyncCluster` — all replicas in one
-  process connected by an in-memory transport with optional injected WAN
-  delays; used by the examples to run a "geo-replicated" store live.
+  process connected by the simulator's link model on the loop's clock, with
+  optional injected WAN delays; used by the examples to run a
+  "geo-replicated" store live.
 """
 
 from .client import ReplicatedKVClient

@@ -28,6 +28,7 @@ from ..kvstore.commands import encode_delete, encode_get, encode_put
 from ..net.batching import BatchAccumulator
 from ..net.message import Envelope, EnvelopeBatch, MessageRegistry, global_registry
 from ..net.tcp import encode_batch_frame, encode_frame, read_envelopes
+from ..sim.scheduler import LoopTimer
 from ..types import Command, CommandId
 from .messages import ClientRequest, ClientResponse
 from .server import ReplicaServer
@@ -59,7 +60,7 @@ class ReplicatedKVClient:
         self._dispatcher: Optional[asyncio.Task] = None
         self._pending: dict[CommandId, asyncio.Future] = {}
         self._outbox: Optional[BatchAccumulator[Envelope]] = (
-            BatchAccumulator(self._batching, self._write_group)
+            BatchAccumulator(self._batching, self._write_group, LoopTimer())
             if self._batching is not None
             else None
         )

@@ -37,6 +37,7 @@ from ..protocols.base import (
     Timer,
 )
 from ..protocols.records import make_unit
+from ..sim.scheduler import LoopTimer
 from ..types import Command, CommandId, micros_to_seconds
 
 _LOGGER = logging.getLogger(__name__)
@@ -75,7 +76,7 @@ class AsyncReplicaDriver:
         self.on_reply = on_reply
         self.batching = batching if batching is not None and batching.enabled else None
         self._accumulator: Optional[BatchAccumulator[Command]] = (
-            BatchAccumulator(self.batching, self._propose_unit)
+            BatchAccumulator(self.batching, self._propose_unit, LoopTimer())
             if self.batching is not None
             else None
         )

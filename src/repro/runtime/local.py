@@ -1,15 +1,17 @@
 """Run a whole replicated deployment inside one asyncio process.
 
-:class:`LocalAsyncCluster` wires every replica to an in-memory transport and
-optionally injects wide-area delays (half the Table III RTTs) into message
-delivery, so examples can experience realistic geo-replication latency while
-running locally — the live-runtime counterpart of the discrete-event
-simulator.
+:class:`LocalAsyncCluster` hosts every replica in one event loop and
+connects them through the simulator's link model
+(:class:`~repro.sim.network.SimulatedNetwork`) running on the loop's clock
+(:class:`~repro.sim.scheduler.LoopTimer`): per-channel FIFO delivery after
+the injected one-way delay (e.g. half the Table III RTTs, so examples
+experience realistic geo-replication latency while running locally),
+partitions that park traffic until they heal, and crashed endpoints that
+drop it.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any, Optional
 
 from ..config import BatchingOptions, ClusterSpec, ProtocolConfig
@@ -17,28 +19,39 @@ from ..errors import ConfigurationError
 from ..net.latency import LatencyMatrix
 from ..net.message import Envelope
 from ..net.transport import Transport
-from ..statemachine import StateMachine
+from ..sim.network import NetworkOptions, SimulatedNetwork
+from ..sim.scheduler import LoopTimer
 from ..kvstore.kv import KVStateMachine
-from ..types import Command, CommandId, Micros, ReplicaId, micros_to_seconds, next_command_uid
+from ..types import Command, CommandId, Micros, ReplicaId, next_command_uid
 from .server import ReplicaServer
 
 
-class _DelayedLoopTransport(Transport):
-    """In-process transport that delivers after the configured WAN delay."""
+class _LinkTransport(Transport):
+    """In-process transport: peers are reached through the link model,
+    self-addressed envelopes are dispatched at once."""
 
-    def __init__(self, local_id: ReplicaId, cluster: "LocalAsyncCluster") -> None:
+    def __init__(self, local_id: ReplicaId, network: SimulatedNetwork) -> None:
         super().__init__(local_id)
-        self._cluster = cluster
+        self._network = network
+        network.attach(local_id, self._arrive)
 
     def send(self, envelope: Envelope) -> None:
         if envelope.dst == self.local_id:
             self._dispatch(envelope)
-            return
-        self._cluster._deliver_later(envelope)
+        else:
+            self._network.send(envelope)
+
+    def _arrive(self, envelope: Envelope, _time: Micros) -> None:
+        self._dispatch(envelope)
 
 
 class LocalAsyncCluster:
-    """All replicas of a deployment running in one asyncio event loop."""
+    """All replicas of a deployment running in one asyncio event loop.
+
+    Channels are quasi-reliable, as in the paper's model: a partition parks
+    traffic (sent during the outage or already in flight when it started)
+    and heals re-deliver it in send order; only a crashed endpoint loses it.
+    """
 
     def __init__(
         self,
@@ -56,76 +69,24 @@ class LocalAsyncCluster:
         self.latency = latency
         self.batching = batching
         self.servers: dict[ReplicaId, ReplicaServer] = {}
-        self._transports: dict[ReplicaId, _DelayedLoopTransport] = {}
         self._state_machine_factory = state_machine_factory
-        self._down: set[ReplicaId] = set()
-        self._partitions: set[frozenset[ReplicaId]] = set()
-        #: Messages held back by partitions (quasi-reliable channels: an
-        #: outage delays traffic between live replicas, it does not lose it),
-        #: as (send sequence, envelope).  A message may be parked at send
-        #: time or — if already in flight when the partition started — at
-        #: delivery time; releasing in send-sequence order keeps each
-        #: channel FIFO across both cases.
-        self._parked: dict[tuple[ReplicaId, ReplicaId], list[tuple[int, Envelope]]] = {}
-        self._send_seq: dict[tuple[ReplicaId, ReplicaId], int] = {}
+        self.network = SimulatedNetwork(
+            LoopTimer(),
+            latency if latency is not None else LatencyMatrix.uniform(spec.sites, 0),
+            NetworkOptions(partition_mode="buffer"),
+        )
         for replica_spec in spec.replicas:
             rid = replica_spec.replica_id
-            transport = _DelayedLoopTransport(rid, self)
-            self._transports[rid] = transport
             self.servers[rid] = ReplicaServer(
                 protocol,
                 rid,
                 spec,
                 state_machine_factory(rid),
-                transport=transport,
+                transport=_LinkTransport(rid, self.network),
                 protocol_config=protocol_config,
                 clock=clock_factory(rid) if clock_factory is not None else None,
                 batching=batching,
             )
-
-    # -- delivery --------------------------------------------------------------------
-
-    def _one_way_delay(self, src: ReplicaId, dst: ReplicaId) -> Micros:
-        if self.latency is None:
-            return 0
-        return self.latency.delay(src, dst)
-
-    def _deliver_later(self, envelope: Envelope) -> None:
-        key = (envelope.src, envelope.dst)
-        seq = self._send_seq.get(key, 0)
-        self._send_seq[key] = seq + 1
-        self._schedule_delivery(envelope, seq)
-
-    def _schedule_delivery(self, envelope: Envelope, seq: int) -> None:
-        if envelope.src in self._down or envelope.dst in self._down:
-            return
-        if frozenset((envelope.src, envelope.dst)) in self._partitions:
-            self._park(envelope, seq)
-            return
-        delay = micros_to_seconds(self._one_way_delay(envelope.src, envelope.dst))
-        loop = asyncio.get_running_loop()
-        if delay <= 0:
-            loop.call_soon(self._dispatch_or_park, envelope, seq)
-        else:
-            loop.call_later(delay, self._dispatch_or_park, envelope, seq)
-
-    def _park(self, envelope: Envelope, seq: int) -> None:
-        self._parked.setdefault((envelope.src, envelope.dst), []).append((seq, envelope))
-
-    def _dispatch_or_park(self, envelope: Envelope, seq: int) -> None:
-        """Delivery-time re-check, mirroring the simulator's network: a
-        message in flight when a partition started is parked until heal (a
-        crash of either endpoint drops it)."""
-        if envelope.src in self._down or envelope.dst in self._down:
-            return
-        if frozenset((envelope.src, envelope.dst)) in self._partitions:
-            self._park(envelope, seq)
-            return
-        self._transports[envelope.dst]._dispatch(envelope)
-
-    def _release_parked(self, src: ReplicaId, dst: ReplicaId) -> None:
-        for seq, envelope in sorted(self._parked.pop((src, dst), [])):
-            self._schedule_delivery(envelope, seq)
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -149,7 +110,7 @@ class LocalAsyncCluster:
     def crash(self, replica_id: ReplicaId) -> None:
         """Crash a replica: it stops processing; its stable log survives."""
         self.servers[replica_id].crash()
-        self._down.add(replica_id)
+        self.network.set_down(replica_id, True)
 
     def recover(self, replica_id: ReplicaId, rejoin: bool = False) -> None:
         """Recover a crashed replica from its log and reconnect it.
@@ -158,7 +119,7 @@ class LocalAsyncCluster:
         reconfiguration back to the full deployment (protocols with the
         reconfiguration capability only).
         """
-        self._down.discard(replica_id)
+        self.network.set_down(replica_id, False)
         server = self.servers[replica_id]
         server.restart(self._state_machine_factory(replica_id))
         replica = server.replica
@@ -166,28 +127,16 @@ class LocalAsyncCluster:
             server.driver._perform(replica.reconfig.trigger(tuple(self.spec.replica_ids)))
 
     def partition(self, a: ReplicaId, b: ReplicaId) -> None:
-        """Hold back all traffic between *a* and *b* until healed.
-
-        Quasi-reliable (TCP) channel semantics: parked messages — whether
-        sent during the outage or already in flight when it started — are
-        re-delivered in send order by :meth:`heal`, never silently lost.
-        """
-        self._partitions.add(frozenset((a, b)))
+        self.network.partition(a, b)
 
     def heal(self, a: ReplicaId, b: ReplicaId) -> None:
-        self._partitions.discard(frozenset((a, b)))
-        self._release_parked(a, b)
-        self._release_parked(b, a)
+        self.network.heal(a, b)
 
     def isolate(self, replica_id: ReplicaId) -> None:
-        """Partition *replica_id* from every other replica."""
-        for other in self.servers:
-            if other != replica_id:
-                self.partition(replica_id, other)
+        self.network.isolate(replica_id)
 
     def heal_all(self) -> None:
-        for a, b in [tuple(pair) for pair in self._partitions]:
-            self.heal(a, b)
+        self.network.heal_all()
 
     def clock_jump(self, replica_id: ReplicaId, delta: Micros) -> None:
         """Step one replica's clock by *delta* µs (needs an adjustable clock)."""

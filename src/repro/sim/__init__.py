@@ -5,10 +5,13 @@ This package substitutes both testbeds with a deterministic discrete-event
 simulation (see DESIGN.md for the substitution argument):
 
 * :mod:`repro.sim.scheduler` / :mod:`repro.sim.environment` — event queue and
-  simulation environment (the time source for simulated clocks).
+  simulation environment (the time source for simulated clocks); the
+  scheduler module also holds the ``Timer`` interface and ``LoopTimer``,
+  the same queue on a running asyncio loop.
 * :mod:`repro.sim.network` — wide-area network model parameterised by a
   one-way latency matrix (the paper's Table III), with optional jitter,
-  partitions and per-channel FIFO delivery.
+  partitions and per-channel FIFO delivery; the asyncio backend's
+  in-process cluster delivers through it too.
 * :mod:`repro.sim.node` — a simulated replica host, including the optional
   CPU/batching cost model used by the throughput experiments.
 * :mod:`repro.sim.cluster` — wires clocks, logs, protocol replicas, network
@@ -20,11 +23,13 @@ from .cluster import ReplyEvent, SimulatedCluster
 from .environment import SimulationEnvironment
 from .network import NetworkOptions, SimulatedNetwork
 from .node import CpuModel, SimulatedNode
-from .scheduler import EventScheduler, ScheduledEvent
+from .scheduler import EventScheduler, LoopTimer, ScheduledEvent, Timer
 
 __all__ = [
     "EventScheduler",
+    "LoopTimer",
     "ScheduledEvent",
+    "Timer",
     "SimulationEnvironment",
     "SimulatedNetwork",
     "NetworkOptions",

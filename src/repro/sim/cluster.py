@@ -10,6 +10,7 @@ from ..clocks.base import Clock
 from ..clocks.physical import DriftingClock, SkewedClock
 from ..config import BatchingOptions, ClusterSpec, ProtocolConfig
 from ..errors import ConfigurationError
+from ..net.batching import BatchAccumulator
 from ..net.latency import LatencyMatrix
 from ..protocols.base import Replica
 from ..protocols.records import make_unit
@@ -97,11 +98,10 @@ class SimulatedCluster:
         self._submit_callbacks: list[SubmitCallback] = []
         self.replies: list[ReplyEvent] = []
         self._command_seq = itertools.count(1)
-        #: Opportunistic command batching at the submission path (mirrors the
-        #: asyncio driver's accumulation window; ``None`` disables it).
+        #: Opportunistic command batching at the submission path: one
+        #: accumulator per replica on the simulation clock (``None``: off).
         self.batching = batching if batching is not None and batching.enabled else None
-        self._accumulating: dict[ReplicaId, list[Command]] = {}
-        self._flush_events: dict[ReplicaId, Any] = {}
+        self._accumulators: dict[ReplicaId, BatchAccumulator[Command]] = {}
 
         self.logs: dict[ReplicaId, CommandLog] = {}
         self.clocks: dict[ReplicaId, Clock] = {}
@@ -119,6 +119,12 @@ class SimulatedCluster:
                 cpu_model=cpu_model,
             )
             self.nodes[rid] = node
+            if self.batching is not None:
+                self._accumulators[rid] = BatchAccumulator(
+                    self.batching,
+                    lambda commands, node=node: node.submit_client_request(make_unit(commands)),
+                    self.env,
+                )
         self._started = False
 
     # ------------------------------------------------------------------
@@ -213,45 +219,24 @@ class SimulatedCluster:
         """Submit *command* to *replica_id* at the current simulation time.
 
         With batching configured, the command joins the replica's
-        accumulation queue instead of reaching the protocol immediately: the
-        queue flushes as one :class:`~repro.protocols.records.CommandBatch`
-        when it holds ``max_batch`` commands or when the window expires
-        (``window_us = 0`` flushes at the same virtual instant, so commands
-        submitted at one simulation time batch together — the discrete-event
-        twin of the asyncio driver's same-tick flush).
+        :class:`~repro.net.batching.BatchAccumulator` instead of reaching the
+        protocol immediately: it flushes as one
+        :class:`~repro.protocols.records.CommandBatch` when it holds
+        ``max_batch`` commands or when the window expires (``window_us = 0``
+        flushes at the same virtual instant, so commands submitted at one
+        simulation time batch together).
         """
         self.start()
         if replica_id not in self.nodes:
             raise ConfigurationError(f"unknown replica {replica_id}")
         for callback in self._submit_callbacks:
             callback(replica_id, command, self.env.now)
-        if self.batching is None:
+        accumulator = self._accumulators.get(replica_id)
+        if accumulator is None:
             self.nodes[replica_id].submit_client_request(command)
-            return command
-        queue = self._accumulating.setdefault(replica_id, [])
-        queue.append(command)
-        if len(queue) >= self.batching.max_batch:
-            self._flush_submits(replica_id)
-        elif replica_id not in self._flush_events:
-            self._flush_events[replica_id] = self.env.schedule(
-                self.batching.window_us,
-                lambda rid=replica_id: self._flush_submits(rid),
-            )
+        else:
+            accumulator.add(command)
         return command
-
-    def _flush_submits(self, replica_id: ReplicaId) -> None:
-        """Propose a replica's accumulated commands as one unit.
-
-        A size-triggered flush cancels the armed window event, so the window
-        timer can never fire early into the *next* accumulation (the asyncio
-        accumulator gives the same guarantee).
-        """
-        event = self._flush_events.pop(replica_id, None)
-        if event is not None:
-            event.cancel()  # no-op when this call *is* the firing event
-        queue = self._accumulating.pop(replica_id, None)
-        if queue:
-            self.nodes[replica_id].submit_client_request(make_unit(queue))
 
     def submit_payload(self, replica_id: ReplicaId, payload: bytes, client: str = "client") -> Command:
         return self.submit(replica_id, self.make_command(payload, client))

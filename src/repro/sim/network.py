@@ -1,10 +1,16 @@
-"""Simulated wide-area network.
+"""The link model: a simulated wide-area network.
 
-Delivers envelopes between simulated nodes with per-pair one-way delays taken
-from a :class:`~repro.net.latency.LatencyMatrix` (e.g. the paper's Table III
-EC2 measurements), optional jitter, message loss, and partitions.  Delivery
-per (source, destination) channel is FIFO even under jitter, matching the
+Delivers envelopes between replicas with per-pair one-way delays taken from a
+:class:`~repro.net.latency.LatencyMatrix` (e.g. the paper's Table III EC2
+measurements), optional jitter, message loss, and partitions.  Delivery per
+(source, destination) channel is FIFO even under jitter, matching the
 paper's system model and the behaviour of a TCP connection.
+
+Time comes from a :class:`~repro.sim.scheduler.Timer`: the simulation
+environment for :class:`~repro.sim.cluster.SimulatedCluster`, a
+:class:`~repro.sim.scheduler.LoopTimer` for the asyncio backend's
+:class:`~repro.runtime.local.LocalAsyncCluster` — one channel and fault
+model under both clocks.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Callable, Optional
 from ..net.latency import LatencyMatrix
 from ..net.message import Envelope
 from ..types import Micros, ReplicaId
-from .environment import SimulationEnvironment
+from .scheduler import Timer
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,11 +90,11 @@ class _Channel:
 
 
 class SimulatedNetwork:
-    """Schedules envelope deliveries on the simulation environment."""
+    """Schedules envelope deliveries on a timer (virtual or event-loop time)."""
 
     def __init__(
         self,
-        env: SimulationEnvironment,
+        env: Timer,
         latency: LatencyMatrix,
         options: NetworkOptions = NetworkOptions(),
     ) -> None:

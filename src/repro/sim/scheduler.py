@@ -1,10 +1,13 @@
-"""Event scheduler: a priority queue of timestamped callbacks."""
+"""Event scheduler: a priority queue of timestamped callbacks — and the one
+timer interface replica hosts are written against, under either clock."""
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from random import Random
+from typing import Any, Callable, Optional, Protocol
 
 from ..errors import SimulationError
 from ..types import Micros
@@ -81,4 +84,83 @@ class EventScheduler:
         event.callback()
 
 
-__all__ = ["EventScheduler", "ScheduledEvent"]
+class Timer(Protocol):
+    """Where time comes from, for code that runs under either clock.
+
+    :class:`~repro.sim.environment.SimulationEnvironment` supplies it in
+    virtual time and :class:`LoopTimer` on the running asyncio loop, so the
+    link model (:class:`~repro.sim.network.SimulatedNetwork`) and the
+    batching accumulator (:class:`~repro.net.batching.BatchAccumulator`) are
+    one body each.  Times are integer µs; the returned handle's ``cancel()``
+    disarms the callback.
+    """
+
+    random: Random
+
+    @property
+    def now(self) -> Micros: ...
+
+    def schedule(self, delay: Micros, callback: Callable[[], None]) -> Any: ...
+
+    def schedule_at(self, time: Micros, callback: Callable[[], None]) -> Any: ...
+
+
+class LoopTimer:
+    """:class:`Timer` on the running asyncio event loop.
+
+    ``loop.call_at`` alone would not do: asyncio's timer heap does not keep
+    equal deadlines in call order, and integer-µs times plus the link
+    model's FIFO clamp make equal deadlines routine.  So future events wait
+    in an :class:`EventScheduler` — (time, scheduling order), as in the
+    simulator — with one ``call_at`` armed for its head; a wake-up runs every
+    event due by then.  A deadline already reached is a ``call_soon``.
+    """
+
+    def __init__(self) -> None:
+        self.random = Random(0)
+        self._events = EventScheduler()
+        self._armed: Optional[asyncio.TimerHandle] = None
+        self._armed_at: Micros = 0
+
+    @property
+    def now(self) -> Micros:
+        return int(asyncio.get_running_loop().time() * 1_000_000)
+
+    def schedule(self, delay: Micros, callback: Callable[[], None]) -> Any:
+        return self.schedule_at(self.now + delay, callback)
+
+    def schedule_at(self, time: Micros, callback: Callable[[], None]) -> Any:
+        loop = asyncio.get_running_loop()
+        queue = self._events._queue
+        # Due already: run it this tick — unless an event due no later is
+        # still waiting for its wake-up, which must run first.
+        if time <= loop.time() * 1_000_000 and not (queue and queue[0][0] <= time):
+            return loop.call_soon(callback)
+        event = self._events.schedule_at(time, callback)
+        if queue[0][2] is event:  # a new earliest deadline
+            self._arm(loop, time)
+        return event
+
+    def _arm(self, loop: asyncio.AbstractEventLoop, time: Micros) -> None:
+        if self._armed is not None:
+            self._armed.cancel()
+        self._armed_at = time
+        self._armed = loop.call_at(time / 1_000_000, self._run_due)
+
+    def _run_due(self) -> None:
+        self._armed = None
+        # ``_armed_at`` covers a wake-up a clock tick early; a head later than
+        # ``due`` stays (the event armed for was cancelled since).
+        due, queue = max(self._armed_at, self.now), self._events._queue
+        try:
+            while queue and queue[0][0] <= due:
+                event = heappop(queue)[2]
+                if not event.cancelled:
+                    event.callback()
+        finally:
+            head = self._events.peek_time()
+            if head is not None and self._armed is None:
+                self._arm(asyncio.get_running_loop(), head)
+
+
+__all__ = ["EventScheduler", "LoopTimer", "ScheduledEvent", "Timer"]

@@ -22,6 +22,7 @@ from repro.protocols.records import CommandBatch
 from repro.runtime.client import ReplicatedKVClient
 from repro.runtime.local import LocalAsyncCluster
 from repro.runtime.server import ReplicaServer
+from repro.sim.scheduler import LoopTimer
 from repro.types import Command, CommandId
 
 from tests.helpers import LOOPBACK_ANY_PORT, start_on_bound_ports
@@ -42,7 +43,7 @@ class TestBatchAccumulator:
         async def scenario():
             flushed: list[list[int]] = []
             acc = BatchAccumulator(
-                BatchingOptions(max_batch=2, window_us=20_000), flushed.append
+                BatchingOptions(max_batch=2, window_us=20_000), flushed.append, LoopTimer()
             )
             acc.add(1)
             acc.add(2)  # size flush; must disarm the 20 ms timer
@@ -63,7 +64,7 @@ class TestBatchAccumulator:
 
         async def scenario():
             flushed: list[list[int]] = []
-            acc = BatchAccumulator(BatchingOptions(max_batch=64), flushed.append)
+            acc = BatchAccumulator(BatchingOptions(max_batch=64), flushed.append, LoopTimer())
             acc.add(1)
             acc.add(2)
             assert flushed == []  # still the same tick

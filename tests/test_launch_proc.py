@@ -2,8 +2,8 @@
 
 These tests spawn actual worker processes (``python -m repro.launch.worker``)
 per replica, so they are the slowest in the suite — each run costs about a
-second of wall clock.  They deliberately keep specs tiny; throughput-oriented
-coverage lives in ``benchmarks/test_bench_proc.py``.
+second of wall clock.  They deliberately keep specs tiny; throughput is
+measured by ``perf/``, not here.
 """
 
 from __future__ import annotations

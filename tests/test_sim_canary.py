@@ -11,7 +11,9 @@ and one that moves anything fails in seconds.
 Beyond ``perf``'s ``sim_geo5`` counts (five protocols, no faults, no CPU
 model) this covers the partition-buffer / crash / recover paths of the
 network, the ``CpuModel`` batch path of the node, and a lossy network whose
-partitions drop.
+partitions drop.  The two ``batched_*`` scenarios pin the submission
+accumulator; they were recorded on the commit before the simulator's own
+accumulator gave way to :class:`~repro.net.batching.BatchAccumulator`.
 
 To re-record after an *intended* behaviour change, run
 ``PYTHONPATH=src python tests/test_sim_canary.py`` and paste its output.
@@ -25,7 +27,9 @@ from typing import Callable
 import pytest
 
 from repro.experiment.sim_backend import SimBackend
-from repro.experiment.spec import CpuSpec, ExperimentSpec, FaultSpec, WorkloadSpec
+from repro.experiment.spec import (
+    BatchingSpec, CpuSpec, ExperimentSpec, FaultSpec, WorkloadSpec,
+)
 from repro.sim.network import NetworkOptions
 from repro.types import Command, CommandId
 
@@ -81,6 +85,23 @@ SPECS["cpu"] = _geo5(
     ),
     cpu=CpuSpec(),
 )
+for _window in (0, 300):
+    # Saturating clients behind the submission accumulator: ``window_us = 0``
+    # flushes each virtual instant's submissions together, ``300`` arms the
+    # window timer and cancels it whenever ``max_batch`` fills first.
+    SPECS[f"batched_w{_window}"] = _geo5(
+        "clock-rsm",
+        name=f"canary/batched_w{_window}",
+        sites=("CA", "VA", "IR"),
+        latency="uniform",
+        one_way_ms=0.5,
+        warmup_s=0.01,
+        duration_s=0.05,
+        workload=WorkloadSpec(
+            scenario="saturating", outstanding_per_site=20, payload_size=16, app="kv",
+        ),
+        batching=BatchingSpec(max_batch=8, window_us=_window),
+    )
 
 
 def _run_spec(spec: ExperimentSpec):
@@ -125,6 +146,8 @@ GOLDEN: dict[str, tuple[int, int, str, str]] = {
     "mencius-bcast": (5883, 190, "e331411b03b1c6b2", "f77daf4ee2bf9234"),
     "faults": (9235, 82, "03d493a1443e061f", "8d1b561ce8661552"),
     "cpu": (51718, 3699, "2c0985cf56cf14a9", "476542e153a71c13"),
+    "batched_w0": (5081, 2940, "8e6f0eed1ea124bd", "d9b652d290444c58"),
+    "batched_w300": (4650, 2784, "4f2bafca67190a0d", "92731a7afa3d37e9"),
     "lossy": (4528, 30, "8a0b1c58a494912c", "db472f6e82a51d24"),
 }
 
