@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..net.message import register_message
-from ..protocols.records import CommandUnit
+from ..protocols.records import CommandUnit, pack_unit, unpack_unit
+from ..storage.log import PackedRecord, packed_record
 from ..types import Command, Micros, ReplicaId, Timestamp
 
 # ---------------------------------------------------------------------------
@@ -61,15 +62,28 @@ class ClockTime:
 # ---------------------------------------------------------------------------
 
 
+@packed_record("prepare")
 @register_message
 @dataclass(frozen=True, slots=True)
 class PrepareRecord:
-    """Log record for a PREPARE entry; the originating replica is ``ts.replica``."""
+    """Log record for a PREPARE entry; the originating replica is ``ts.replica``.
+
+    Packed: ``("prepare", ts.micros, ts.replica, *pack_unit(command))``.
+    """
 
     command: CommandUnit
     ts: Timestamp
 
+    def pack(self) -> PackedRecord:
+        ts = self.ts
+        return ("prepare", ts.micros, ts.replica) + pack_unit(self.command)
 
+    @staticmethod
+    def unpack(packed: PackedRecord) -> "PrepareRecord":
+        return PrepareRecord(unpack_unit(packed, 3), Timestamp(packed[1], packed[2]))
+
+
+@packed_record("commit")
 @register_message
 @dataclass(frozen=True, slots=True)
 class CommitRecord:
@@ -77,9 +91,19 @@ class CommitRecord:
 
     Commit marks are appended in timestamp order, always after the matching
     :class:`PrepareRecord`, which is what recovery relies on.
+
+    Packed: ``("commit", ts.micros, ts.replica)``.
     """
 
     ts: Timestamp
+
+    def pack(self) -> PackedRecord:
+        ts = self.ts
+        return ("commit", ts.micros, ts.replica)
+
+    @staticmethod
+    def unpack(packed: PackedRecord) -> "CommitRecord":
+        return CommitRecord(Timestamp(packed[1], packed[2]))
 
 
 # ---------------------------------------------------------------------------

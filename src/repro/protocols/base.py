@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 import logging
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Protocol, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Union
 
 from ..clocks.base import Clock, MonotonicTimestampSource
 from ..config import ClusterSpec, ProtocolConfig
@@ -23,6 +24,7 @@ from ..errors import ProtocolError
 from ..statemachine import StateMachine
 from ..storage.log import CommandLog
 from ..types import Command, CommandId, Micros, ReplicaId, Timestamp, majority
+from .records import CommandBatch
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -101,6 +103,65 @@ class ReplicaObserver(Protocol):
 
 
 # ---------------------------------------------------------------------------
+# Execution order
+# ---------------------------------------------------------------------------
+
+
+class ExecutionOrder:
+    """The ids of the commands a replica executed, in execution order.
+
+    Held as a client-name table plus two arrays — client index and seqno —
+    rather than a list of :class:`~repro.types.CommandId` objects, so it
+    adds nothing per command to what the cyclic collector walks.  Seqnos are
+    signed 64-bit, the range the wire carries and submission enforces
+    (:func:`~repro.types.check_seqno`).  Reading it builds the ids afresh:
+    ``len``, iteration and indexing yield ``CommandId`` values, and it
+    compares equal to a list of the same ids.
+    """
+
+    __slots__ = ("_names", "_index", "_clients", "_seqnos")
+
+    def __init__(self) -> None:
+        self._names: list[str] = []
+        self._index: dict[str, int] = {}
+        self._clients = array("i")
+        self._seqnos = array("q")
+
+    def add(self, commands: Iterable[Command]) -> None:
+        """Record *commands* as executed next, in order."""
+        index = self._index
+        clients = self._clients
+        seqnos = self._seqnos
+        for command in commands:
+            command_id = command.command_id
+            client = index.get(command_id.client)
+            if client is None:
+                client = index[command_id.client] = len(self._names)
+                self._names.append(command_id.client)
+            clients.append(client)
+            seqnos.append(command_id.seqno)
+
+    def __len__(self) -> int:
+        return len(self._seqnos)
+
+    def __iter__(self) -> Iterator[CommandId]:
+        return map(CommandId, map(self._names.__getitem__, self._clients), self._seqnos)
+
+    def __getitem__(self, index: int) -> CommandId:
+        return CommandId(self._names[self._clients[index]], self._seqnos[index])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (ExecutionOrder, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ExecutionOrder({list(self)!r})"
+
+
+# ---------------------------------------------------------------------------
 # Replica base class
 # ---------------------------------------------------------------------------
 
@@ -147,7 +208,7 @@ class Replica(ABC):
         self.ts_source = MonotonicTimestampSource(clock, replica_id)
         #: Commands executed so far, in execution order (used by tests and by
         #: the consistency checker).
-        self.execution_order: list[CommandId] = []
+        self.execution_order = ExecutionOrder()
         self._timer_ids = itertools.count(1)
         self._stopped = False
 
@@ -212,14 +273,6 @@ class Replica(ABC):
         """Create a fresh timer handle with a unique id."""
         return Timer(next(self._timer_ids), kind, payload)
 
-    def execute(self, command: Command) -> Any:
-        """Apply a committed command to the state machine, in commit order."""
-        output = self.state_machine.apply(command)
-        self.execution_order.append(command.command_id)
-        if self.observer is not None:
-            self.observer.on_execute(self.replica_id, command, output)
-        return output
-
     def execute_unit(self, unit: Any) -> list[tuple[Command, Any]]:
         """Execute a committed unit (command or batch), constituent by
         constituent, returning ``(command, output)`` pairs in batch order.
@@ -229,9 +282,14 @@ class Replica(ABC):
         commands: a batch is an agreement-layer envelope, never an execution
         unit of its own.
         """
-        from .records import unit_commands  # local import keeps module load order flexible
-
-        return [(command, self.execute(command)) for command in unit_commands(unit)]
+        commands = unit.commands if type(unit) is CommandBatch else (unit,)
+        apply = self.state_machine.apply
+        executed = [(command, apply(command)) for command in commands]
+        self.execution_order.add(commands)
+        if self.observer is not None:
+            for command, output in executed:
+                self.observer.on_execute(self.replica_id, command, output)
+        return executed
 
     def broadcast_targets(self, include_self: bool) -> Iterable[ReplicaId]:
         if include_self:
@@ -279,6 +337,7 @@ __all__ = [
     "Timer",
     "SetTimer",
     "Action",
+    "ExecutionOrder",
     "Replica",
     "ReplicaObserver",
     "expand_broadcast",

@@ -215,8 +215,7 @@ class MenciusReplica(Replica):
         """Skip all of my unused own slots smaller than *slot*."""
         skipped_any = False
         while self.next_own_slot < slot:
-            state = self.ledger.mark_skipped(self.next_own_slot)
-            state.executed = False  # executed (as a no-op) via the frontier
+            self.ledger.mark_skipped(self.next_own_slot)
             self.log.append(SkipRecord(self.next_own_slot))
             self.next_own_slot += self.spec.size
             skipped_any = True

@@ -15,7 +15,8 @@ from typing import Iterator, Sequence, Union
 
 from ..errors import ProtocolError
 from ..net.message import register_message
-from ..types import Command
+from ..storage.log import PackedRecord, packed_record
+from ..types import Command, CommandId
 
 
 @register_message
@@ -72,29 +73,85 @@ def make_unit(commands: Sequence[Command]) -> CommandUnit:
     return CommandBatch(tuple(commands))
 
 
+def pack_unit(unit: CommandUnit) -> tuple:
+    """A unit's packed layout: ``is_batch``, then ``client, seqno, payload,
+    created_at`` per command in batch order — flat, so a log record holding
+    it is one tuple of atoms however many commands it carries."""
+    if type(unit) is CommandBatch:
+        flat: list = [True]
+        for command in unit.commands:
+            command_id = command.command_id
+            flat += (command_id.client, command_id.seqno, command.payload, command.created_at)
+        return tuple(flat)
+    command_id = unit.command_id
+    return (False, command_id.client, command_id.seqno, unit.payload, unit.created_at)
+
+
+def unpack_unit(packed: PackedRecord, start: int) -> CommandUnit:
+    """The unit :func:`pack_unit` laid out from ``packed[start]`` on."""
+    commands = [
+        Command(CommandId(packed[i], packed[i + 1]), packed[i + 2], packed[i + 3])
+        for i in range(start + 1, len(packed), 4)
+    ]
+    return CommandBatch(tuple(commands)) if packed[start] else commands[0]
+
+
+@packed_record("accept")
 @register_message
 @dataclass(frozen=True, slots=True)
 class AcceptRecord:
-    """A unit accepted into *slot* (Paxos phase-2 accept / Mencius suggest)."""
+    """A unit accepted into *slot* (Paxos phase-2 accept / Mencius suggest).
+
+    Packed: ``("accept", slot, *pack_unit(command))``.
+    """
 
     slot: int
     command: CommandUnit
 
+    def pack(self) -> PackedRecord:
+        return ("accept", self.slot) + pack_unit(self.command)
 
+    @staticmethod
+    def unpack(packed: PackedRecord) -> "AcceptRecord":
+        return AcceptRecord(packed[1], unpack_unit(packed, 2))
+
+
+@packed_record("decide")
 @register_message
 @dataclass(frozen=True, slots=True)
 class DecideRecord:
-    """Slot *slot* is known decided (commit mark for slot-based protocols)."""
+    """Slot *slot* is known decided (commit mark for slot-based protocols).
+
+    Packed: ``("decide", slot)``.
+    """
 
     slot: int
 
+    def pack(self) -> PackedRecord:
+        return ("decide", self.slot)
 
+    @staticmethod
+    def unpack(packed: PackedRecord) -> "DecideRecord":
+        return DecideRecord(packed[1])
+
+
+@packed_record("skip")
 @register_message
 @dataclass(frozen=True, slots=True)
 class SkipRecord:
-    """Slot *slot* was skipped (Mencius no-op)."""
+    """Slot *slot* was skipped (Mencius no-op).
+
+    Packed: ``("skip", slot)``.
+    """
 
     slot: int
+
+    def pack(self) -> PackedRecord:
+        return ("skip", self.slot)
+
+    @staticmethod
+    def unpack(packed: PackedRecord) -> "SkipRecord":
+        return SkipRecord(packed[1])
 
 
 __all__ = [
@@ -102,6 +159,8 @@ __all__ = [
     "CommandUnit",
     "unit_commands",
     "make_unit",
+    "pack_unit",
+    "unpack_unit",
     "AcceptRecord",
     "DecideRecord",
     "SkipRecord",

@@ -28,7 +28,6 @@ class SlotState:
     acks: set[ReplicaId] = field(default_factory=set)
     decided: bool = False
     skipped: bool = False
-    executed: bool = False
 
     @property
     def has_command(self) -> bool:
@@ -43,12 +42,20 @@ class SlotState:
 
 
 class SlotLedger:
-    """Tracks slot states and yields slots ready for in-order execution."""
+    """Tracks slot states and yields slots ready for in-order execution.
+
+    A slot is forgotten once the execution frontier passes it: the ledger
+    holds only slots not yet executed, however long the run.  A slot below
+    the frontier reads as a decided slot that is never stored again, so a
+    late acknowledgement or a repeated decision for it changes nothing (the
+    command it held lives on in the replica's log).
+    """
 
     def __init__(self) -> None:
         self._slots: dict[int, SlotState] = {}
         #: The next slot index to execute (all smaller slots are executed).
         self.execute_frontier = 0
+        self._highest = -1
 
     # -- accessors ----------------------------------------------------------
 
@@ -56,17 +63,25 @@ class SlotLedger:
         state = self._slots.get(slot)
         if state is None:
             state = SlotState(slot)
+            if slot < self.execute_frontier:
+                state.decided = True
+                return state
             self._slots[slot] = state
+            if slot > self._highest:
+                self._highest = slot
         return state
 
     def peek(self, slot: int) -> Optional[SlotState]:
+        """The state of a slot not yet executed, if any message mentioned it."""
         return self._slots.get(slot)
 
     def known_slots(self) -> list[int]:
+        """Slots mentioned so far and not yet executed, ascending."""
         return sorted(self._slots)
 
     def highest_known_slot(self) -> int:
-        return max(self._slots) if self._slots else -1
+        """The highest slot any message mentioned, executed or not (-1: none)."""
+        return self._highest
 
     # -- state transitions ----------------------------------------------------
 
@@ -93,6 +108,8 @@ class SlotLedger:
         return state
 
     def is_decided(self, slot: int) -> bool:
+        if slot < self.execute_frontier:
+            return True
         state = self._slots.get(slot)
         return state is not None and state.decided
 
@@ -101,25 +118,27 @@ class SlotLedger:
     def pop_executable(
         self, implicit_skip: Optional[Callable[[int], bool]] = None
     ) -> Iterator[SlotState]:
-        """Yield slots ready to execute, advancing the frontier.
+        """Yield slots ready to execute, advancing the frontier past them.
 
         A slot is ready when it is decided (with its command present) or when
         *implicit_skip* reports that its coordinator can no longer propose in
-        it (Mencius skips learned via ``skip_until`` announcements).
+        it (Mencius skips learned via ``skip_until`` announcements).  Either
+        way the frontier's advance forgets it.
         """
+        slots = self._slots
         while True:
             slot = self.execute_frontier
-            state = self._slots.get(slot)
+            state = slots.get(slot)
             if state is not None and state.decided and state.has_command:
+                del slots[slot]
                 self.execute_frontier += 1
-                if not state.executed:
-                    state.executed = True
-                    yield state
+                yield state
                 continue
             if (state is None or not state.decided) and implicit_skip is not None:
                 if implicit_skip(slot):
-                    skipped = self.mark_skipped(slot)
-                    skipped.executed = True
+                    slots.pop(slot, None)
+                    if slot > self._highest:
+                        self._highest = slot
                     self.execute_frontier += 1
                     continue
             break

@@ -89,6 +89,8 @@ class AsyncReplicaDriver:
         self._split_queue_total = 0.0
         self._split_protocol_total = 0.0
         self._split_samples = 0
+        #: Flight records dropped unsettled (see :meth:`submit`).
+        self.shed_count = 0
         transport.set_handler(self._on_envelope)
 
     # -- lifecycle -----------------------------------------------------------------
@@ -142,11 +144,13 @@ class AsyncReplicaDriver:
             return
         now = time.monotonic()
         # Commands whose reply never arrives (crash, timeout) would pin their
-        # records forever; shed the oldest half past a generous bound.
+        # records forever; shed the oldest half past a generous bound, and
+        # count what was shed: those commands drop out of the latency split.
         in_flight = self._in_flight
         if len(in_flight) > 65536:
             for key in list(itertools.islice(iter(in_flight), 32768)):
                 del in_flight[key]
+            self.shed_count += 32768
         flight = _Flight(now)
         in_flight[command.command_id] = flight
         if self._accumulator is None:

@@ -24,7 +24,7 @@ from ..protocols.registry import create_replica
 from ..statemachine import StateMachine
 from ..storage.log import CommandLog
 from ..storage.memory_log import InMemoryLog
-from ..types import Command, CommandId, ReplicaId
+from ..types import Command, CommandId, ReplicaId, check_seqno
 from .driver import AsyncReplicaDriver
 from .messages import ClientRequest, ClientResponse
 
@@ -189,10 +189,14 @@ class ReplicaServer:
         times are identical, but the per-command cost drops to a
         ``heappush``.  Committed commands leave their heap entry behind; it
         is skipped when due (no longer pending) or dropped by compaction.
+
+        Raises :class:`~repro.errors.ClientError` for a seqno outside signed
+        64 bits, before the command reaches the replica.
         """
+        command_id = command.command_id
+        check_seqno(command_id)
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        command_id = command.command_id
         self._pending[command_id] = future
         self.driver.submit(command)
         deadlines = self._deadlines

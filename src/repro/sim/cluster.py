@@ -13,12 +13,12 @@ from ..errors import ConfigurationError
 from ..net.batching import BatchAccumulator
 from ..net.latency import LatencyMatrix
 from ..protocols.base import Replica
-from ..protocols.records import make_unit
+from ..protocols.records import make_unit, unit_commands
 from ..protocols.registry import create_replica
 from ..statemachine import AppendLogStateMachine, StateMachine
 from ..storage.log import CommandLog
 from ..storage.memory_log import InMemoryLog
-from ..types import Command, CommandId, Micros, ReplicaId
+from ..types import Command, CommandId, Micros, ReplicaId, check_seqno
 from .environment import SimulationEnvironment
 from .network import NetworkOptions, SimulatedNetwork
 from .node import CpuModel, SimulatedNode
@@ -225,10 +225,15 @@ class SimulatedCluster:
         ``max_batch`` commands or when the window expires (``window_us = 0``
         flushes at the same virtual instant, so commands submitted at one
         simulation time batch together).
+
+        Raises :class:`~repro.errors.ClientError` for a seqno outside signed
+        64 bits.
         """
         self.start()
         if replica_id not in self.nodes:
             raise ConfigurationError(f"unknown replica {replica_id}")
+        for constituent in unit_commands(command):
+            check_seqno(constituent.command_id)
         for callback in self._submit_callbacks:
             callback(replica_id, command, self.env.now)
         accumulator = self._accumulators.get(replica_id)

@@ -6,7 +6,9 @@ Record framing::
 
 The payload is the registry-encoded record.  A torn final frame (partial
 write during a crash) is detected by the length/CRC check and discarded on
-replay, which matches the usual write-ahead-log recovery contract.
+replay, which matches the usual write-ahead-log recovery contract.  In memory
+the log keeps the same packed store as
+:class:`~repro.storage.memory_log.InMemoryLog`.
 """
 
 from __future__ import annotations
@@ -19,12 +21,17 @@ from typing import Iterator, Optional, Sequence
 
 from ..errors import LogCorruptionError, StorageError
 from ..net.message import MessageRegistry, global_registry
-from .log import CommandLog, LogRecord
+from .log import LogRecord, pack_record
+from .memory_log import InMemoryLog
 
 _HEADER = struct.Struct(">II")
 
 
-class FileLog(CommandLog):
+def _frame(payload: bytes) -> bytes:
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+class FileLog(InMemoryLog):
     """A durable command log stored in a single append-only file."""
 
     def __init__(
@@ -36,47 +43,36 @@ class FileLog(CommandLog):
         self._path = Path(path)
         self._registry = registry or global_registry
         self._sync_on_append = sync_on_append
-        self._records: list[LogRecord] = []
-        self.fsync_count = 0
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        if self._path.exists():
-            self._records = list(self._replay())
+        super().__init__(list(self._replay()) if self._path.exists() else ())
         self._file = open(self._path, "ab")
 
     # -- CommandLog interface ------------------------------------------------
 
     def append(self, record: LogRecord) -> int:
-        payload = self._registry.encode(record)
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        self._file.write(frame)
-        self._records.append(record)
+        packed = pack_record(record)  # refuse a record without a layout before writing it
+        self._file.write(_frame(self._registry.encode(record)))
+        self._packed.append(packed)
         if self._sync_on_append:
             self.sync()
-        return len(self._records) - 1
-
-    def records(self) -> Iterator[LogRecord]:
-        return iter(list(self._records))
-
-    def __len__(self) -> int:
-        return len(self._records)
+        return len(self._packed) - 1
 
     def sync(self) -> None:
         self._file.flush()
         os.fsync(self._file.fileno())
-        self.fsync_count += 1
+        super().sync()
 
     def rewrite(self, records: Sequence[LogRecord]) -> None:
         """Atomically replace the log via write-new-then-rename."""
+        frames = [_frame(self._registry.encode(record)) for record in records]
+        super().rewrite(records)
         tmp_path = self._path.with_suffix(self._path.suffix + ".tmp")
         with open(tmp_path, "wb") as tmp:
-            for record in records:
-                payload = self._registry.encode(record)
-                tmp.write(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
+            tmp.writelines(frames)
             tmp.flush()
             os.fsync(tmp.fileno())
         self._file.close()
         os.replace(tmp_path, self._path)
-        self._records = list(records)
         self._file = open(self._path, "ab")
 
     def close(self) -> None:

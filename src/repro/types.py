@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .errors import ClientError
+
 # ---------------------------------------------------------------------------
 # Scalar aliases
 # ---------------------------------------------------------------------------
@@ -133,6 +135,17 @@ class CommandResult:
     committed_at: Micros = 0
 
 
+def check_seqno(command_id: CommandId) -> None:
+    """Refuse a command at submission if its seqno is outside signed 64 bits.
+
+    That is the range the wire codec carries as a fixed-width integer and
+    the range a replica's execution order stores; checked before agreement,
+    because a replica could not record the command after it.
+    """
+    if not -(2**63) <= command_id.seqno < 2**63:
+        raise ClientError(f"command {command_id} has a seqno outside signed 64 bits")
+
+
 # ---------------------------------------------------------------------------
 # No-op command (used by Mencius skips and leader-change gap filling)
 # ---------------------------------------------------------------------------
@@ -188,6 +201,7 @@ __all__ = [
     "CommandId",
     "Command",
     "CommandResult",
+    "check_seqno",
     "NOOP_CLIENT",
     "make_noop",
     "is_noop",

@@ -15,7 +15,7 @@ from repro.config import BatchingOptions, ClusterSpec
 from repro.core.messages import PrepareRecord
 from repro.errors import ProtocolError
 from repro.net.latency import LatencyMatrix
-from repro.protocols.records import CommandBatch, make_unit, unit_commands
+from repro.protocols.records import AcceptRecord, CommandBatch, make_unit, unit_commands
 from repro.sim.cluster import SimulatedCluster
 from repro.types import Command, CommandId, ms_to_micros
 
@@ -31,6 +31,12 @@ def _cluster(protocol: str, batching: BatchingOptions | None = None) -> Simulate
         protocol,
         batching=batching,
     )
+
+
+def _logged_units(cluster: SimulatedCluster) -> list:
+    """The units replica 0 accepted into slots, from its stable log (the
+    ledger forgets a slot once it executed)."""
+    return [r.command for r in cluster.logs[0].records() if isinstance(r, AcceptRecord)]
 
 
 def _batch(client: str, count: int, start: int = 0) -> CommandBatch:
@@ -114,18 +120,14 @@ class TestSimAccumulation:
         cluster.start()
         for i in range(5):
             cluster.submit_payload(0, b"x", client="c")
+        # Proposed, not yet acknowledged: the slot is in the ledger, and the
+        # ledger's introspection counts commands, not slots.
+        cluster.run_for(ms_to_micros(0.5))
+        assert cluster.replica(0).ledger.describe()["commands"] == 5
         cluster.run_for(ms_to_micros(50))
-        ledger = cluster.replica(0).ledger
-        units = [
-            state.command
-            for state in ledger._slots.values()
-            if state.command is not None
-        ]
-        batches = [u for u in units if isinstance(u, CommandBatch)]
+        batches = [u for u in _logged_units(cluster) if isinstance(u, CommandBatch)]
         assert [len(b) for b in batches] == [5]
         assert len(cluster.replies) == 5
-        # The ledger's introspection counts commands, not slots.
-        assert ledger.describe()["commands"] == 5
 
     def test_max_batch_splits_oversized_groups(self):
         cluster = _cluster("mencius", BatchingOptions(max_batch=4, window_us=0))
@@ -133,13 +135,8 @@ class TestSimAccumulation:
         for _ in range(6):
             cluster.submit_payload(0, b"x", client="c")
         cluster.run_for(ms_to_micros(50))
-        units = [
-            state.command
-            for state in cluster.replica(0).ledger._slots.values()
-            if state.command is not None
-        ]
         sizes = sorted(
-            len(u) for u in units if isinstance(u, CommandBatch)
+            len(u) for u in _logged_units(cluster) if isinstance(u, CommandBatch)
         )
         assert sizes == [2, 4]
 
@@ -153,12 +150,7 @@ class TestSimAccumulation:
             window // 2, lambda: cluster.submit_payload(0, b"y", client="c")
         )
         cluster.run_for(ms_to_micros(60))
-        units = [
-            state.command
-            for state in cluster.replica(0).ledger._slots.values()
-            if state.command is not None
-        ]
-        batches = [u for u in units if isinstance(u, CommandBatch)]
+        batches = [u for u in _logged_units(cluster) if isinstance(u, CommandBatch)]
         assert [len(b) for b in batches] == [2]
 
     def test_size_triggered_flush_cancels_the_window_timer(self):
@@ -180,9 +172,7 @@ class TestSimAccumulation:
         )
         cluster.run_for(ms_to_micros(100))
         sizes = sorted(
-            len(state.command)
-            for state in cluster.replica(0).ledger._slots.values()
-            if isinstance(state.command, CommandBatch)
+            len(u) for u in _logged_units(cluster) if isinstance(u, CommandBatch)
         )
         assert sizes == [2, 2]
         assert len(cluster.replies) == 4

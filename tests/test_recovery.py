@@ -7,6 +7,7 @@ import pytest
 from repro.core.messages import CommitRecord, PrepareRecord
 from repro.core.recovery import replay_log
 from repro.errors import LogCorruptionError
+from repro.protocols.records import DecideRecord
 from repro.storage.memory_log import InMemoryLog
 from repro.types import Command, CommandId, Timestamp, ZERO_TS
 
@@ -65,7 +66,7 @@ class TestReplayLog:
 
     def test_foreign_record_is_corruption(self):
         log = InMemoryLog()
-        log.append("not a clock-rsm record")
+        log.append(DecideRecord(3))  # a slot protocol's record
         with pytest.raises(LogCorruptionError):
             replay_log(log)
 

@@ -56,8 +56,10 @@ class TestSlotLedger:
         executed = [s.slot for s in ledger.pop_executable(lambda slot: slot < 2)]
         assert executed == [2]
         assert ledger.execute_frontier == 3
-        # The implicitly skipped slots were materialized as skip entries.
-        assert ledger.peek(0).skipped and ledger.peek(1).skipped
+        # Implicitly skipped slots are passed like executed ones: forgotten.
+        assert ledger.peek(0) is None and ledger.peek(1) is None
+        assert ledger.is_decided(0) and ledger.is_decided(1)
+        assert ledger.highest_known_slot() == 2
 
     def test_decided_slot_without_command_blocks_execution(self):
         ledger = SlotLedger()
@@ -82,6 +84,45 @@ class TestSlotLedger:
         info = ledger.describe()
         assert info["known_slots"] == 2
         assert info["undecided"] == 2
+
+    def test_executed_slots_are_forgotten(self):
+        ledger = SlotLedger()
+        for slot in range(4):
+            ledger.record_command(slot, _cmd(slot))
+            ledger.add_ack(slot, 0)
+            ledger.mark_decided(slot)
+        ledger.record_command(5, _cmd(5))
+        assert [s.slot for s in ledger.pop_executable()] == [0, 1, 2, 3]
+        assert ledger.known_slots() == [5]
+        assert ledger.describe()["known_slots"] == 1
+
+    def test_a_message_below_the_frontier_does_not_recreate_its_slot(self):
+        ledger = SlotLedger()
+        ledger.record_command(0, _cmd(0))
+        ledger.mark_decided(0)
+        list(ledger.pop_executable())
+        # A late ack, a repeated accept, a repeated decision, a skip.
+        ledger.add_ack(0, 2)
+        state = ledger.record_command(0, _cmd(9))
+        assert state.decided
+        assert ledger.get(0).decided
+        ledger.mark_decided(0)
+        ledger.mark_skipped(0)
+        assert ledger.known_slots() == []
+        assert ledger.is_decided(0)
+        assert list(ledger.pop_executable()) == []
+
+    def test_highest_known_slot_survives_forgetting(self):
+        ledger = SlotLedger()
+        assert ledger.highest_known_slot() == -1
+        for slot in (0, 1, 2):
+            ledger.record_command(slot, _cmd(slot))
+            ledger.mark_decided(slot)
+        list(ledger.pop_executable())
+        assert ledger.known_slots() == []
+        assert ledger.highest_known_slot() == 2
+        ledger.add_ack(1, 0)  # below the frontier: not a new slot
+        assert ledger.highest_known_slot() == 2
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=30, unique=True))
     def test_execution_order_is_always_contiguous_prefix(self, decided_slots):
