@@ -1,8 +1,8 @@
 """Figure 8 — throughput on a local cluster for 10/100/1000-byte commands.
 
 Five replicas on a simulated LAN with the CPU/batching cost model, saturated
-by window-based clients.  Reproduced shape (see EXPERIMENTS.md for the full
-discussion): Clock-RSM and Mencius-bcast deliver similar throughput at every
+by window-based clients.  Reproduced shape (see docs/PERFORMANCE.md, "What
+maps to which paper figure"): Clock-RSM and Mencius-bcast deliver similar throughput at every
 command size, and both clearly beat Paxos and Paxos-bcast for large (1000 B)
 commands, where the Paxos leader's per-byte work makes it the bottleneck.
 The paper additionally measures Paxos ahead for small commands, an effect of

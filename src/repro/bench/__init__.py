@@ -4,8 +4,9 @@ Each experiment function builds the simulated deployment the paper describes
 (replica placement, workload, protocol configuration), runs it, and returns a
 structured result that the reporting helpers can print as the same rows or
 series the paper shows.  The ``benchmarks/`` directory contains one
-pytest-benchmark target per table/figure that calls into this package; the
-``EXPERIMENTS.md`` document records paper-vs-measured values.
+pytest-benchmark target per table/figure that calls into this package;
+``docs/PERFORMANCE.md`` ("What maps to which paper figure") lists which
+target reproduces which artifact and what it asserts.
 """
 
 from .latency_experiments import (

@@ -2,7 +2,7 @@
 
 The harness prints the same rows/series the paper's tables and figures show,
 so a benchmark run's output can be compared side by side with the paper (see
-EXPERIMENTS.md).
+docs/PERFORMANCE.md, "What maps to which paper figure").
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ local-cluster latency, CPU cost model) executed through
 :class:`~repro.experiment.Deployment` on the simulator backend — see
 :func:`throughput_spec`.
 
-Absolute numbers depend on the CPU cost constants (documented in DESIGN.md /
-EXPERIMENTS.md); the protocol-to-protocol ratios and the crossover between
-small and large commands are the reproduced result.
+Absolute numbers depend on the CPU cost constants (below; see
+docs/PERFORMANCE.md, "What maps to which paper figure"); the
+protocol-to-protocol ratios and the crossover between small and large
+commands are the reproduced result.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 Every protocol message in this library is a frozen dataclass.  To cross a
 real transport (TCP) or be appended to a file-backed log, a message type must
-be *registered* so the wire codec can round-trip it by name.  Registration is
-done with the :func:`register_message` decorator; the protocols register all
-their message types at import time.
+be *registered* so the wire codec can round-trip it by name.  Registration
+compiles the class's one wire layout (:class:`~repro.net.wire.ObjectPlan`)
+and refuses a class it cannot compile.  It is done with the
+:func:`register_message` decorator; the protocols register all their message
+types at import time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Any, Iterator, Optional, Type, TypeVar
 
 from ..errors import CodecError
 from ..types import ReplicaId
-from .wire import ObjectPlan, WireDecoder, WireEncoder, dataclass_fields, declared_as_tuple
+from .wire import ObjectPlan, WireDecoder, WireEncoder
 
 T = TypeVar("T")
 
@@ -24,64 +26,46 @@ class MessageRegistry:
     """Maps message type names to dataclass types for codec round-trips."""
 
     def __init__(self) -> None:
-        self._by_name: dict[str, type] = {}
-        self._by_type: dict[type, str] = {}
-        # The compiled codec: one ObjectPlan per registered class, built in
-        # ``register`` and found by class on encode and by the raw utf-8
-        # type-name bytes on decode; its reader and writer are generated
-        # when the class is first coded.  The codec pair below holds this
-        # dict itself, so a class registered after construction (or after
-        # the first call) is picked up.  The hooks are the reflective route
-        # the plans reproduce byte for byte; they still serve a class that
-        # has no plan and wire input that is not laid out as its plan expects.
+        # The codec is compiled: one ObjectPlan per registered class, found by
+        # the class on encode and by its raw utf-8 type-name bytes on decode;
+        # its reader and writer are generated when the class is first coded.
+        # This one map is the registry.  The codec pair below holds it itself,
+        # so a class registered after construction (or after the first call)
+        # is picked up.
         self._plans: dict[Any, ObjectPlan] = {}
         # Reusing the encoder keeps its internal bytearray warm across
         # frames, which makes ``encode``/``encode_many`` single-threaded
         # (like the event loop that calls them); the ``*_into`` variants and
         # the decoder only touch caller-owned state and are reentrant.
-        self._encoder = WireEncoder(object_hook=self._encode_hook, plans=self._plans)
-        self._decoder = WireDecoder(object_hook=self._decode_hook, plans=self._plans)
+        self._encoder = WireEncoder(plans=self._plans)
+        self._decoder = WireDecoder(plans=self._plans)
 
     def register(self, cls: Type[T], name: Optional[str] = None) -> Type[T]:
-        """Register *cls* under *name* (defaults to the class name)."""
+        """Register *cls* under *name* (defaults to the class name).
+
+        A class has one name: registering it again under the same name does
+        nothing, under another raises :class:`~repro.errors.CodecError`, as
+        does a class the codec cannot plan (:meth:`ObjectPlan.compile`).
+        """
         if not dataclasses.is_dataclass(cls):
             raise CodecError(f"only dataclasses can be registered, got {cls!r}")
         key = name or cls.__name__
-        existing = self._by_name.get(key)
-        if existing is not None and existing is not cls:
-            raise CodecError(f"message name {key!r} already registered to {existing!r}")
-        self._by_name[key] = cls
-        self._by_type[cls] = key
-        plan = ObjectPlan.compile(cls, key)
-        if plan is not None:
-            if cls in self._plans:
-                # A second name for the class: code generated for a class
-                # that nests it has the first name's bytes inlined.
-                for other in self._plans.values():
-                    other.reset()
-            self._plans[cls] = self._plans[key.encode("utf-8")] = plan
+        known = self._plans.get(cls)
+        if known is not None:
+            if known.name != key:
+                raise CodecError(f"{cls!r} is already registered as {known.name!r}, not {key!r}")
+            return cls
+        existing = self._plans.get(key.encode("utf-8"))
+        if existing is not None:
+            raise CodecError(f"message name {key!r} already registered to {existing.cls!r}")
+        self._plans[cls] = self._plans[key.encode("utf-8")] = ObjectPlan.compile(cls, key)
         return cls
 
     def names(self) -> Iterator[str]:
-        return iter(self._by_name)
+        return (plan.name for key, plan in self._plans.items() if key is plan.cls)
 
     def is_registered(self, cls: type) -> bool:
-        return cls in self._by_type
-
-    # -- codec hooks -------------------------------------------------------
-
-    def _encode_hook(self, value: Any) -> tuple[str, dict[str, Any]]:
-        name = self._by_type.get(type(value))
-        if name is None:
-            raise CodecError(f"unregistered message type {type(value).__name__}")
-        return name, dataclass_fields(value)
-
-    def _decode_hook(self, name: str, fields: dict[str, Any]) -> Any:
-        cls = self._by_name.get(name)
-        if cls is None:
-            raise CodecError(f"unknown message type {name!r}")
-        converted = _convert_fields(cls, fields)
-        return cls(**converted)
+        return cls in self._plans
 
     # -- public encode/decode ----------------------------------------------
 
@@ -113,25 +97,6 @@ class MessageRegistry:
     def encode_many_into(self, buf: bytearray, values: Any) -> int:
         """Append a concatenated value stream to *buf*; returns bytes written."""
         return self._encoder.encode_many_into(buf, values)
-
-
-def _convert_fields(cls: type, fields: dict[str, Any]) -> dict[str, Any]:
-    """Coerce decoded collections back to the declared field container types.
-
-    The wire format does not distinguish tuples from lists; frozen dataclass
-    fields declared as tuples are converted back so equality round-trips.
-    """
-    converted: dict[str, Any] = {}
-    declared = {f.name: f for f in dataclasses.fields(cls)}
-    for key, value in fields.items():
-        field = declared.get(key)
-        if field is None:
-            # Forward compatibility: ignore unknown fields.
-            continue
-        if isinstance(value, list) and declared_as_tuple(field):
-            value = tuple(value)
-        converted[key] = value
-    return converted
 
 
 #: The library-wide registry used by the default transports and logs.

@@ -29,22 +29,25 @@ Implementation notes (the wire hot path):
   depth is a checked limit (:data:`MAX_DEPTH`) raising
   :class:`~repro.errors.CodecError` — never a Python ``RecursionError`` a
   malicious peer could trigger remotely.
-* Registered dataclasses are coded by **generated straight-line code**
-  (:class:`ObjectPlan`, built when the class is registered; its reader and
-  writer are generated when the class is first coded).  Everything constant
-  between two variable leaves — the OBJ head ``'O' STR(type-name) 'M'
-  u32(n)``, the ``STR(field-name)`` keys, the tag of a field declared
+* Registered dataclasses are coded only by **generated straight-line code**
+  (:class:`ObjectPlan`, built when the class is registered — a class that
+  cannot be planned cannot be registered; its reader and writer are
+  generated when the class is first coded).  Each class has one wire
+  spelling: its type name, then every field in declared order.  Everything
+  constant between two variable leaves — the OBJ head ``'O' STR(type-name)
+  'M' u32(n)``, the ``STR(field-name)`` keys, the tag of a field declared
   ``int`` / ``str`` / ``bytes``, head and keys of a nested class made only
   of such leaves — is one ``bytes`` constant: packed with the leaf after it
   on encode, compared in place on decode, which ends in ``cls(*values)``.
-  A LIST whose elements begin with one planned class's head is looped over
-  that class's reader, a run of one planned class over its writer.  The
-  generated code recurses only from an OBJ into a value nested in it, each
-  OBJ costing two levels of the same checked ``max_depth``.  The bytes are
-  those of the reflective object-hook route, which remains for classes
-  without a plan and for input not laid out as its plan expects (unknown,
-  missing or reordered fields; the object moves there where it stands,
-  never re-read) — what decodes, and to what, does not depend on the route.
+  An OBJ whose type name has no plan, or whose head or keys are not the
+  plan's (another field count, an unknown, reordered or omitted field) is a
+  ``CodecError``.  Only a field *value* that is not what its declaration
+  says (another type, an int beyond int64) is coded by the generic routines,
+  that field alone.  A LIST whose elements begin with one planned class's
+  head is looped over that class's reader, a run of one planned class over
+  its writer.  The generated code recurses only from an OBJ into a value
+  nested in it, each OBJ costing two levels of the same checked
+  ``max_depth``.
 * The encoder appends into one reusable ``bytearray`` using preallocated
   :class:`struct.Struct` packers with fused tag+value formats — no
   per-value ``bytes`` temporaries joined at the end.  ``encode_into`` /
@@ -57,11 +60,11 @@ Implementation notes (the wire hot path):
   against the remaining buffer *before* any allocation, so a corrupted
   length field fails fast instead of attempting a giant allocation.
 * Every malformed-input failure mode — truncation, unknown tags, lengths
-  beyond the buffer or beyond u32, unhashable MAP keys, invalid UTF-8, and
-  object hooks or constructors choking on bad fields — surfaces as
-  ``CodecError``, the documented contract that lets transport readers treat
-  any decode failure as a protocol error instead of dying on a stray
-  ``TypeError``.
+  beyond the buffer or beyond u32, unhashable MAP keys, invalid UTF-8, an
+  OBJ off its registered layout, and constructors choking on bad fields —
+  surfaces as ``CodecError``, the documented contract that lets transport
+  readers treat any decode failure as a protocol error instead of dying on
+  a stray ``TypeError``.
 """
 
 from __future__ import annotations
@@ -148,6 +151,15 @@ class _OffPlan(struct.error):
     """Raised by generated code: the field at hand is not what its plan says."""
 
 
+def _off_layout(plan: "ObjectPlan", field: int, pos: int) -> CodecError:
+    """The error for an OBJ of *plan*'s type name not in the one layout its plan writes."""
+    due = f"field {plan.fields[field][0]!r}" if plan.fields else "no field"
+    return CodecError(
+        f"{plan.name!r} object not in its registered layout (all fields, in declared "
+        f"order): expected {due} at offset {pos}"
+    )
+
+
 #: Wire tag of a field whose *declared* type is exactly one of these.
 _LEAF_TAGS = {int: b"I", str: b"S", bytes: b"B"}
 
@@ -204,26 +216,38 @@ class ObjectPlan:
         self.reset()
 
     @classmethod
-    def compile(cls, dataclass: type, name: str) -> Optional["ObjectPlan"]:
-        """The plan of *dataclass* registered as *name*, or ``None``.
+    def compile(cls, dataclass: type, name: str) -> "ObjectPlan":
+        """The plan of *dataclass* registered as *name*.
 
-        A class gets a plan only if ``cls(*values)`` with its fields in
+        A class can be planned only if ``cls(*values)`` with its fields in
         declared order is the same call as ``cls(**fields)``: every field is
         a positional-or-keyword constructor parameter and there is no other
-        parameter (no ``init=False`` or keyword-only field, no ``InitVar``,
-        no hand-written ``__init__``).  Any other class stays on the
-        object-hook route.
+        parameter.  Otherwise raises :class:`~repro.errors.CodecError`
+        naming what stands in the way: an ``init=False`` or keyword-only
+        field, an ``InitVar``, or a hand-written ``__init__``.
         """
+        fields = dataclasses.fields(dataclass)
+        names = [f.name for f in fields]
         try:
             parameters = list(inspect.signature(dataclass).parameters.values())
         except (TypeError, ValueError):
-            return None
-        names = [f.name for f in dataclasses.fields(dataclass)]
-        if [p.name for p in parameters] != names or any(
-            p.kind is not p.POSITIONAL_OR_KEYWORD for p in parameters
+            parameters = []
+        if [p.name for p in parameters] == names and all(
+            p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters
         ):
-            return None
-        return cls(dataclass, name)
+            return cls(dataclass, name)
+        reasons = [f"field {f.name!r} has init=False" for f in fields if not f.init]
+        reasons += [f"{p.name!r} is keyword-only" for p in parameters if p.kind is p.KEYWORD_ONLY]
+        # A generated __init__'s only parameters that are not fields: InitVars.
+        annotated = {n for c in dataclass.__mro__ for n in vars(c).get("__annotations__", {})}
+        reasons += [
+            f"{p.name!r} is an InitVar" for p in parameters if p.name not in names and p.name in annotated
+        ]  # fmt: skip
+        raise CodecError(
+            f"cannot register {dataclass.__qualname__}: "
+            + (reasons[0] if reasons else "its __init__ is hand-written")
+            + "; a message class is built as cls(*fields in declared order)"
+        )
 
     def reset(self) -> None:
         """Forget the generated ``read`` / ``write``: the next call of either builds both."""
@@ -266,16 +290,16 @@ class ObjectPlan:
 
         Everything constant between two variable leaves is one ``bytes``
         constant: packed by the writer with the leaf that follows it,
-        compared in place by the reader.  A field that is not what its
+        compared in place by the reader.  A field whose value is not what its
         declaration says — another type, an int beyond int64, a leaf under
-        another tag, a nested object in another layout — raises ``OffPlan``
+        another tag, a nested object too deep to inline — raises ``OffPlan``
         and goes through the codec's generic routines, that field alone; a
-        *key* that is not the planned one: :meth:`WireDecoder._leave_plan`.
+        head or *key* that is not the planned one is a ``CodecError``.
         Only offsets and field names are written into the source; bytes,
         classes and type names enter through *scope*.
         """
         scope: dict[str, Any] = {
-            "plan": self, "CodecError": CodecError, "OffPlan": _OffPlan,
+            "plan": self, "CodecError": CodecError, "OffPlan": _OffPlan, "off_layout": _off_layout,
             "struct_error": struct.error, "u32": _U32.unpack_from, "i64": _I64.unpack_from,
         }  # fmt: skip
 
@@ -289,21 +313,15 @@ class ObjectPlan:
                 pad=pad, into=into, cls=const(plan.cls), name=const(plan.name), args=args
             )
 
-        leave = "return codec._leave_plan(plan, data, pos, end, depth, ({}))"
         hints = _type_hints(self.cls)
         read: list[str] = []
         write: list[str] = []
-        # Levels below *depth* the reader enters without a checking callee.
-        need = 2 if self.fields else 1  # the OBJ, and its MAP if it has entries
         for i, (name, key, as_tuple) in enumerate(self.fields):
             key = self.head * (not i) + key  # the head is part of the first constant
             nested, leaves = self._leaves(key, hints.get(name), plans)
-            if nested:  # ... and the same again for a class it inlines
-                need = max(need, 3 + bool(nested.fields))
             key_const = const(key)
             generic = [
-                f"if not data.startswith({key_const}, pos): "
-                + leave.format("".join(f"v{k}, " for k in range(i))),
+                f"if not data.startswith({key_const}, pos): raise off_layout(plan, {i}, pos)",
                 f"v{i}, pos = codec._read(data, pos + {len(key)}, end, d2)",
                 *[f"if type(v{i}) is list: v{i} = tuple(v{i})"] * as_tuple,
             ]
@@ -319,7 +337,8 @@ class ObjectPlan:
                 continue
             read += [" at = pos", " try:"]
             write.append(" try:")
-            if nested:
+            if nested:  # its OBJ (and MAP) two levels down: too deep, and it is read generically
+                read.append(f"  if room < {3 + bool(nested.fields)}: raise OffPlan")
                 write.append(f"  if room < 2 or type(item) is not {const(nested.cls)}: raise OffPlan")
             append = []
             for j, (constant, kind) in enumerate(leaves):
@@ -352,13 +371,15 @@ class ObjectPlan:
         if not self.fields:
             head = const(self.head)
             read += [
-                f" if not data.startswith({head}, pos): {leave.format('')}",
+                f" if not data.startswith({head}, pos): raise off_layout(plan, 0, pos)",
                 f" pos += {len(self.head)}",
             ]
             write.append(f" buf += {head}")
         source = [
             "def read(codec, data, pos, end, depth):",
-            f" if depth + {need} > codec._max_depth: {leave.format('')}",
+            " room = codec._max_depth - depth",  # levels left below *depth*
+            f" if room < {2 if self.fields else 1}: raise CodecError("  # the OBJ, and its MAP
+            "f'input nests deeper than max_depth={codec._max_depth}')",
             " d2 = depth + 2",
             *read,
             build(" ", "value", self, "v"),
@@ -382,24 +403,14 @@ class WireEncoder:
     """Encodes Python values into the wire format.
 
     Args:
-        object_hook: Callback invoked for values that are not primitives; it
-            must return a ``(type_name, field_dict)`` pair or raise
-            :class:`~repro.errors.CodecError`.  The message registry supplies
-            this hook for registered dataclasses.
         max_depth: Container nesting limit (:data:`MAX_DEPTH` by default);
             deeper values raise :class:`~repro.errors.CodecError`.
         plans: Live mapping ``class -> ObjectPlan``.  An instance of a class
-            in it is written from its plan — the same bytes the hook route
-            produces — and never reaches *object_hook*.
+            in it is written by its plan; any other value that is not a
+            primitive raises :class:`~repro.errors.CodecError`.
     """
 
-    def __init__(
-        self,
-        object_hook: Optional[Callable[[Any], tuple[str, dict[str, Any]]]] = None,
-        max_depth: int = MAX_DEPTH,
-        plans: Mapping[Any, ObjectPlan] = _NO_PLANS,
-    ) -> None:
-        self._object_hook = object_hook
+    def __init__(self, max_depth: int = MAX_DEPTH, plans: Mapping[Any, ObjectPlan] = _NO_PLANS) -> None:
         self._max_depth = max_depth
         self._plans = plans
         self._buf = bytearray()
@@ -541,20 +552,12 @@ class WireEncoder:
                     push((key, child_depth))
             else:
                 plan = plans.get(type(value))
-                if plan is not None:
-                    plan.write(self, buf, value, depth)
-                    continue
-                if self._object_hook is None:
+                if plan is None:
                     raise CodecError(
-                        f"cannot encode value of type {type(value).__name__}"
+                        f"cannot encode value of type {type(value).__name__}: "
+                        "not a primitive or a registered message"
                     )
-                type_name, fields = self._object_hook(value)
-                if depth >= max_depth:
-                    raise CodecError(f"value nests deeper than max_depth={max_depth}")
-                buf.append(_TAG_O)
-                child_depth = depth + 1
-                push((fields, child_depth))
-                push((type_name, child_depth))
+                plan.write(self, buf, value, depth)
 
     def _write_sequence(self, buf: bytearray, items: Any, depth: int) -> None:
         """Append the LIST encoding of an exact ``list``/``tuple``."""
@@ -582,31 +585,22 @@ class WireEncoder:
 # Decoder frame kinds (the explicit stack replacing recursion).
 _F_LIST = 0
 _F_MAP = 1
-_F_OBJ = 2
 
 
 class WireDecoder:
     """Decodes wire-format bytes back into Python values.
 
     Args:
-        object_hook: Callback invoked for OBJ values; it receives the type
-            name and field dict and must return the reconstructed object.
         max_depth: Container nesting limit (:data:`MAX_DEPTH` by default);
             deeper input raises :class:`~repro.errors.CodecError`.
         plans: Live mapping ``utf-8 type-name bytes -> ObjectPlan``.  An OBJ
-            whose bytes are exactly its plan's layout is built from the plan
-            and never reaches *object_hook*; any other OBJ (unknown name,
-            extra, missing or reordered fields) takes the hook route, so the
-            accepted inputs and the decoded values are those of the hook.
+            is read by the plan of its type name and must be in the one
+            layout that plan writes; an OBJ with any other name, or in any
+            other layout (extra, missing or reordered fields), raises
+            :class:`~repro.errors.CodecError`.
     """
 
-    def __init__(
-        self,
-        object_hook: Optional[Callable[[str, dict[str, Any]], Any]] = None,
-        max_depth: int = MAX_DEPTH,
-        plans: Mapping[Any, ObjectPlan] = _NO_PLANS,
-    ) -> None:
-        self._object_hook = object_hook
+    def __init__(self, max_depth: int = MAX_DEPTH, plans: Mapping[Any, ObjectPlan] = _NO_PLANS) -> None:
         self._max_depth = max_depth
         self._plans = plans
 
@@ -644,32 +638,22 @@ class WireDecoder:
 
     # -- reader ------------------------------------------------------------
 
-    def _read(
-        self,
-        data: bytes,
-        pos: int,
-        end: int,
-        depth: int = 0,
-        stack: Optional[list[list[Any]]] = None,
-    ) -> tuple[Any, int]:
+    def _read(self, data: bytes, pos: int, end: int, depth: int = 0) -> tuple[Any, int]:
         """Read one value starting at *pos*; returns ``(value, new_pos)``.
 
         Iterative: container frames live on an explicit stack.  A LIST frame
         is ``[kind, items, remaining]``; a MAP frame is ``[kind, dict,
         remaining, key, have_key]`` (entries are inserted as their pair
-        completes, so an unhashable key fails right where it decodes); an
-        OBJ frame is ``[kind, children]`` collecting the type name and field
-        map before invoking the object hook.
+        completes, so an unhashable key fails right where it decodes).  An
+        OBJ is read whole by its plan, which comes back here only for a
+        field value it does not code in place.
 
-        *depth* is how many containers already enclose the value.  A *stack*
-        passed in holds the frames of a value that was begun elsewhere: the
-        read resumes inside them and returns that value.
+        *depth* is how many containers already enclose the value.
         """
         max_depth = self._max_depth
         limit = max_depth - depth  # frames this call may stack
         plans = self._plans
-        if stack is None:
-            stack = []
+        stack: list[list[Any]] = []
         while True:
             # ---- read exactly one leaf, or open a container frame -------
             if pos >= end:
@@ -709,16 +693,11 @@ class WireDecoder:
                 value = data[pos : pos + n]
                 pos += n
             elif tag == _TAG_O:
-                if len(stack) >= limit:
-                    raise CodecError(
-                        f"input nests deeper than max_depth={max_depth}"
-                    )
-                plan = self._plan_at(data, pos, end) if plans else None
+                # The plan checks the levels the OBJ needs, as it reads it.
+                plan = self._plan_at(data, pos, end)
                 if plan is None:
-                    stack.append([_F_OBJ, []])
-                    have_value = False
-                else:
-                    value, pos = plan.read(self, data, pos - 1, end, depth + len(stack))
+                    raise CodecError(f"object at offset {pos - 1} has no registered type name")
+                value, pos = plan.read(self, data, pos - 1, end, depth + len(stack))
             elif tag == _TAG_N:
                 value = None
             elif tag == _TAG_T:
@@ -762,7 +741,7 @@ class WireDecoder:
                         )
                     value = []
                     here = depth + len(stack) + 1  # the depth of the elements
-                    if plans and data[pos] == _TAG_O and here < max_depth:
+                    if plans and data[pos] == _TAG_O:
                         # Elements that begin with one planned class's head
                         # are read in place by its reader; the first that
                         # does not leaves the rest to the loop below.
@@ -812,7 +791,7 @@ class WireDecoder:
                         break  # more elements to read
                     stack.pop()
                     value = items
-                elif kind == _F_MAP:
+                else:  # _F_MAP
                     if not frame[4]:
                         frame[3] = value
                         frame[4] = True
@@ -830,29 +809,6 @@ class WireDecoder:
                         break  # more pairs to read
                     stack.pop()
                     value = frame[1]
-                else:  # _F_OBJ
-                    children = frame[1]
-                    children.append(value)
-                    if len(children) < 2:
-                        break  # the field map is next
-                    stack.pop()
-                    type_name, fields = children
-                    if not isinstance(type_name, str) or not isinstance(fields, dict):
-                        raise CodecError("malformed object encoding")
-                    if self._object_hook is None:
-                        raise CodecError(
-                            f"no object hook to decode type {type_name!r}"
-                        )
-                    try:
-                        value = self._object_hook(type_name, fields)
-                    except CodecError:
-                        raise
-                    except Exception as exc:
-                        # A registered hook choking on adversarial field
-                        # values is still a malformed frame, not a crash.
-                        raise CodecError(
-                            f"object hook failed for type {type_name!r}: {exc}"
-                        ) from exc
 
     def _plan_at(self, data: bytes, pos: int, end: int) -> Optional[ObjectPlan]:
         """The plan of the OBJ whose type name should be the STR at *pos*."""
@@ -861,27 +817,6 @@ class WireDecoder:
             return None
         name_end = name_at + _U32.unpack_from(data, pos + 1)[0]
         return self._plans.get(data[name_at:name_end]) if name_end <= end else None
-
-    def _leave_plan(
-        self, plan: ObjectPlan, data: bytes, pos: int, end: int, depth: int, values: tuple
-    ) -> tuple[Any, int]:
-        """Finish on the hook route an OBJ that is not laid out as *plan* expects.
-
-        *values* are the fields its reader has read and *pos* is the key
-        after them (unknown or reordered): :meth:`_read` resumes inside an
-        OBJ and a MAP frame holding them — the object is not read again from
-        its tag, which hostile nesting would make exponential.  Without
-        *values*, *pos* is still at the ``'O'`` tag and only the type name
-        is known to match (field count, depth, first key): the hook route
-        takes over right after the name.
-        """
-        frames: list[list[Any]] = [[_F_OBJ, [plan.name]]]
-        if values:
-            done = {name: value for (name, _, _), value in zip(plan.fields, values)}
-            frames.append([_F_MAP, done, len(plan.fields) - len(values), None, False])
-        else:
-            pos += len(plan.head) - _TAG_U32.size
-        return self._read(data, pos, end, depth, frames)
 
 
 def _as_bytes(data: Any) -> bytes:
@@ -909,13 +844,6 @@ def decode_many(data: Any) -> list[Any]:
     return WireDecoder().decode_many(data)
 
 
-def dataclass_fields(value: Any) -> dict[str, Any]:
-    """Shallow field dict of a dataclass instance (no recursion)."""
-    if not dataclasses.is_dataclass(value) or isinstance(value, type):
-        raise CodecError(f"{value!r} is not a dataclass instance")
-    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-
-
 __all__ = [
     "MAX_DEPTH",
     "ObjectPlan",
@@ -925,6 +853,5 @@ __all__ = [
     "decode",
     "encode_many",
     "decode_many",
-    "dataclass_fields",
     "declared_as_tuple",
 ]

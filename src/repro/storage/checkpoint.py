@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..errors import StorageError
+from ..errors import CodecError, StorageError
 from ..net.message import register_message
 from ..types import Timestamp
 
@@ -99,7 +99,10 @@ class FileCheckpointStore(CheckpointStore):
         payload = data[4:]
         if zlib.crc32(payload) != crc:
             raise StorageError(f"checkpoint file {self._path} failed its CRC check")
-        checkpoint = self._registry.decode(payload)
+        try:
+            checkpoint = self._registry.decode(payload)
+        except CodecError as exc:  # passed its CRC, yet is no value we can read
+            raise StorageError(f"checkpoint file {self._path} does not decode: {exc}") from exc
         if not isinstance(checkpoint, Checkpoint):
             raise StorageError(f"checkpoint file {self._path} contains a foreign record")
         return checkpoint

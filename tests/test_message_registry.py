@@ -9,6 +9,7 @@ import pytest
 from repro.core.messages import ClockTime, CommitRecord, Prepare, PrepareOk, PrepareRecord
 from repro.errors import CodecError
 from repro.net.message import Envelope, MessageRegistry, global_registry
+from repro.net.wire import encode
 from repro.protocols.multipaxos import CommitSlot, Forward, Phase2a, Phase2b
 from repro.protocols.mencius import MenciusAck, MenciusCommit, SkipAnnounce, Suggest
 from repro.types import Command, CommandId, Timestamp
@@ -112,7 +113,7 @@ class TestCustomRegistry:
         with pytest.raises(CodecError):
             registry.register(int)  # type: ignore[arg-type]
 
-    def test_unknown_fields_are_ignored_for_forward_compatibility(self):
+    def test_unknown_fields_are_refused(self):
         registry = MessageRegistry()
 
         @dataclass(frozen=True)
@@ -120,15 +121,44 @@ class TestCustomRegistry:
             x: int = 0
 
         registry.register(Record, name="Record")
-        # Encode by hand with an extra field a future version might add.
         data = registry.encode(Record(5))
-        # Decode a manually crafted object with an extra field.
-        from repro.net.wire import WireEncoder
-
-        encoder = WireEncoder(object_hook=lambda v: ("Record", {"x": 5, "future": True}))
-        crafted = encoder.encode(Record(5))
-        assert registry.decode(crafted) == Record(5)
         assert registry.decode(data) == Record(5)
+        # One wire spelling per message: an extra field a future version
+        # might add, or a defaulted one left out, is a CodecError.
+        for fields in ({"x": 5, "future": True}, {"future": True, "x": 5}, {}):
+            crafted = b"O" + encode("Record") + encode(fields)
+            with pytest.raises(CodecError, match="not in its registered layout"):
+                registry.decode(crafted)
+
+    def test_a_class_has_one_name(self):
+        registry = MessageRegistry()
+
+        @dataclass(frozen=True)
+        class Ping:
+            nonce: int
+
+        registry.register(Ping)
+        registry.register(Ping)  # again under the same name: nothing happens
+        with pytest.raises(CodecError, match="already registered as 'Ping'"):
+            registry.register(Ping, name="Pong")
+        assert list(registry.names()) == ["Ping"]
+        assert registry.is_registered(Ping)
+
+    def test_names_keep_registration_order(self):
+        registry = MessageRegistry()
+
+        @dataclass(frozen=True)
+        class A:
+            x: int
+
+        @dataclass(frozen=True)
+        class B:
+            x: int
+
+        registry.register(B, name="second")
+        registry.register(A, name="first")
+        assert list(registry.names()) == ["second", "first"]
+        assert not registry.is_registered(int)
 
 
 class TestEnvelope:

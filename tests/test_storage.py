@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.core.messages import CommitRecord, PrepareRecord
-from repro.errors import LogCorruptionError, StorageError
+from repro.errors import CodecError, LogCorruptionError, StorageError
 from repro.storage.checkpoint import (
     Checkpoint,
     FileCheckpointStore,
@@ -13,6 +15,7 @@ from repro.storage.checkpoint import (
 )
 from repro.storage.file_log import FileLog
 from repro.storage.memory_log import InMemoryLog
+from repro.net.wire import encode
 from repro.types import Command, CommandId, Timestamp
 
 
@@ -162,4 +165,31 @@ class TestCheckpointStores:
         path = tmp_path / "snap.bin"
         path.write_bytes(b"\x01\x02")
         with pytest.raises(StorageError):
+            FileCheckpointStore(path).load()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"Zjunk",  # no value at all
+            encode(7) + b"tail",  # trailing bytes
+            # A checkpoint with its fields out of their declared order.
+            b"O" + encode("Checkpoint") + encode(
+                {"last_applied": None, "state": b"s", "epoch": 0, "command_count": 0}
+            ),
+        ],
+        ids=["garbage", "trailing", "reordered-fields"],
+    )
+    def test_a_payload_that_passes_its_crc_but_does_not_decode(self, tmp_path, payload):
+        path = tmp_path / "snap.bin"
+        path.write_bytes(zlib.crc32(payload).to_bytes(4, "big") + payload)
+        with pytest.raises(StorageError, match="does not decode") as raised:
+            FileCheckpointStore(path).load()
+        assert not isinstance(raised.value, CodecError)
+        assert isinstance(raised.value.__cause__, CodecError)
+
+    def test_a_foreign_record_is_refused(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        payload = encode([1, 2])
+        path.write_bytes(zlib.crc32(payload).to_bytes(4, "big") + payload)
+        with pytest.raises(StorageError, match="foreign record"):
             FileCheckpointStore(path).load()

@@ -16,7 +16,6 @@ from repro.net.wire import (
     MAX_DEPTH,
     WireDecoder,
     WireEncoder,
-    dataclass_fields,
     declared_as_tuple,
     decode,
     decode_many,
@@ -87,15 +86,13 @@ class TestErrors:
         with pytest.raises(CodecError):
             decode(b"Zjunk")
 
-    def test_object_without_hook_raises(self):
-        encoder = WireEncoder(object_hook=lambda v: ("Thing", {"x": 1}))
-        data = encoder.encode(object())
-        with pytest.raises(CodecError):
-            WireDecoder().decode(data)
-
-    def test_dataclass_fields_requires_dataclass(self):
-        with pytest.raises(CodecError):
-            dataclass_fields(42)
+    def test_object_without_a_registry_raises(self):
+        data = b"O" + encode("Thing") + encode({"x": 1})
+        for decoder in (WireDecoder(), WireDecoder(plans={})):
+            with pytest.raises(CodecError, match="no registered type name"):
+                decoder.decode(data)
+            with pytest.raises(CodecError, match="no registered type name"):
+                decoder.decode_many(encode(1) + data)
 
 
 class TestHardening:
