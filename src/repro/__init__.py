@@ -5,8 +5,9 @@ Inter-Datacenter State Machine Replication Using Loosely Synchronized
 Physical Clocks"* (DSN 2014): the Clock-RSM protocol, the Multi-Paxos,
 Paxos-bcast, Mencius and Mencius-bcast baselines, a deterministic wide-area
 discrete-event simulator, an asyncio runtime, a replicated key-value store,
-the paper's analytical latency model, and a benchmark harness that
-regenerates every table and figure of the evaluation.
+the paper's analytical latency model, and the paper's evaluation as spec
+files (``examples/specs/paper/``) whose figures are compared with committed
+golden outputs.
 
 Quickstart::
 

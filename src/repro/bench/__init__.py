@@ -1,35 +1,15 @@
-"""Benchmark harness: experiment definitions for every table and figure.
+"""The paper's closed-form figures and the plain-text table renderer.
 
-Each experiment function builds the simulated deployment the paper describes
-(replica placement, workload, protocol configuration), runs it, and returns a
-structured result that the reporting helpers can print as the same rows or
-series the paper shows.  The ``benchmarks/`` directory contains one
-pytest-benchmark target per table/figure that calls into this package;
-``docs/PERFORMANCE.md`` ("What maps to which paper figure") lists which
-target reproduces which artifact and what it asserts.
+:mod:`~repro.bench.numerical` computes Table II, Figure 7 and Table IV from
+the analytical latency model; no simulation is involved.  The simulated
+figures are data: one spec file each under ``examples/specs/paper/``, swept
+and compared with the committed ``benchmarks/results/*.txt`` goldens by
+``benchmarks/test_paper_figures.py`` (``docs/PERFORMANCE.md``, "What maps to
+which paper figure").  :func:`~repro.bench.reporting.format_table` renders
+both, and the CLI's tables.
 """
 
-from .latency_experiments import (
-    LatencyExperimentResult,
-    latency_cdf_experiment,
-    latency_experiment,
-    run_latency_comparison,
-)
 from .numerical import figure7_data, table2_rows, table4_rows
-from .reporting import format_cdf, format_latency_table, format_table
-from .throughput import ThroughputResult, run_throughput_comparison
+from .reporting import format_table
 
-__all__ = [
-    "LatencyExperimentResult",
-    "latency_experiment",
-    "latency_cdf_experiment",
-    "run_latency_comparison",
-    "figure7_data",
-    "table2_rows",
-    "table4_rows",
-    "ThroughputResult",
-    "run_throughput_comparison",
-    "format_table",
-    "format_latency_table",
-    "format_cdf",
-]
+__all__ = ["figure7_data", "table2_rows", "table4_rows", "format_table"]

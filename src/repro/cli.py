@@ -1,24 +1,24 @@
 """Command-line interface for the Clock-RSM reproduction.
 
-Exposes the benchmark harness without pytest::
+Runs experiment specs and the analytical model without pytest::
 
     python -m repro.cli run examples/specs/fig1_balanced_5.toml
     python -m repro.cli run examples/specs/fig1_balanced_5.toml --backend async
     python -m repro.cli run examples/specs/fig1_balanced_5.toml --shards 4
+    python -m repro.cli run examples/specs/paper/fig6_cdf_sg.toml
     python -m repro.cli check examples/specs/crash_leaderless_commit.toml
     python -m repro.cli protocols
-    python -m repro.cli latency --sites CA VA IR JP SG --leader VA
-    python -m repro.cli imbalanced --sites CA VA IR JP SG --leader CA
-    python -m repro.cli throughput --sizes 10 100 1000
     python -m repro.cli numerical
     python -m repro.cli analyze --sites CA IR BR
 
 ``run`` executes a declarative :class:`~repro.experiment.ExperimentSpec`
 file (TOML or JSON) on either backend; ``check`` additionally records the
 operation history and verifies it is linearizable (exit status 1 when it is
-not); ``protocols`` prints the registry's capability table; the ``latency``
-/ ``imbalanced`` / ``throughput`` subcommands build the same specs
-internally and run them through :class:`~repro.experiment.Deployment`.
+not); ``protocols`` prints the registry's capability table; ``numerical``
+and ``analyze`` print the closed-form model's figures.  Each simulated
+figure of the paper is a spec under ``examples/specs/paper/``: ``run`` on one
+file is one cell of the figure, and ``pytest benchmarks -k <figure>`` runs
+the whole figure against its committed golden output.
 
 The protocol, scenario, and backend listings in the ``--help`` output are
 generated from the live registries (:mod:`repro.protocols.registry`,
@@ -38,19 +38,8 @@ from typing import Optional, Sequence
 
 from .analysis.comparison import best_paxos_bcast_leader, compare_group
 from .analysis.ec2 import EC2_SITES, ec2_latency_matrix
-from .bench.latency_experiments import (
-    LATENCY_PROTOCOLS,
-    LatencyExperimentConfig,
-    run_imbalanced_comparison,
-    run_latency_comparison,
-)
 from .bench.numerical import figure7_data, table2_rows, table4_rows
-from .bench.reporting import (
-    format_latency_table,
-    format_table,
-    format_throughput,
-)
-from .bench.throughput import run_throughput_comparison
+from .bench.reporting import format_table
 from .errors import ReproError
 from .experiment import (
     BACKENDS,
@@ -62,7 +51,6 @@ from .experiment import (
     check_spec,
 )
 from .protocols.registry import available_protocols, capability_rows
-from .types import seconds_to_micros
 
 
 def _registry_epilog() -> str:
@@ -75,25 +63,6 @@ def _registry_epilog() -> str:
     )
 
 
-def _add_site_arguments(parser: argparse.ArgumentParser, default_sites: Sequence[str]) -> None:
-    parser.add_argument(
-        "--sites", nargs="+", default=list(default_sites), choices=EC2_SITES,
-        help="EC2 sites hosting a replica (Table III data centers)",
-    )
-    parser.add_argument("--leader", default=None, choices=EC2_SITES,
-                        help="Paxos / Paxos-bcast leader site")
-    parser.add_argument("--seconds", type=float, default=8.0,
-                        help="simulated seconds of workload per protocol")
-    parser.add_argument("--clients", type=int, default=12,
-                        help="closed-loop clients per site")
-    parser.add_argument("--seed", type=int, default=42, help="simulation seed")
-    parser.add_argument(
-        "--protocols", nargs="+", default=list(LATENCY_PROTOCOLS),
-        choices=list(LATENCY_PROTOCOLS) + ["mencius"],
-        help="protocols to compare",
-    )
-
-
 def _resolve_leader(sites: Sequence[str], leader: Optional[str]) -> str:
     if leader is not None:
         if leader not in sites:
@@ -101,20 +70,6 @@ def _resolve_leader(sites: Sequence[str], leader: Optional[str]) -> str:
         return leader
     matrix = ec2_latency_matrix(sites)
     return sites[best_paxos_bcast_leader(matrix)]
-
-
-def _latency_config(args: argparse.Namespace, balanced: bool, origin: Optional[str] = None):
-    leader = _resolve_leader(args.sites, args.leader)
-    return LatencyExperimentConfig(
-        sites=tuple(args.sites),
-        leader_site=leader,
-        balanced=balanced,
-        origin_site=origin,
-        duration=seconds_to_micros(args.seconds),
-        warmup=seconds_to_micros(min(2.0, args.seconds / 4)),
-        clients_per_replica=args.clients,
-        seed=args.seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,47 +187,6 @@ def cmd_protocols(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
-    """Balanced-workload latency comparison (Figures 1 and 2)."""
-    config = _latency_config(args, balanced=True)
-    results = run_latency_comparison(config, protocols=args.protocols)
-    print(format_latency_table(
-        results, args.sites,
-        f"Balanced workload, leader {config.leader_site}, {args.seconds:.0f} s simulated",
-    ))
-    return 0
-
-
-def cmd_imbalanced(args: argparse.Namespace) -> int:
-    """Imbalanced-workload latency comparison (Figure 5): one run per origin."""
-    leader = _resolve_leader(args.sites, args.leader)
-    results = run_imbalanced_comparison(
-        sites=tuple(args.sites),
-        leader_site=leader,
-        protocols=tuple(args.protocols),
-        duration=seconds_to_micros(args.seconds),
-        warmup=seconds_to_micros(min(2.0, args.seconds / 4)),
-        clients_per_replica=args.clients,
-        seed=args.seed,
-    )
-    print(format_latency_table(
-        results, args.sites, f"Imbalanced workload (one origin per run), leader {leader}"
-    ))
-    return 0
-
-
-def cmd_throughput(args: argparse.Namespace) -> int:
-    """Saturated-throughput comparison (Figure 8)."""
-    results = run_throughput_comparison(
-        command_sizes=tuple(args.sizes),
-        replica_count=args.replicas,
-        window=seconds_to_micros(args.window),
-        warmup=seconds_to_micros(args.window / 4),
-    )
-    print(format_throughput(results, "Saturated throughput (kop/s)"))
-    return 0
-
-
 def cmd_numerical(args: argparse.Namespace) -> int:
     """Analytical comparison over all placements (Figure 7 and Table IV)."""
     print(format_table(figure7_data(), "Figure 7: average latency by group size"))
@@ -369,22 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         "protocols", help="print the registered protocols and their capabilities"
     )
     protocols.set_defaults(handler=cmd_protocols)
-
-    latency = subparsers.add_parser("latency", help="balanced-workload latency comparison")
-    _add_site_arguments(latency, ("CA", "VA", "IR", "JP", "SG"))
-    latency.set_defaults(handler=cmd_latency)
-
-    imbalanced = subparsers.add_parser("imbalanced", help="imbalanced-workload latency comparison")
-    _add_site_arguments(imbalanced, ("CA", "VA", "IR", "JP", "SG"))
-    imbalanced.set_defaults(handler=cmd_imbalanced)
-
-    throughput = subparsers.add_parser("throughput", help="saturated throughput comparison")
-    throughput.add_argument("--sizes", nargs="+", type=int, default=[10, 100, 1000],
-                            help="command payload sizes in bytes")
-    throughput.add_argument("--replicas", type=int, default=5, help="number of replicas")
-    throughput.add_argument("--window", type=float, default=0.4,
-                            help="measurement window in simulated seconds")
-    throughput.set_defaults(handler=cmd_throughput)
 
     numerical = subparsers.add_parser("numerical", help="analytical Figure 7 / Table IV")
     numerical.set_defaults(handler=cmd_numerical)

@@ -4,7 +4,7 @@ All three backends (``sim``, ``async``, ``proc``) hand what they measured to
 :func:`build_result`, which reduces it to an :class:`ExperimentResult`:
 per-site commit-latency summaries (and optional CDFs), committed-command
 counts, aggregate throughput, and per-replica metrics.  Consumers — the CLI,
-the bench harness, tests — never need to know which backend produced a
+the paper figures, tests — never need to know which backend produced a
 result.
 """
 
@@ -61,7 +61,7 @@ class ExperimentResult:
     #: (see :mod:`repro.shard`); ``None`` for single-group runs.
     shards: Optional[list["ExperimentResult"]] = None
 
-    # -- latency accessors (mirroring the bench harness result API) --------
+    # -- latency accessors -------------------------------------------------
 
     def summary(self, site: str) -> LatencySummary:
         result = self.sites[site].summary

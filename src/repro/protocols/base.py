@@ -28,8 +28,8 @@ from .records import CommandBatch
 
 _LOGGER = logging.getLogger(__name__)
 
-#: Canonical protocol names used by the registry, the bench harness and the
-#: experiment configuration files.
+#: Canonical protocol names used by the registry and the experiment
+#: configuration files.
 ProtocolName = str
 
 CLOCK_RSM = "clock-rsm"

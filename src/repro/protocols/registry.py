@@ -1,6 +1,6 @@
 """Protocol registry: build any implemented protocol by name.
 
-The benchmark harness, the simulator cluster builder, and the asyncio server
+The experiment backends, the simulator cluster builder, and the asyncio server
 all construct replicas through :func:`create_replica` so that experiment
 configurations can name protocols with plain strings
 (``"clock-rsm"``, ``"paxos"``, ``"paxos-bcast"``, ``"mencius"``,

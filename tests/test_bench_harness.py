@@ -1,92 +1,28 @@
-"""Tests for the benchmark harness (small, fast configurations)."""
+"""Tests for the table renderer, the closed-form figures and the result
+accessors the paper figures read (small, fast configurations)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.latency_experiments import (
-    LatencyExperimentConfig,
-    figure1_config,
-    figure2_config,
-    figure5_config,
-    figure6_config,
-    latency_cdf_experiment,
-    latency_experiment,
-    run_imbalanced_comparison,
-    run_latency_comparison,
-)
 from repro.bench.numerical import figure7_data, table2_rows, table4_rows
-from repro.bench.reporting import (
-    format_cdf,
-    format_latency_table,
-    format_table,
-    format_throughput,
-)
-from repro.bench.throughput import run_throughput_experiment
-from repro.sim.node import CpuModel
-from repro.types import seconds_to_micros
-
-#: A deliberately small configuration so harness tests stay fast.
-QUICK = dict(
-    duration=seconds_to_micros(2.0),
-    warmup=seconds_to_micros(0.5),
-    clients_per_replica=4,
-)
+from repro.bench.reporting import format_table
+from repro.experiment import Deployment, ExperimentSpec, WorkloadSpec
 
 
-class TestLatencyHarness:
+class TestExperimentResult:
     def test_single_experiment_produces_per_site_summaries(self):
-        config = LatencyExperimentConfig(
-            sites=("CA", "VA", "IR"), leader_site="VA", **QUICK
+        spec = ExperimentSpec(
+            name="harness",
+            protocol="clock-rsm",
+            sites=("CA", "VA", "IR"),
+            workload=WorkloadSpec(clients_per_site=4),
+            duration_s=1.5,
+            warmup_s=0.5,
         )
-        result = latency_experiment("clock-rsm", config)
-        assert set(result.summaries) == {"CA", "VA", "IR"}
-        assert all(summary.count > 0 for summary in result.summaries.values())
+        result = Deployment(spec, backend="sim").run()
+        assert result.measured_sites() == ["CA", "VA", "IR"]
+        assert all(result.summary(site).count > 0 for site in spec.sites)
         assert result.average_over_sites() > 0
         assert result.highest_over_sites() >= result.average_over_sites()
-
-    def test_comparison_runs_every_protocol(self):
-        config = figure2_config("VA", **QUICK)
-        results = run_latency_comparison(config, protocols=("clock-rsm", "paxos-bcast"))
-        assert set(results) == {"clock-rsm", "paxos-bcast"}
-
-    def test_cdf_experiment_returns_distributions(self):
-        config = figure2_config("VA", **QUICK)
-        cdfs = latency_cdf_experiment(config, cdf_site="CA", protocols=("clock-rsm",))
-        points = cdfs["clock-rsm"]
-        assert points and points[-1][1] == pytest.approx(1.0)
-        values = [v for v, _ in points]
-        assert values == sorted(values)
-
-    def test_imbalanced_comparison_measures_each_origin(self):
-        results = run_imbalanced_comparison(
-            sites=("CA", "VA", "IR"), leader_site="CA", protocols=("clock-rsm",), **QUICK
-        )
-        assert set(results["clock-rsm"].summaries) == {"CA", "VA", "IR"}
-
-    def test_figure_configs_match_paper_setups(self):
-        assert figure1_config("CA").sites == ("CA", "VA", "IR", "JP", "SG")
-        assert figure2_config("VA").sites == ("CA", "VA", "IR")
-        assert figure5_config().balanced is False
-        assert figure6_config().origin_site == "SG"
-        assert figure6_config().leader_site == "CA"
-
-
-class TestThroughputHarness:
-    def test_throughput_experiment_reports_kops_and_utilization(self):
-        result = run_throughput_experiment(
-            "clock-rsm",
-            100,
-            replica_count=3,
-            window=100_000,
-            warmup=30_000,
-            outstanding_per_replica=16,
-            cpu_model=CpuModel(10, 0.01, 10, 0.01),
-        )
-        assert result.committed > 0
-        assert result.throughput_kops > 0
-        assert set(result.replica_utilization) == {0, 1, 2}
-        assert all(0 <= u <= 1 for u in result.replica_utilization.values())
 
 
 class TestReporting:
@@ -100,27 +36,17 @@ class TestReporting:
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], title="empty")
 
-    def test_format_latency_table_and_cdf(self):
-        config = figure2_config("VA", **QUICK)
-        results = run_latency_comparison(config, protocols=("clock-rsm",))
-        table = format_latency_table(results, ("CA", "VA", "IR"), title="fig")
-        assert "clock-rsm" in table and "CA" in table
-        cdfs = latency_cdf_experiment(config, cdf_site="CA", protocols=("clock-rsm",))
-        cdf_text = format_cdf(cdfs, title="cdf")
-        assert "p95" in cdf_text
-
-    def test_format_throughput(self):
-        result = run_throughput_experiment(
-            "paxos",
-            10,
-            replica_count=3,
-            window=50_000,
-            warmup=20_000,
-            outstanding_per_replica=8,
-            cpu_model=CpuModel(10, 0.01, 10, 0.01),
-        )
-        text = format_throughput([result], title="fig8")
-        assert "paxos" in text and "throughput_kops" in text
+    def test_format_table_columns_are_the_union_of_every_rows_keys(self):
+        # An imbalanced run's per-site rows: only the origin has latencies,
+        # and it need not come first.
+        rows = [
+            {"site": "CA", "committed": 0},
+            {"site": "SG", "committed": 9, "mean_ms": 172.7, "p95_ms": 173.8},
+        ]
+        lines = format_table(rows).splitlines()
+        assert lines[0].split() == ["site", "|", "committed", "|", "mean_ms", "|", "p95_ms"]
+        assert [cell.strip() for cell in lines[2].split("|")] == ["CA", "0", "", ""]
+        assert [cell.strip() for cell in lines[3].split("|")] == ["SG", "9", "172.7", "173.8"]
 
 
 class TestNumericalBench:

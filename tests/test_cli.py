@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiment import ExperimentSpec, WorkloadSpec
+
+PAPER_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs" / "paper"
 
 
 class TestParser:
@@ -12,20 +18,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_latency_defaults(self):
-        args = build_parser().parse_args(["latency"])
-        assert args.sites == ["CA", "VA", "IR", "JP", "SG"]
-        assert args.leader is None
-        assert args.handler.__name__ == "cmd_latency"
-
-    def test_throughput_arguments(self):
-        args = build_parser().parse_args(["throughput", "--sizes", "10", "100", "--replicas", "3"])
-        assert args.sizes == [10, 100]
-        assert args.replicas == 3
+    def test_removed_figure_subcommands_are_rejected(self):
+        # Figures are spec files now (examples/specs/paper/), run with `run`.
+        for command in ("latency", "imbalanced", "throughput"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
 
     def test_unknown_site_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["latency", "--sites", "CA", "MOON"])
+            build_parser().parse_args(["analyze", "--sites", "CA", "MOON"])
 
     def test_check_arguments(self):
         args = build_parser().parse_args(["check", "spec.toml", "--backend", "both"])
@@ -34,8 +35,6 @@ class TestParser:
         assert args.handler.__name__ == "cmd_check"
 
     def test_check_command_verifies_a_small_spec(self, capsys, tmp_path):
-        from repro.experiment import ExperimentSpec, WorkloadSpec
-
         spec = ExperimentSpec(
             name="cli-check",
             protocol="clock-rsm",
@@ -75,25 +74,24 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["analyze", "--sites", "CA", "VA"])
 
-    def test_latency_command_small_run(self, capsys):
-        assert main([
-            "latency",
-            "--sites", "CA", "VA", "IR",
-            "--leader", "VA",
-            "--seconds", "1.5",
-            "--clients", "3",
-            "--protocols", "clock-rsm", "paxos-bcast",
-        ]) == 0
-        output = capsys.readouterr().out
-        assert "clock-rsm" in output and "paxos-bcast" in output
-        assert "VA" in output
-
-    def test_throughput_command_small_run(self, capsys):
-        assert main([
-            "throughput",
-            "--sizes", "100",
-            "--replicas", "3",
-            "--window", "0.05",
-        ]) == 0
-        output = capsys.readouterr().out
-        assert "throughput_kops" in output
+    def test_run_command_prints_an_imbalanced_paper_cell(self, capsys, tmp_path):
+        # Figure 6's cell at reduced size: only SG issues commands, so SG is
+        # the one site with latencies and the table must still show them.
+        spec = ExperimentSpec.from_file(PAPER_SPECS / "fig6_cdf_sg.toml")
+        small = replace(
+            spec,
+            duration_s=0.6,
+            warmup_s=0.2,
+            workload=replace(spec.workload, clients_per_site=2),
+        )
+        path = tmp_path / "fig6_small.json"
+        path.write_text(small.to_json())
+        assert main(["run", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("fig6_cdf_sg: paxos-bcast on the sim backend")
+        assert lines[1].split(" | ")[2:] == ["mean_ms", "p95_ms"]
+        sg_row = next(line for line in lines if line.startswith("SG "))
+        ca_row = next(line for line in lines if line.startswith("CA "))
+        assert float(sg_row.split(" | ")[2]) > 0
+        assert ca_row.split(" | ")[1].strip() == "0"
+        assert ca_row.split(" | ")[2].strip() == ""

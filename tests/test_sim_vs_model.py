@@ -21,8 +21,8 @@ from repro.analysis.latency_model import (
     paxos_bcast_latency,
     paxos_latency,
 )
-from repro.bench.latency_experiments import LatencyExperimentConfig, latency_experiment
-from repro.types import micros_to_ms, ms_to_micros, seconds_to_micros
+from repro.experiment import Deployment, ExperimentSpec, WorkloadSpec
+from repro.types import micros_to_ms
 
 FIVE = ("CA", "VA", "IR", "JP", "SG")
 
@@ -32,18 +32,24 @@ TOLERANCE_MS = 8.0
 
 
 def _run(protocol: str, *, balanced: bool, origin: str | None = None, leader: str = "CA"):
-    config = LatencyExperimentConfig(
+    workload = (
+        WorkloadSpec(clients_per_site=8)
+        if balanced
+        else WorkloadSpec(scenario="imbalanced", origin_site=origin, clients_per_site=8)
+    )
+    spec = ExperimentSpec(
+        name="sim-vs-model",
+        protocol="paxos-bcast",
         sites=FIVE,
         leader_site=leader,
-        balanced=balanced,
-        origin_site=origin,
-        duration=seconds_to_micros(6.0),
-        warmup=seconds_to_micros(1.0),
-        clients_per_replica=8,
         jitter_fraction=0.0,
+        workload=workload,
+        duration_s=5.0,
+        warmup_s=1.0,
         seed=13,
     )
-    return latency_experiment(protocol, config)
+    # with_protocol drops the leader for the leaderless protocols.
+    return Deployment(spec.with_protocol(protocol), backend="sim").run()
 
 
 class TestImbalancedMatchesModelExactly:
