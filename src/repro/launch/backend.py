@@ -94,6 +94,16 @@ class ProcessBackend:
         history: Optional[OpHistory] = OpHistory() if spec.record_history else None
         apply_orders: dict[ReplicaId, tuple[CommandId, ...]] = {}
 
+        # Each worker times its history from its own start, and the workers
+        # get the "run" message milliseconds apart.  They all run on this
+        # host, where their loop clocks (time.monotonic) agree, so each
+        # history is shifted onto the earliest start: otherwise the checker
+        # compares one worker's instants with another's off by that gap, and
+        # two overlapping operations can look ordered.
+        base = min(
+            (p["history_started_at"] for p in payloads.values() if "history_started_at" in p),
+            default=0.0,
+        )
         for rid in spec.cluster_spec().replica_ids:
             payload = payloads[rid]
             latencies[rid] = [int(v) for v in payload.get("latencies_us", [])]
@@ -102,7 +112,13 @@ class ProcessBackend:
                 **split_metrics(payload.get("split"), self.time_scale),
             }
             if history is not None and payload.get("history") is not None:
+                shift = round(
+                    (payload["history_started_at"] - base) * self.time_scale * 1_000_000
+                )
                 for record in OpHistory.from_dict(payload["history"]).ops:
+                    record.invoked_at += shift
+                    if record.returned_at is not None:
+                        record.returned_at += shift
                     history.add(record)
                 apply_orders[rid] = tuple(
                     CommandId(client, seqno)

@@ -77,6 +77,7 @@ async def _play_site(
         payload["split"] = split
     if clients.history is not None:
         payload["history"] = clients.history.to_dict()
+        payload["history_started_at"] = clients.started_at
         payload["apply_order"] = [
             [cid.client, cid.seqno] for cid in server.replica.execution_order
         ]

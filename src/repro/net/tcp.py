@@ -14,8 +14,18 @@ of two forms —
   is the header ``{"src": int, "dst": int, "batch": n}`` followed by the
   ``n`` message values — one TCP write, one length prefix, ``n`` messages.
 
-:func:`read_envelopes` accepts both, so batched and unbatched peers
-interoperate on the same socket.
+:class:`FrameParser` accepts both, so batched and unbatched peers
+interoperate on the same socket.  It is the one reader of frames — peer
+connections and the client endpoint (:mod:`repro.runtime.server`,
+:mod:`repro.runtime.client`) alike — and the length prefix is checked
+against :data:`MAX_FRAME_BYTES` in one place, for both directions.
+
+:class:`TcpTransport` runs every peer connection as one
+:class:`asyncio.Protocol`, in either direction: bytes are cut into frames
+and dispatched in ``data_received``, where they arrive, and a flushed write
+unit is encoded and handed to ``transport.write`` where it is flushed.  No
+task or stream exists per frame or per connection; a task exists only while
+an outbound connection is being set up.
 """
 
 from __future__ import annotations
@@ -23,8 +33,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import struct
-from collections import deque
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from ..config import BatchingOptions
 from ..errors import TransportError
@@ -40,6 +49,17 @@ _LENGTH = struct.Struct(">I")
 #: Upper bound on a single frame; protects against corrupted length prefixes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: How much one read of a client stream asks for (a peer connection is read
+#: by its asyncio transport).
+READ_CHUNK_BYTES = 64 * 1024
+
+
+def _checked_length(length: int) -> int:
+    """*length* if a frame body may have it, else :class:`TransportError`."""
+    if length > MAX_FRAME_BYTES:
+        raise TransportError(f"frame body of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte limit")
+    return length
+
 
 def _seal_frame(buf: bytearray) -> bytes:
     """Patch the reserved length prefix at the head of *buf* and freeze it.
@@ -48,10 +68,7 @@ def _seal_frame(buf: bytearray) -> bytes:
     reserved prefix bytes, so header and body leave as one buffer in one
     ``write()`` — no join of per-value parts, no prefix+body concatenation.
     """
-    body_len = len(buf) - _LENGTH.size
-    if body_len > MAX_FRAME_BYTES:
-        raise TransportError(f"frame too large: {body_len} bytes")
-    _LENGTH.pack_into(buf, 0, body_len)
+    _LENGTH.pack_into(buf, 0, _checked_length(len(buf) - _LENGTH.size))
     return bytes(buf)
 
 
@@ -76,28 +93,21 @@ def encode_batch_frame(batch: EnvelopeBatch, registry: MessageRegistry) -> bytes
 def decode_frame_envelopes(body: Any, registry: MessageRegistry) -> list[Envelope]:
     """Deserialize a frame body of either form into its envelopes, in order.
 
-    Accepts any bytes-like *body*; the registry decoder reads ``bytes`` (what
-    a stream reader returns) in place, so envelope batches are decoded
-    straight from the received buffer with only the string/bytes leaves
-    materialized.
+    Accepts any bytes-like *body*; the registry decoder reads ``bytes`` in
+    place, so envelope batches are decoded straight from the received buffer
+    with only the string/bytes leaves materialized.
     """
     values = registry.decode_many(body)
     if not values:
         raise TransportError("empty frame body")
     header = values[0]
-    if not isinstance(header, dict) or not {"src", "dst"} <= header.keys():
+    if type(header) is not dict or "src" not in header or "dst" not in header:
         raise TransportError("malformed frame body")
+    src, dst = header["src"], header["dst"]
     if "message" in header:
         if len(values) != 1:
             raise TransportError("single-message frame carries trailing values")
-        return [
-            Envelope(
-                src=header["src"],
-                dst=header["dst"],
-                message=header["message"],
-                size_hint=len(body),
-            )
-        ]
+        return [Envelope(src, dst, header["message"], len(body))]
     count = header.get("batch")
     if not isinstance(count, int) or count < 1 or len(values) != count + 1:
         raise TransportError(
@@ -106,41 +116,128 @@ def decode_frame_envelopes(body: Any, registry: MessageRegistry) -> list[Envelop
     # The frame's bytes are shared work; attribute them evenly so the
     # size_hint stays meaningful per message.
     hint = len(body) // count
-    return [
-        Envelope(src=header["src"], dst=header["dst"], message=message, size_hint=hint)
-        for message in values[1:]
-    ]
+    return [Envelope(src, dst, message, hint) for message in values[1:]]
 
 
-async def read_envelopes(
-    reader: asyncio.StreamReader, registry: MessageRegistry
-) -> list[Envelope]:
-    """Read one frame of either form and return its envelopes, in order.
+class FrameParser:
+    """Cuts length-prefixed frames out of a byte stream fed in any split.
 
-    ``readexactly`` reassembles partial reads, so a batch frame split across
-    arbitrarily many TCP segments decodes identically to one delivered whole.
+    :meth:`feed` takes whatever arrived — several frames, part of one, a
+    piece of a length prefix — and yields the envelopes of every frame it
+    completes, in stream order.  An incomplete tail is kept until the bytes
+    that complete it arrive; it is copied once when they do, however many
+    pieces it came in.  A prefix announcing more than
+    :data:`MAX_FRAME_BYTES`, or a body that does not decode, raises
+    :class:`~repro.errors.TransportError` (``CodecError`` included) as soon
+    as it is met.
     """
-    header = await reader.readexactly(_LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(f"frame length {length} exceeds limit")
-    body = await reader.readexactly(length)
-    return decode_frame_envelopes(body, registry)
+
+    __slots__ = ("_registry", "_partial", "_need")
+
+    def __init__(self, registry: MessageRegistry) -> None:
+        self._registry = registry
+        self._partial = bytearray()  # an incomplete frame's first bytes
+        self._need = _LENGTH.size  # how many it must hold before a frame completes
+
+    def feed(self, data: bytes) -> Iterator[Envelope]:
+        """Take *data*; yield the envelopes of every frame it completes."""
+        partial = self._partial
+        if partial:
+            partial += data
+            if len(partial) < self._need:
+                return
+            data = bytes(partial)
+            partial.clear()
+        registry = self._registry
+        pos, end = 0, len(data)
+        need = _LENGTH.size
+        while end - pos >= _LENGTH.size:
+            start = pos + _LENGTH.size
+            stop = start + _checked_length(_LENGTH.unpack_from(data, pos)[0])
+            if stop > end:
+                need = stop - pos
+                break
+            pos = stop
+            yield from decode_frame_envelopes(data[start:stop], registry)
+        if pos < end:
+            partial += memoryview(data)[pos:]
+        self._need = need
+
+
+class _Connection(asyncio.Protocol):
+    """One peer connection of a :class:`TcpTransport`, either direction.
+
+    Inbound, every complete frame is dispatched as it arrives.  Outbound
+    (*dst* set), the connection becomes ``dst``'s write path the moment it is
+    made: the frames that waited for it go out first, in send order, and
+    every later flush writes straight to it.  Peers never write back on an
+    outbound connection; reading it anyway keeps the two directions one class.
+    """
+
+    def __init__(self, owner: "TcpTransport", dst: Optional[ReplicaId] = None) -> None:
+        self._owner = owner
+        self._dst = dst
+        self._parser = FrameParser(owner._registry)
+        self.transport: Optional[asyncio.Transport] = None
+        self.lost: asyncio.Future = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:  # type: ignore[override]
+        owner = self._owner
+        self.transport = transport
+        if owner._stopped:
+            transport.abort()
+            return
+        owner._connections.add(self)
+        if self._dst is not None:
+            transport.writelines(owner._waiting.pop(self._dst, ()))
+            owner._peers[self._dst] = transport
+
+    def data_received(self, data: bytes) -> None:
+        dispatch = self._owner._dispatch
+        try:
+            for envelope in self._parser.feed(data):
+                dispatch(envelope)
+        except TransportError as exc:  # CodecError included
+            _LOGGER.warning(
+                "replica %s: malformed frame from %s, closing the connection: %s",
+                self._owner.local_id,
+                self.transport.get_extra_info("peername"),
+                exc,
+            )
+            self.transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        owner = self._owner
+        owner._connections.discard(self)
+        if self._dst is not None and owner._peers.get(self._dst) is self.transport:
+            del owner._peers[self._dst]
+        _LOGGER.debug(
+            "replica %s: connection %s closed: %s",
+            owner.local_id, self.transport.get_extra_info("peername"), exc,
+        )  # fmt: skip
+        self.lost.set_result(None)
 
 
 class TcpTransport(Transport):
     """A TCP transport endpoint for one replica.
 
     Maintains one outbound connection per peer (created lazily and re-created
-    on failure) and accepts inbound connections from peers and clients.
-    Incoming envelopes are handed to the registered handler on the event
-    loop; the handler must be non-blocking (the sans-IO protocols are).
+    after it is lost) and accepts inbound connections from peers.  Incoming
+    envelopes are handed to the registered handler on the event loop, as
+    their frames arrive; the handler must be non-blocking (the sans-IO
+    protocols are).
 
     With ``batching`` enabled, outbound envelopes are coalesced per peer:
     messages queued for the same destination within the accumulation window
     (``window_us = 0`` — the current event-loop tick) ship as framed
     multi-message envelopes of at most ``max_batch`` messages each, written
     in one ``write()`` call.  Message order per channel is preserved.
+
+    Lifecycle: :meth:`close` is the replica host going away (a crash): what
+    it queued and was not yet written is dropped, and the transport stays
+    open for the next host (:meth:`~repro.runtime.server.ReplicaServer.restart`).
+    :meth:`stop` ends the transport: every connection and the listener close
+    at once, and sends are dropped until :meth:`start` is called again.
     """
 
     def __init__(
@@ -161,15 +258,16 @@ class TcpTransport(Transport):
         self._connect_retries = connect_retries
         self._connect_backoff_s = connect_backoff_s
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: dict[ReplicaId, asyncio.StreamWriter] = {}
-        self._connect_locks: dict[ReplicaId, asyncio.Lock] = {}
-        self._outbound: dict[ReplicaId, deque[list[Envelope]]] = {}
-        self._senders: dict[ReplicaId, asyncio.Task] = {}
-        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: connected peers' write paths
+        self._peers: dict[ReplicaId, asyncio.Transport] = {}
+        #: frames of a peer whose connection is being set up, in send order
+        self._waiting: dict[ReplicaId, list[bytes]] = {}
+        self._connecting: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
         self._accumulators: dict[ReplicaId, BatchAccumulator[Envelope]] = {}
         self._timer = LoopTimer()
         self._early: list[Envelope] = []
-        self._closed = False
+        self._stopped = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -177,8 +275,9 @@ class TcpTransport(Transport):
         """Start listening for inbound peer connections (idempotent)."""
         if self._server is not None:
             return
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._listen_host, self._listen_port
+        self._stopped = False
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, self._listen_host, self._listen_port
         )
         _LOGGER.info("replica %s listening on %s:%s", self.local_id, self._listen_host, self._listen_port)
 
@@ -196,149 +295,136 @@ class TcpTransport(Transport):
         self._peer_addresses.update(peer_addresses)
 
     async def stop(self) -> None:
-        """Close every connection and end every task this transport started."""
-        self._closed = True
-        for accumulator in self._accumulators.values():
-            accumulator.clear()
-        senders = list(self._senders.values())
-        for task in senders:
-            task.cancel()
-        self._senders.clear()
-        self._outbound.clear()
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
+        """Close every connection and end every task this transport started.
+
+        Frames not yet handed to the kernel are dropped: connections are
+        aborted, not drained, so a peer that stopped reading cannot hold
+        ``stop()`` up.
+        """
+        self._stopped = True
+        self.close()
         if self._server is not None:
             self._server.close()
-        # Closing an accepted connection ends its handler at the next read
-        # (EOF), so the handlers are awaited, not cancelled.
-        for writer in self._inbound.values():
-            writer.close()
-        await asyncio.gather(*senders, *self._inbound, return_exceptions=True)
+        connecting = list(self._connecting)
+        for task in connecting:
+            task.cancel()
+        await asyncio.gather(*connecting, return_exceptions=True)
+        connections = list(self._connections)
+        for connection in connections:
+            connection.transport.abort()
+        await asyncio.gather(*(connection.lost for connection in connections))
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
 
     def close(self) -> None:
-        self._closed = True
+        """Drop what the departing host queued and was not yet written.
+
+        Connections, the listener and the handler slot stay: a restarted host
+        sends and receives through this same transport.
+        """
         for accumulator in self._accumulators.values():
             accumulator.clear()
+        for frames in self._waiting.values():
+            frames.clear()  # the connect under way still owns the slot
 
     # -- sending -------------------------------------------------------------
     #
     # Per-destination FIFO is a correctness requirement, not a nicety:
     # Clock-RSM's stability rule (LatestTV) assumes each replica's messages
     # arrive in non-decreasing clock-reading order, which holds iff the
-    # channel preserves send order.  A task-per-envelope design breaks this
-    # while a connection is being established — sends issued during the
-    # connect park on the lock and are woken one by one, while sends issued
-    # just after it completes find the cached writer and write immediately,
-    # jumping the queue.  So every destination gets one outbound queue
-    # drained by a single sender task: order is preserved by construction,
-    # through connection setup, retries, and reconnects alike.
+    # channel preserves send order.  A destination is in exactly one of
+    # three states — connected (``_peers``: write now), connecting
+    # (``_waiting``: append), or neither (start a connect, append) — and the
+    # switch from connecting to connected happens in one callback that
+    # writes the waiting frames before it publishes the connection.  So no
+    # frame can overtake one sent before it: not during setup, not right
+    # after it, not across a reconnect.
 
     def send(self, envelope: Envelope) -> None:
-        """Queue an envelope; the actual write happens on the sender task."""
+        """Deliver a self-addressed envelope now; frame and write any other."""
         if envelope.dst == self.local_id:
             self._dispatch(envelope)
             return
         if self._batching is None:
-            self._enqueue(envelope.dst, [envelope])
+            self._write(envelope.dst, [envelope])
             return
         accumulator = self._accumulators.get(envelope.dst)
         if accumulator is None:
             accumulator = BatchAccumulator(
                 self._batching,
-                lambda envelopes, dst=envelope.dst: self._enqueue(dst, envelopes),
+                lambda envelopes, dst=envelope.dst: self._write(dst, envelopes),
                 self._timer,
             )
             self._accumulators[envelope.dst] = accumulator
         accumulator.add(envelope)
 
-    def _enqueue(self, dst: ReplicaId, envelopes: list[Envelope]) -> None:
-        """Append a write unit to ``dst``'s queue and ensure its drainer runs."""
-        if self._closed:
+    def _write(self, dst: ReplicaId, envelopes: list[Envelope]) -> None:
+        """Frame one write unit and write it to ``dst``, or queue it for the connect."""
+        if self._stopped:
             return
-        self._outbound.setdefault(dst, deque()).append(envelopes)
-        task = self._senders.get(dst)
-        if task is None or task.done():
-            self._senders[dst] = asyncio.get_running_loop().create_task(
-                self._drain_outbound(dst)
-            )
+        try:
+            if len(envelopes) == 1:
+                frame = encode_frame(envelopes[0], self._registry)
+            else:
+                frame = encode_batch_frame(EnvelopeBatch.of(envelopes), self._registry)
+        except TransportError as exc:  # CodecError included: this unit alone is lost
+            _LOGGER.warning(
+                "replica %s cannot frame %d message(s) for %s, dropping them: %s",
+                self.local_id, len(envelopes), dst, exc,
+            )  # fmt: skip
+            return
+        peer = self._peers.get(dst)
+        if peer is not None and not peer.is_closing():
+            peer.write(frame)
+            return
+        waiting = self._waiting.get(dst)
+        if waiting is not None:
+            waiting.append(frame)
+            return
+        self._waiting[dst] = [frame]
+        task = asyncio.get_running_loop().create_task(self._connect(dst))
+        self._connecting.add(task)
+        task.add_done_callback(self._connecting.discard)
 
-    async def _drain_outbound(self, dst: ReplicaId) -> None:
-        """Write ``dst``'s queued units in order; exits when the queue drains."""
-        queue = self._outbound[dst]
-        while queue and not self._closed:
-            try:
-                writer = await self._writer_for(dst)
-            except (OSError, TransportError) as exc:
-                _LOGGER.warning(
-                    "replica %s cannot reach %s, dropping %d queued writes: %s",
-                    self.local_id,
-                    dst,
-                    len(queue),
-                    exc,
-                )
-                queue.clear()
-                return
-            envelopes = queue.popleft()
-            try:
-                if len(envelopes) == 1:
-                    frame = encode_frame(envelopes[0], self._registry)
-                else:
-                    frame = encode_batch_frame(EnvelopeBatch.of(envelopes), self._registry)
-            except TransportError as exc:  # CodecError included: this unit alone is lost
-                _LOGGER.warning(
-                    "replica %s cannot frame %d message(s) for %s, dropping them: %s",
-                    self.local_id, len(envelopes), dst, exc,
-                )  # fmt: skip
-                continue
-            try:
-                writer.write(frame)
-                await writer.drain()
-            except (OSError, TransportError, asyncio.IncompleteReadError) as exc:
-                _LOGGER.warning(
-                    "replica %s failed to send %d message(s) to %s: %s",
-                    self.local_id,
-                    len(envelopes),
-                    dst,
-                    exc,
-                )
-                self._writers.pop(dst, None)
+    async def _connect(self, dst: ReplicaId) -> None:
+        """Open ``dst``'s connection; on failure drop the frames that waited for it.
 
-    async def _writer_for(self, dst: ReplicaId) -> asyncio.StreamWriter:
-        writer = self._writers.get(dst)
-        if writer is not None and not writer.is_closing():
-            return writer
-        # One connection attempt per destination at a time: without the lock,
-        # two concurrent sends each open a connection and the loser's writer
-        # leaks (the peer then sees a duplicate inbound connection).
-        lock = self._connect_locks.setdefault(dst, asyncio.Lock())
-        async with lock:
-            writer = self._writers.get(dst)
-            if writer is not None and not writer.is_closing():
-                return writer
+        Success is completed by :meth:`_Connection.connection_made`.
+        """
+        try:
             address = self._peer_addresses.get(dst)
             if address is None:
                 raise TransportError(f"no address configured for replica {dst}")
             host, port = _split_address(address)
+            loop = asyncio.get_running_loop()
             attempt = 0
             while True:
                 try:
-                    _, writer = await asyncio.open_connection(host, port)
-                    break
+                    await loop.create_connection(lambda: _Connection(self, dst), host, port)
+                    return
                 except OSError:
                     # The peer may not be listening yet (process-mode replicas
                     # start concurrently); back off and retry within budget.
-                    if attempt >= self._connect_retries or self._closed:
+                    if attempt >= self._connect_retries or self._stopped:
                         raise
                     attempt += 1
                     await asyncio.sleep(self._connect_backoff_s * attempt)
-            self._writers[dst] = writer
-            return writer
+        except (OSError, TransportError) as exc:
+            dropped = self._waiting.pop(dst, [])
+            _LOGGER.warning(
+                "replica %s cannot reach %s, dropping %d queued writes: %s",
+                self.local_id, dst, len(dropped), exc,
+            )  # fmt: skip
+        except asyncio.CancelledError:
+            self._waiting.pop(dst, None)  # stop(): nothing waits for this connect any more
+            raise
 
     # -- receiving -----------------------------------------------------------
+
+    def _accept(self) -> _Connection:
+        """The protocol of one accepted connection (the listener's factory)."""
+        return _Connection(self)
 
     def set_handler(self, handler) -> None:
         super().set_handler(handler)
@@ -355,38 +441,6 @@ class TcpTransport(Transport):
             return
         self._handler(envelope)
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        task = asyncio.current_task()
-        self._inbound[task] = writer
-        try:
-            while not self._closed:
-                try:
-                    envelopes = await read_envelopes(reader, self._registry)
-                except TransportError as exc:  # CodecError included
-                    _LOGGER.warning(
-                        "replica %s: malformed frame from %s, closing the connection: %s",
-                        self.local_id,
-                        peer,
-                        exc,
-                    )
-                    return
-                for envelope in envelopes:
-                    self._dispatch(envelope)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            _LOGGER.debug("replica %s: connection from %s closed", self.local_id, peer)
-        except asyncio.CancelledError:
-            # Not re-raised: this task belongs to asyncio's stream server,
-            # whose done-callback reads ``task.exception()`` and so reports a
-            # cancelled handler to the loop's exception handler (CPython 3.11).
-            # Nothing follows but closing the connection.
-            pass
-        finally:
-            del self._inbound[task]
-            writer.close()
-
 
 def _split_address(address: str) -> tuple[str, int]:
     host, _, port = address.rpartition(":")
@@ -397,9 +451,10 @@ def _split_address(address: str) -> tuple[str, int]:
 
 __all__ = [
     "TcpTransport",
+    "FrameParser",
     "encode_frame",
     "encode_batch_frame",
     "decode_frame_envelopes",
-    "read_envelopes",
     "MAX_FRAME_BYTES",
+    "READ_CHUNK_BYTES",
 ]

@@ -46,7 +46,12 @@ class Transport(ABC):
         """Queue *envelope* for delivery to ``envelope.dst``."""
 
     def close(self) -> None:
-        """Release any resources held by the transport."""
+        """The replica host is going away (it stopped, as in a crash).
+
+        Drop what the host queued and was not yet sent.  The transport stays
+        usable: a restarted host (see ``ReplicaServer.restart``) sends and
+        receives through it.
+        """
 
 
 class InMemoryNetwork:

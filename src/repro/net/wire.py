@@ -48,6 +48,11 @@ Implementation notes (the wire hot path):
   its writer.  The generated code recurses only from an OBJ into a value
   nested in it, each OBJ costing two levels of the same checked
   ``max_depth``.
+* A MAP is coded pair by pair in place while its pairs are a STR key with
+  an int64 INT or a planned OBJ — the shape of a transport frame's header —
+  with the OBJ going straight to its plan; the first pair of another shape
+  and every pair after it go through the work stack.  Same bytes, same
+  checks, either way.
 * The encoder appends into one reusable ``bytearray`` using preallocated
   :class:`struct.Struct` packers with fused tag+value formats — no
   per-value ``bytes`` temporaries joined at the end.  ``encode_into`` /
@@ -477,7 +482,40 @@ class WireEncoder:
         push = stack.append
         while stack:
             value, depth = pop()
-            if value is None:
+            if isinstance(value, dict):
+                if len(value) > _U32_MAX:
+                    raise CodecError(
+                        f"map of {len(value)} entries exceeds the u32 count field"
+                    )
+                if depth >= max_depth:
+                    raise CodecError(f"value nests deeper than max_depth={max_depth}")
+                pos = len(buf)
+                buf += _PAD5
+                _TAG_U32.pack_into(buf, pos, _TAG_M, len(value))
+                child_depth = depth + 1
+                # A STR key with an int64 or a registered object — every
+                # pair of a frame header — is written here, in place; the
+                # first other pair goes on the stack with all behind it.
+                items = iter(value.items())
+                for key, item in items:
+                    plan = plans.get(type(item))
+                    if type(key) is str and (
+                        plan is not None or type(item) is int and _INT64_MIN <= item <= _INT64_MAX
+                    ):
+                        raw = key.encode("utf-8")
+                        if len(raw) <= _U32_MAX:
+                            buf += _TAG_U32.pack(_TAG_S, len(raw))
+                            buf += raw
+                            if plan is None:
+                                buf += _TAG_I64.pack(_TAG_I, item)
+                            else:
+                                plan.write(self, buf, item, child_depth)
+                            continue
+                    for key, item in reversed([(key, item), *items]):
+                        push((item, child_depth))
+                        push((key, child_depth))
+                    break
+            elif value is None:
                 buf.append(_TAG_N)
             elif value is True:
                 buf.append(_TAG_T)
@@ -536,20 +574,6 @@ class WireEncoder:
                 child_depth = depth + 1
                 for item in reversed(value):
                     push((item, child_depth))
-            elif isinstance(value, dict):
-                if len(value) > _U32_MAX:
-                    raise CodecError(
-                        f"map of {len(value)} entries exceeds the u32 count field"
-                    )
-                if depth >= max_depth:
-                    raise CodecError(f"value nests deeper than max_depth={max_depth}")
-                pos = len(buf)
-                buf += _PAD5
-                _TAG_U32.pack_into(buf, pos, _TAG_M, len(value))
-                child_depth = depth + 1
-                for key, item in reversed(list(value.items())):
-                    push((item, child_depth))
-                    push((key, child_depth))
             else:
                 plan = plans.get(type(value))
                 if plan is None:
@@ -662,7 +686,50 @@ class WireDecoder:
             pos += 1
             have_value = True
             value: Any = None
-            if tag == _TAG_I:
+            if tag == _TAG_M:
+                if pos + 4 > end:
+                    raise CodecError("truncated wire data")
+                count = _U32.unpack_from(data, pos)[0]
+                pos += 4
+                if count > (end - pos) // 2:
+                    raise CodecError(
+                        f"declared count {count} exceeds the {end - pos} bytes remaining"
+                    )
+                value = {}
+                if count:
+                    if len(stack) >= limit:
+                        raise CodecError(
+                            f"input nests deeper than max_depth={max_depth}"
+                        )
+                    # A STR key with an INT or a planned OBJ — every pair of
+                    # a frame header — is read here, in place; the first
+                    # other pair (or one that does not fit) is left to the
+                    # frame below, which reads it and the rest as ever.
+                    here = depth + len(stack) + 1  # the depth of the values
+                    while count and pos + 5 <= end and data[pos] == _TAG_S:
+                        at = pos + 5 + _U32.unpack_from(data, pos + 1)[0]  # the value's tag
+                        if at >= end:
+                            break
+                        kind = data[at]
+                        if kind == _TAG_I:
+                            if at + 9 > end:
+                                break
+                        elif kind != _TAG_O or (plan := self._plan_at(data, at + 1, end)) is None:
+                            break
+                        try:
+                            key = data[pos + 5 : at].decode("utf-8")
+                        except UnicodeDecodeError:
+                            break
+                        if kind == _TAG_I:
+                            value[key] = _I64.unpack_from(data, at + 1)[0]
+                            pos = at + 9
+                        else:
+                            value[key], pos = plan.read(self, data, at, end, here)
+                        count -= 1
+                    if count:
+                        stack.append([_F_MAP, value, count, None, False])
+                        have_value = False
+            elif tag == _TAG_I:
                 if pos + 8 > end:
                     raise CodecError("truncated wire data")
                 value = _I64.unpack_from(data, pos)[0]
@@ -753,24 +820,6 @@ class WireDecoder:
                     if count:
                         stack.append([_F_LIST, value, count])
                         have_value = False
-            elif tag == _TAG_M:
-                if pos + 4 > end:
-                    raise CodecError("truncated wire data")
-                count = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                if count > (end - pos) // 2:
-                    raise CodecError(
-                        f"declared count {count} exceeds the {end - pos} bytes remaining"
-                    )
-                if count == 0:
-                    value = {}
-                else:
-                    if len(stack) >= limit:
-                        raise CodecError(
-                            f"input nests deeper than max_depth={max_depth}"
-                        )
-                    stack.append([_F_MAP, {}, count, None, False])
-                    have_value = False
             else:
                 raise CodecError(f"unknown wire tag {bytes((tag,))!r}")
 

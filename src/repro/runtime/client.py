@@ -27,7 +27,7 @@ from ..errors import ClientError
 from ..kvstore.commands import encode_delete, encode_get, encode_put
 from ..net.batching import BatchAccumulator
 from ..net.message import Envelope, EnvelopeBatch, MessageRegistry, global_registry
-from ..net.tcp import encode_batch_frame, encode_frame, read_envelopes
+from ..net.tcp import READ_CHUNK_BYTES, FrameParser, encode_batch_frame, encode_frame
 from ..sim.scheduler import LoopTimer
 from ..types import Command, CommandId
 from .messages import ClientRequest, ClientResponse
@@ -203,9 +203,10 @@ class ReplicatedKVClient:
     async def _dispatch_responses(self) -> None:
         """Match inbound responses to pending requests by command id."""
         assert self._reader is not None
+        parser = FrameParser(self._registry)
         try:
-            while True:
-                for envelope in await read_envelopes(self._reader, self._registry):
+            while data := await self._reader.read(READ_CHUNK_BYTES):
+                for envelope in parser.feed(data):
                     response = envelope.message
                     if not isinstance(response, ClientResponse):
                         # Fail fast and force a reconnect: leaving the
@@ -218,10 +219,10 @@ class ReplicatedKVClient:
                     future = self._pending.get(response.command_id)
                     if future is not None and not future.done():
                         future.set_result(response.output)
-        except (asyncio.IncompleteReadError, ConnectionResetError, OSError) as exc:
+        except OSError as exc:  # ConnectionResetError included
             self._disconnect(ClientError(f"connection lost: {exc!r}"))
-        except asyncio.CancelledError:
-            raise
+        else:
+            self._disconnect(ClientError("connection lost: the replica closed it"))
 
     def _fail_pending(self, error: Exception) -> None:
         for future in self._pending.values():

@@ -19,7 +19,7 @@ from ..clocks.physical import SystemClock
 from ..config import BatchingOptions, ClusterSpec, ProtocolConfig
 from ..errors import RequestTimeout, TransportError
 from ..net.message import Envelope, MessageRegistry, global_registry
-from ..net.tcp import TcpTransport, encode_frame, read_envelopes
+from ..net.tcp import READ_CHUNK_BYTES, FrameParser, TcpTransport, encode_frame
 from ..protocols.registry import create_replica
 from ..statemachine import StateMachine
 from ..storage.log import CommandLog
@@ -297,9 +297,10 @@ class ReplicaServer:
                 )
                 writer.close()
 
+        parser = FrameParser(self.registry)
         try:
-            while True:
-                for envelope in await read_envelopes(reader, self.registry):
+            while data := await reader.read(READ_CHUNK_BYTES):
+                for envelope in parser.feed(data):
                     request = envelope.message
                     if not isinstance(request, ClientRequest):
                         _LOGGER.warning(
@@ -311,10 +312,11 @@ class ReplicaServer:
                     task = asyncio.create_task(respond(request))
                     self._client_tasks.add(task)
                     task.add_done_callback(self._client_tasks.discard)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            _LOGGER.debug("client %s disconnected from replica %s", peer, self.replica_id)
+        except ConnectionResetError:
+            pass  # a reset ends the connection as EOF does
         finally:
             writer.close()
+        _LOGGER.debug("client %s disconnected from replica %s", peer, self.replica_id)
 
 
 __all__ = ["ReplicaServer"]

@@ -60,6 +60,16 @@ class LiveClients:
         self.collector = LatencyCollector(warmup_until=spec.warmup_micros)
         self.history = OpHistory() if spec.record_history else None
 
+    @property
+    def started_at(self) -> float:
+        """The loop time, in seconds, that :meth:`virtual_micros` counts from.
+
+        The default loop's clock is ``time.monotonic()``, one clock for every
+        process on a host, so engines in several processes can be put on
+        one timeline.
+        """
+        return self._started
+
     def virtual_micros(self) -> int:
         """Wall time since the engine was created, as spec-time microseconds."""
         return int((self._loop.time() - self._started) * self._time_scale * 1_000_000)

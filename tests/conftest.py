@@ -32,6 +32,12 @@ from repro.net.latency import LatencyMatrix  # noqa: E402
 from tests.helpers import ALL_PROTOCOLS  # noqa: E402
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a test that runs for seconds (a whole example or cluster)"
+    )
+
+
 @pytest.fixture
 def spec3() -> ClusterSpec:
     """Three replicas at the paper's CA/VA/IR sites."""

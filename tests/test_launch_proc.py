@@ -12,21 +12,25 @@ import asyncio
 import os
 import signal
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from repro.checker.history import OpHistory
 from repro.errors import ConfigurationError, LaunchError
 from repro.experiment import (
     CpuSpec,
     Deployment,
     ExperimentSpec,
     FaultSpec,
+    ProcessesSpec,
     ShardingSpec,
     WorkloadSpec,
     check_spec,
     run_spec,
 )
 from repro.launch import ProcessBackend, Supervisor
+from repro.types import CommandId
 
 
 def tiny(**kwargs) -> ExperimentSpec:
@@ -103,6 +107,26 @@ class TestProcessBackendRuns:
         for shard in result.shards:
             workers = shard.metadata["workers"]
             assert all(w["exit"] == "clean" for w in workers.values())
+
+
+class TestHistoryTimeline:
+    def test_worker_histories_are_put_on_the_earliest_start(self):
+        # Regression: each worker timed its history from its own start, a few
+        # ms apart, and the checker compared those instants directly, so two
+        # overlapping operations at different sites could look ordered (a
+        # spurious real-time violation).  No process is spawned here.
+        spec = replace(tiny(), record_history=True)
+        payloads = {}
+        for rid, started_at in zip(spec.cluster_spec().replica_ids, (10.004, 10.0, 10.0015)):
+            history = OpHistory()
+            history.invoke(CommandId(f"c{rid}", 1), rid, b"", 100)
+            history.complete(CommandId(f"c{rid}", 1), None, 900)
+            payloads[rid] = {"history": history.to_dict(), "history_started_at": started_at}
+        supervisor = SimpleNamespace(processes=ProcessesSpec(), worker_exits={})
+        result = ProcessBackend(time_scale=2.0)._assemble(spec, payloads, supervisor, 1.0)
+        times = {op.client: (op.invoked_at, op.returned_at) for op in result.history}
+        # Offsets of 4 ms and 1.5 ms at time_scale 2 are 8000 and 3000 spec-us.
+        assert times == {"c0": (8_100, 8_900), "c1": (100, 900), "c2": (3_100, 3_900)}
 
 
 class TestValidation:

@@ -3,8 +3,9 @@
 A multi-process deployment starts every replica concurrently, so the
 transport must tolerate exactly the situations a single-process demo never
 hits: connecting to a peer that has not started listening yet, a peer dying
-mid-frame, two tasks racing to open the first connection to the same peer,
-and protocol traffic arriving before the replica's handler is wired up.
+mid-frame, sends racing the first connection to the same peer, protocol
+traffic arriving before the replica's handler is wired up, and a replica
+crashing and restarting on the transport it had.
 """
 
 from __future__ import annotations
@@ -16,13 +17,19 @@ import struct
 
 import pytest
 
-from repro.config import BatchingOptions
+from repro.config import BatchingOptions, ClusterSpec
 from repro.core.messages import ClockTime, Prepare
 from repro.errors import TransportError
+from repro.kvstore.commands import encode_put
+from repro.kvstore.kv import KVStateMachine
 from repro.net.message import Envelope, global_registry
 from repro.net.tcp import MAX_FRAME_BYTES, TcpTransport, encode_frame
 from repro.net.wire import encode
+from repro.runtime.server import ReplicaServer
+from repro.storage.memory_log import InMemoryLog
 from repro.types import Command, CommandId, Timestamp
+
+from tests.helpers import LOOPBACK_ANY_PORT, start_on_bound_ports
 
 
 def _prepare(seqno: int) -> Prepare:
@@ -166,20 +173,21 @@ class TestDuplicateConnectionRace:
                 )
             )
             connections = 0
-            inner = receiver._handle_connection
+            inner = receiver._accept
 
-            async def counting(reader, writer):
+            def counting():
+                # The listener's protocol factory runs once per accepted connection.
                 nonlocal connections
                 connections += 1
-                await inner(reader, writer)
+                return inner()
 
-            receiver._handle_connection = counting
+            receiver._accept = counting
             await receiver.start()
 
             sender = TcpTransport(0, "127.0.0.1:0", {1: receiver.bound_address})
             await sender.start()
-            # Unbatched sends each spawn their own writer task; all eight race
-            # to create the first connection to replica 1.
+            # Eight unbatched sends, each its own frame, all issued before the
+            # first connection to replica 1 exists.
             for index in range(8):
                 sender.send(Envelope(0, 1, _prepare(index)))
             await asyncio.wait_for(done.wait(), timeout=5)
@@ -188,6 +196,107 @@ class TestDuplicateConnectionRace:
             assert sorted(m.command.command_id.seqno for m in received) == list(range(8))
             await sender.stop()
             await receiver.stop()
+
+        run(scenario())
+
+
+class TestFifoThroughConnectionSetup:
+    def test_sends_before_during_and_right_after_the_connect_arrive_in_send_order(self):
+        # Clock-RSM's stability rule needs each channel in send order.  The
+        # dangerous instants are the connect's: frames that waited for the
+        # connection must leave before any send issued once it exists.
+        async def scenario():
+            port = _free_port()
+            sender = TcpTransport(
+                0, "127.0.0.1:0", {1: f"127.0.0.1:{port}"},
+                connect_retries=200, connect_backoff_s=0.005,
+            )  # fmt: skip
+            receiver = TcpTransport(1, f"127.0.0.1:{port}", {})
+            received: list = []
+            receiver.set_handler(lambda env: received.append(env.message.command.command_id.seqno))
+            await sender.start()
+            sent = 0
+
+            async def send_one_per_tick(ticks: int) -> None:
+                nonlocal sent
+                for _ in range(ticks):
+                    sender.send(Envelope(0, 1, _prepare(sent)))
+                    sent += 1
+                    await asyncio.sleep(0)
+
+            try:
+                # Before the first connect succeeds: nobody listens yet.
+                await send_one_per_tick(20)
+                await receiver.start()
+                # While the retried connect is under way, as it completes and
+                # just after: one send every loop tick until frames arrive.
+                while not received:
+                    await send_one_per_tick(1)
+                await send_one_per_tick(20)
+                for _ in range(500):  # at most 5 s for the rest to arrive
+                    if len(received) >= sent:
+                        break
+                    await asyncio.sleep(0.01)
+            finally:
+                await sender.stop()
+                await receiver.stop()
+            assert received == list(range(sent))
+
+        run(scenario())
+
+
+class TestCrashRestart:
+    def test_a_replica_restarted_on_its_transport_commits_again(self):
+        # Regression: crash() closed the TcpTransport for good, so the
+        # restarted replica dropped every send and its next command timed out.
+        async def scenario():
+            spec = ClusterSpec.from_sites(["CA", "VA", "IR"])
+            servers = [
+                ReplicaServer(
+                    "clock-rsm", rid, spec, KVStateMachine(),
+                    transport=TcpTransport(rid, LOOPBACK_ANY_PORT, {}),
+                    log=InMemoryLog(),
+                )  # fmt: skip
+                for rid in spec.replica_ids
+            ]
+            await start_on_bound_ports(servers)
+            origin = servers[0]
+            try:
+                put = Command(CommandId("restart", 1), encode_put("k", b"v1"))
+                assert await origin.submit(put, timeout=3) is None
+                origin.crash()
+                origin.restart(KVStateMachine())
+                # The recovered replica replayed its log: the put sees v1.
+                put = Command(CommandId("restart", 2), encode_put("k", b"v2"))
+                assert await origin.submit(put, timeout=3) == b"v1"
+            finally:
+                for server in servers:
+                    await server.stop()
+
+        run(scenario())
+
+    def test_close_drops_only_what_was_queued(self):
+        async def scenario():
+            receiver = TcpTransport(1, "127.0.0.1:0", {})
+            received: list = []
+            done = asyncio.Event()
+            receiver.set_handler(lambda env: (received.append(env.message), done.set()))
+            await receiver.start()
+            sender = TcpTransport(
+                0, "127.0.0.1:0", {1: receiver.bound_address},
+                batching=BatchingOptions(max_batch=8),
+            )  # fmt: skip
+            await sender.start()
+            try:
+                sender.send(Envelope(0, 1, ClockTime(1)))  # still accumulating ...
+                sender.close()  # ... so the departing host's message is dropped
+                sender.send(Envelope(0, 1, ClockTime(2)))  # the next host's is not
+                await asyncio.wait_for(done.wait(), timeout=5)
+                await asyncio.sleep(0.05)
+            finally:
+                await sender.stop()
+                await receiver.stop()
+            assert received == [ClockTime(2)]
 
         run(scenario())
 

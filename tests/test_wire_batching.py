@@ -10,25 +10,36 @@ order of commands however a stream is split into batches and merged back.
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import BatchingOptions
-from repro.core.messages import Prepare
+from repro.core.messages import ClockTime, Prepare, PrepareOk
 from repro.errors import TransportError
 from repro.net.message import Envelope, EnvelopeBatch, global_registry
 from repro.net.tcp import (
+    MAX_FRAME_BYTES,
+    FrameParser,
     TcpTransport,
     decode_frame_envelopes,
     encode_batch_frame,
     encode_frame,
-    read_envelopes,
 )
 from repro.net.wire import decode_many, encode_many
 from repro.protocols.records import CommandBatch, make_unit, unit_commands
 from repro.types import Command, CommandId, Timestamp
+
+from tests.wire_reference import WireReference
+
+_REFERENCE = WireReference(
+    {
+        cls.__name__: cls
+        for cls in (Prepare, PrepareOk, ClockTime, Command, CommandId, Timestamp, CommandBatch)
+    }
+)
 
 
 def _prepare(seqno: int) -> Prepare:
@@ -89,23 +100,49 @@ class TestBatchFrames:
             decode_frame_envelopes(global_registry.encode({"nope": 1}), global_registry)
 
 
-class TestPartialReadReassembly:
+class TestFramesSpellTheGrammar:
+    """A frame is its length prefix, then the grammar's spelling of its values
+    (the independent reference codec's bytes): the header's in-place MAP path
+    changes no byte."""
+
+    def test_single_frame_is_prefix_and_reference_body(self):
+        envelope = Envelope(2, 0, _prepare(9))
+        body = _REFERENCE.encode({"src": 2, "dst": 0, "message": envelope.message})
+        assert encode_frame(envelope, global_registry) == struct.pack(">I", len(body)) + body
+
+    def test_batch_frame_is_prefix_and_reference_stream(self):
+        messages = [_prepare(1), PrepareOk(Timestamp(5, 1), 2**40), ClockTime(7)]
+        batch = EnvelopeBatch.of([Envelope(1, 2, m) for m in messages])
+        body = _REFERENCE.encode_many([{"src": 1, "dst": 2, "batch": 3}, *messages])
+        assert encode_batch_frame(batch, global_registry) == struct.pack(">I", len(body)) + body
+
+    def test_maps_mixing_header_pairs_with_other_pairs_match_the_reference(self):
+        # In-place pairs (STR key, int64 or registered object), then the rest
+        # through the generic coder: the pair order is the dict's either way.
+        value = {
+            "src": 0, "message": ClockTime(3), "dst": -(2**63), "big": 2**70,
+            "none": None, 7: "int key", "flag": True, "after": ClockTime(4),
+        }  # fmt: skip
+        data = global_registry.encode(value)
+        assert data == _REFERENCE.encode(value)
+        decoded = global_registry.decode(data)
+        assert repr(decoded) == repr(_REFERENCE.decode(data)) == repr(value)
+        assert list(decoded) == list(value)
+
+
+class TestFrameParserReassembly:
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
     def test_batch_frame_split_across_segments(self, chunk):
         messages = [_prepare(i) for i in range(5)]
         frame = encode_batch_frame(
             EnvelopeBatch.of([Envelope(0, 1, m) for m in messages]), global_registry
         )
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            pending = asyncio.ensure_future(read_envelopes(reader, global_registry))
-            for start in range(0, len(frame), chunk):
-                reader.feed_data(frame[start : start + chunk])
-                await asyncio.sleep(0)
-            return await pending
-
-        envelopes = run(scenario())
+        parser = FrameParser(global_registry)
+        envelopes = [
+            envelope
+            for start in range(0, len(frame), chunk)
+            for envelope in parser.feed(frame[start : start + chunk])
+        ]
         assert [e.message for e in envelopes] == messages
 
     def test_mixed_single_and_batch_frames_on_one_stream(self):
@@ -116,19 +153,68 @@ class TestPartialReadReassembly:
             + encode_batch_frame(batch, global_registry)
             + encode_frame(singles[1], global_registry)
         )
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(stream)
-            reader.feed_eof()
-            received = []
-            for _ in range(3):
-                received.extend(await read_envelopes(reader, global_registry))
-            return received
-
-        received = run(scenario())
+        received = list(FrameParser(global_registry).feed(stream))
         seqnos = [e.message.command.command_id.seqno for e in received]
         assert seqnos == [0, 10, 11, 12, 1]
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_split_inside_the_length_prefix(self, cut):
+        first, second = (encode_frame(Envelope(0, 1, _prepare(i)), global_registry) for i in range(2))
+        stream = first + second
+        at = len(first) + cut  # inside the second frame's prefix
+        parser = FrameParser(global_registry)
+        head = list(parser.feed(stream[:at]))
+        tail = list(parser.feed(stream[at:]))
+        assert [e.message for e in head] == [_prepare(0)]
+        assert [e.message for e in tail] == [_prepare(1)]
+
+    def test_an_oversize_prefix_is_refused_before_its_body(self):
+        parser = FrameParser(global_registry)
+        prefix = struct.pack(">I", MAX_FRAME_BYTES + 1)
+        assert list(parser.feed(prefix[:3])) == []
+        with pytest.raises(TransportError):
+            list(parser.feed(prefix[3:]))
+
+
+def _frames():
+    """Encoded frames, single or batch, of a few message kinds."""
+    message = st.one_of(
+        st.integers(0, 2**40).map(ClockTime),
+        st.integers(0, 1000).map(_prepare),
+        st.integers(0, 2**40).map(lambda t: PrepareOk(Timestamp(t, 1), t + 1)),
+    )
+    single = message.map(lambda m: encode_frame(Envelope(0, 1, m), global_registry))
+    batch = st.lists(message, min_size=2, max_size=4).map(
+        lambda ms: encode_batch_frame(
+            EnvelopeBatch.of([Envelope(0, 1, m) for m in ms]), global_registry
+        )
+    )
+    return st.one_of(single, batch)
+
+
+@given(frames=st.lists(_frames(), min_size=1, max_size=5), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_any_split_of_a_frame_stream_yields_what_one_whole_feed_yields(frames, data):
+    """However the bytes of a stream of mixed single and batch frames arrive
+    — whole, one byte at a time, cut inside a length prefix or a body — the
+    parser yields the same envelopes in the same order."""
+    stream = b"".join(frames)
+    whole = list(FrameParser(global_registry).feed(stream))
+    assert len(whole) == sum(len(decode_frame_envelopes(f[4:], global_registry)) for f in frames)
+    one_byte = data.draw(st.booleans(), label="one byte per feed")
+    cuts = (
+        range(1, len(stream))
+        if one_byte
+        else sorted(data.draw(st.sets(st.integers(1, len(stream) - 1), max_size=12), label="cuts"))
+    )
+    bounds = [0, *cuts, len(stream)]
+    parser = FrameParser(global_registry)
+    split = [
+        envelope
+        for start, stop in zip(bounds, bounds[1:])
+        for envelope in parser.feed(stream[start:stop])
+    ]
+    assert split == whole
 
 
 class TestTransportCoalescing:
