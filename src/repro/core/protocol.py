@@ -148,6 +148,18 @@ class ClockRsmReplica(Replica):
     def on_message(self, src: ReplicaId, message: Any) -> list[Action]:
         if self.stopped:
             return []
+        # The normal-case messages — nearly every message a replica gets —
+        # are dispatched by exact type, ahead of the reconfiguration chain
+        # (which handles none of them).
+        kind = type(message)
+        if kind is PrepareOk or kind is Prepare or kind is ClockTime:
+            if message.epoch != self.epoch:
+                return self._drop_other_epoch(src, message, message.epoch)
+            if kind is PrepareOk:
+                return self._on_prepare_ok(src, message)
+            if kind is Prepare:
+                return self._on_prepare(src, message)
+            return self._on_clock_time(src, message)
         if self.reconfig is not None:
             handled = self.reconfig.handle(src, message)
             if handled is not None:
@@ -156,26 +168,23 @@ class ClockRsmReplica(Replica):
             return []  # reconfiguration disabled: ignore
         epoch = getattr(message, "epoch", self.epoch)
         if epoch != self.epoch:
-            # Stale messages are dropped; messages from a newer epoch mean we
-            # missed a reconfiguration — the reconfiguration/state-transfer
-            # path is responsible for catching us up.
-            _LOGGER.debug(
-                "replica %s drops %s from r%s (epoch %s != %s)",
-                self.replica_id,
-                type(message).__name__,
-                src,
-                epoch,
-                self.epoch,
-            )
-            return []
-        if isinstance(message, Prepare):
-            return self._on_prepare(src, message)
-        if isinstance(message, PrepareOk):
-            return self._on_prepare_ok(src, message)
-        if isinstance(message, ClockTime):
-            return self._on_clock_time(src, message)
+            return self._drop_other_epoch(src, message, epoch)
         _LOGGER.warning(
             "replica %s received unknown message %r from r%s", self.replica_id, message, src
+        )
+        return []
+
+    def _drop_other_epoch(self, src: ReplicaId, message: Any, epoch: int) -> list[Action]:
+        # Stale messages are dropped; messages from a newer epoch mean we
+        # missed a reconfiguration — the reconfiguration/state-transfer path
+        # is responsible for catching us up.
+        _LOGGER.debug(
+            "replica %s drops %s from r%s (epoch %s != %s)",
+            self.replica_id,
+            type(message).__name__,
+            src,
+            epoch,
+            self.epoch,
         )
         return []
 
@@ -222,8 +231,10 @@ class ClockRsmReplica(Replica):
         # committed timestamp is for a command already committed here (the
         # last of N acks routinely is): recording it would re-create the
         # entry ``remove_pending`` dropped, and nothing would free it again.
-        if msg.ts > self.last_committed_ts:
-            self.state.record_ack(msg.ts, src)
+        # ``ts > last_committed_ts``, spelled out: no generated ``__gt__``.
+        ts, last = msg.ts, self.last_committed_ts
+        if ts.micros > last.micros or (ts.micros == last.micros and ts.replica > last.replica):
+            self.state.record_ack(ts, src)
         return self._try_commit()
 
     def _on_clock_time(self, src: ReplicaId, msg: ClockTime) -> list[Action]:
@@ -274,17 +285,17 @@ class ClockRsmReplica(Replica):
     def _try_commit(self) -> list[Action]:
         """Commit and execute every pending command that satisfies the rule."""
         actions: list[Action] = []
+        state = self.state
         while True:
-            entry = self.state.next_committable()
+            entry = state.next_committable()
             if entry is None:
-                break
-            self.state.remove_pending(entry.ts)
+                return actions
+            state.remove_pending(entry.ts)
             self.log.append(CommitRecord(entry.ts))
             for command, output in self.execute_unit(entry.command):
                 if entry.origin == self.replica_id and not is_noop(command):
                     actions.append(ClientReply(command.command_id, output))
             self.last_committed_ts = entry.ts
-        return actions
 
     # ------------------------------------------------------------------
     # Reconfiguration hooks (used by ReconfigurationManager)

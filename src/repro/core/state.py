@@ -18,6 +18,9 @@ from ..errors import ProtocolError
 from ..protocols.records import CommandUnit
 from ..types import Command, Micros, ReplicaId, Timestamp
 
+#: A timestamp as the state keys it: ``(micros, replica)``.
+_Key = tuple[Micros, ReplicaId]
+
 
 class CommitStatus(Enum):
     """Why a pending command is (not yet) committable."""
@@ -49,6 +52,12 @@ class ClockRsmState:
             it.  Because every replica sends messages in timestamp order,
             ``latest_tv[k]`` is a promise that no future message from ``k``
             carries a smaller timestamp.
+
+    Pending commands and acks are keyed by ``(ts.micros, ts.replica)``
+    rather than by the :class:`~repro.types.Timestamp`: the tuple sorts in
+    the same order, and it hashes and compares in C, where the dataclass's
+    generated ``__hash__`` / ``__lt__`` are Python calls — and the commit
+    check runs on every PREPARE, PREPAREOK and CLOCKTIME.
     """
 
     def __init__(self, active_config: Iterable[ReplicaId], quorum_size: int) -> None:
@@ -58,9 +67,11 @@ class ClockRsmState:
                 raise ProtocolError(f"invalid quorum size {quorum_size}")
         self.quorum_size = quorum_size
         self.latest_tv: dict[ReplicaId, Micros] = {r: 0 for r in active}
-        self._pending: dict[Timestamp, PendingCommand] = {}
-        self._pending_heap: list[Timestamp] = []
-        self._acks: dict[Timestamp, set[ReplicaId]] = {}
+        self._pending: dict[_Key, PendingCommand] = {}
+        #: Keys of pending commands, smallest first; removed ones are
+        #: discarded lazily when they reach the head.
+        self._pending_heap: list[_Key] = []
+        self._acks: dict[_Key, set[ReplicaId]] = {}
 
     # -- configuration changes ------------------------------------------------
 
@@ -73,28 +84,29 @@ class ClockRsmState:
     # -- pending command bookkeeping -------------------------------------------
 
     def add_pending(self, entry: PendingCommand) -> None:
-        if entry.ts in self._pending:
+        key = (entry.ts.micros, entry.ts.replica)
+        if key in self._pending:
             # Duplicate PREPARE (possible after reconfiguration retransmits);
             # keep the first copy, they are identical by construction.
             return
-        self._pending[entry.ts] = entry
-        heapq.heappush(self._pending_heap, entry.ts)
+        self._pending[key] = entry
+        heapq.heappush(self._pending_heap, key)
 
     def has_pending(self, ts: Timestamp) -> bool:
-        return ts in self._pending
+        return (ts.micros, ts.replica) in self._pending
 
     def pending_count(self) -> int:
         return len(self._pending)
 
     def pending_commands(self) -> list[PendingCommand]:
         """All pending commands in timestamp order (for reconfiguration)."""
-        return [self._pending[ts] for ts in sorted(self._pending)]
+        return [self._pending[key] for key in sorted(self._pending)]
 
     def min_pending(self) -> Optional[PendingCommand]:
         """The pending command with the smallest timestamp, if any."""
         while self._pending_heap:
-            ts = self._pending_heap[0]
-            entry = self._pending.get(ts)
+            key = self._pending_heap[0]
+            entry = self._pending.get(key)
             if entry is None:
                 heapq.heappop(self._pending_heap)  # lazily discard removed entries
                 continue
@@ -102,13 +114,14 @@ class ClockRsmState:
         return None
 
     def remove_pending(self, ts: Timestamp) -> Optional[PendingCommand]:
-        entry = self._pending.pop(ts, None)
-        self._acks.pop(ts, None)
-        return entry
+        key = (ts.micros, ts.replica)
+        self._acks.pop(key, None)
+        return self._pending.pop(key, None)
 
     def drop_pending_above(self, cut: Timestamp) -> list[PendingCommand]:
         """Remove pending commands with timestamps above *cut* (reconfiguration)."""
-        dropped = [e for ts, e in self._pending.items() if ts > cut]
+        cut_key = (cut.micros, cut.replica)
+        dropped = [entry for key, entry in self._pending.items() if key > cut_key]
         for entry in dropped:
             self.remove_pending(entry.ts)
         return dropped
@@ -123,23 +136,23 @@ class ClockRsmState:
         may be closer to the originator than we are), so this state is kept
         independently of ``PendingCmds``.
         """
-        acks = self._acks.setdefault(ts, set())
+        acks = self._acks.setdefault((ts.micros, ts.replica), set())
         acks.add(replica)
         return len(acks)
 
     def ack_count(self, ts: Timestamp) -> int:
-        return len(self._acks.get(ts, ()))
+        return len(self._acks.get((ts.micros, ts.replica), ()))
 
     def ackers(self, ts: Timestamp) -> frozenset[ReplicaId]:
-        return frozenset(self._acks.get(ts, ()))
+        return frozenset(self._acks.get((ts.micros, ts.replica), ()))
 
     # -- LatestTV ---------------------------------------------------------------
 
     def observe_clock(self, replica: ReplicaId, micros: Micros) -> None:
         """Update ``LatestTV[replica]`` with a clock reading carried by a message."""
-        if replica not in self.latest_tv:
-            return  # message from a replica outside the active configuration
-        if micros > self.latest_tv[replica]:
+        latest = self.latest_tv.get(replica)
+        # None: a message from a replica outside the active configuration.
+        if latest is not None and micros > latest:
             self.latest_tv[replica] = micros
 
     def min_latest(self) -> Micros:
@@ -154,7 +167,7 @@ class ClockRsmState:
 
     def commit_status(self, ts: Timestamp) -> CommitStatus:
         """Evaluate the three commit conditions for the command at *ts*."""
-        if ts not in self._pending:
+        if not self.has_pending(ts):
             return CommitStatus.UNKNOWN_COMMAND
         minimum = self.min_pending()
         if minimum is not None and minimum.ts < ts:
@@ -168,15 +181,30 @@ class ClockRsmState:
         return CommitStatus.COMMITTABLE
 
     def next_committable(self) -> Optional[PendingCommand]:
-        """The smallest pending command if it satisfies all three conditions."""
-        entry = self.min_pending()
-        if entry is None:
-            return None
-        if self.ack_count(entry.ts) < self.quorum_size:
-            return None
-        if not self.stable_up_to(entry.ts):
-            return None
-        return entry
+        """The smallest pending command if it satisfies all three conditions.
+
+        Called after every input that can move a condition, and most of
+        the time nothing commits: so the head is looked at in place — one
+        heap peek, two dictionary lookups on a tuple key, one ``min`` —
+        rather than through :meth:`min_pending`, :meth:`ack_count` and
+        :meth:`stable_up_to`.
+        """
+        heap, pending = self._pending_heap, self._pending
+        while heap:
+            key = heap[0]
+            entry = pending.get(key)
+            if entry is None:
+                heapq.heappop(heap)  # lazily discard removed entries
+                continue
+            acks = self._acks.get(key)
+            if (
+                acks is None
+                or len(acks) < self.quorum_size
+                or key[0] > min(self.latest_tv.values())
+            ):
+                return None
+            return entry
+        return None
 
     def describe(self) -> dict[str, object]:
         """Debug snapshot of the soft state."""

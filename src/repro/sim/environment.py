@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
-from heapq import heappop
+from heapq import heappop, heappush
 from math import inf
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..clocks.base import TimeSource
 from ..errors import SimulationError
@@ -22,20 +22,21 @@ class SimulationEnvironment(TimeSource):
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._now: Micros = 0
+        #: Current simulation time in microseconds.  A plain attribute, read
+        #: on every send, reply and clock reading; only the run loop moves it.
+        self.now: Micros = 0
         self.scheduler = EventScheduler()
+        # The scheduler's heap and sequence, for the two hot paths that work
+        # on them directly: :meth:`enqueue` and the run loop.
+        self._queue = self.scheduler._queue
+        self._sequence = self.scheduler._sequence
         self.random = random.Random(seed)
         self.seed = seed
 
     # -- TimeSource ------------------------------------------------------------
 
     def true_now(self) -> Micros:
-        return self._now
-
-    @property
-    def now(self) -> Micros:
-        """Current simulation time in microseconds."""
-        return self._now
+        return self.now
 
     # -- scheduling ------------------------------------------------------------
 
@@ -43,13 +44,19 @@ class SimulationEnvironment(TimeSource):
         """Run *callback* after *delay* microseconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.scheduler.schedule_at(self._now + delay, callback)
+        return self.scheduler.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: Micros, callback: Callable[[], None]) -> ScheduledEvent:
         """Run *callback* at absolute virtual time *time* (>= now)."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule in the past ({time} < {self._now})")
+        if time < self.now:
+            raise SimulationError(f"cannot schedule in the past ({time} < {self.now})")
         return self.scheduler.schedule_at(time, callback)
+
+    def enqueue(self, time: Micros, event: Any) -> None:
+        """Queue a ready-made *event* (``cancelled``, ``callback()``) at *time*."""
+        if time < self.now:
+            raise SimulationError(f"cannot schedule in the past ({time} < {self.now})")
+        heappush(self._queue, (time, next(self._sequence), event))
 
     # -- running ---------------------------------------------------------------
 
@@ -57,30 +64,33 @@ class SimulationEnvironment(TimeSource):
         """The engine's one loop; returns how many events it executed.
 
         Runs events in (time, scheduling order) while their time is <= *until*
-        and fewer than *max_events* have run.  Per event: look at the head of
-        the scheduler's heap, drop it if cancelled, otherwise pop it, advance
-        virtual time to it, count it and call it.
+        and fewer than *max_events* have run.  Per event: pop the head of the
+        scheduler's heap, drop it if cancelled, put it back and stop if it is
+        past *until*, otherwise advance virtual time to it and call it.  The
+        scheduler's ``executed_count`` is brought up to date once, when the
+        loop ends — also when a callback raises.
         """
-        scheduler = self.scheduler
         # The scheduler's heap of ``(time, seq, event)``, worked on in place
         # rather than through one ``peek_time`` / ``pop`` call per event.
-        queue = scheduler._queue
+        queue = self._queue
         limit = -1 if max_events is None else max_events  # -1: never reached
         executed = 0
-        while queue:
-            time, _, event = queue[0]
-            if event.cancelled:
-                heappop(queue)
-                continue
-            if executed == limit or time > until:
-                break
-            if time < self._now:  # pragma: no cover - defensive
-                raise SimulationError("event queue produced an event in the past")
-            heappop(queue)
-            self._now = time
-            scheduler.executed_count += 1
-            executed += 1
-            event.callback()
+        try:
+            while queue and executed != limit:
+                entry = heappop(queue)
+                time, _, event = entry
+                if event.cancelled:
+                    continue
+                if time > until:
+                    heappush(queue, entry)  # same (time, seq): same place
+                    break
+                if time < self.now:  # pragma: no cover - defensive
+                    raise SimulationError("event queue produced an event in the past")
+                self.now = time
+                executed += 1
+                event.callback()
+        finally:
+            self.scheduler.executed_count += executed
         return executed
 
     def step(self) -> bool:
@@ -96,15 +106,15 @@ class SimulationEnvironment(TimeSource):
         past.
         """
         executed = self._run(time, max_events)
-        if time > self._now:
+        if time > self.now:
             pending = self.scheduler.peek_time()
             if pending is None or pending > time:
-                self._now = time
+                self.now = time
         return executed
 
     def run_for(self, duration: Micros, max_events: Optional[int] = None) -> int:
         """Run the simulation for *duration* microseconds of virtual time."""
-        return self.run_until(self._now + duration, max_events=max_events)
+        return self.run_until(self.now + duration, max_events=max_events)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run until no events remain (bounded by *max_events*)."""

@@ -16,12 +16,11 @@ model under both clocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from operator import attrgetter
 from random import Random
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..net.latency import LatencyMatrix
-from ..net.message import Envelope
 from ..types import Micros, ReplicaId
 from .scheduler import Timer
 
@@ -59,33 +58,87 @@ class NetworkOptions:
             )
 
 
+class InFlight:
+    """One message on the link, from send to delivery.
+
+    It reads as an :class:`~repro.net.message.Envelope` (``src``, ``dst``,
+    ``message``, ``size_hint``) — delivery handlers receive it as one — and
+    it is its own event in the timer's queue: ``(time, seq, record)``, with
+    :meth:`callback` the delivery.  So a message costs one object from send
+    to handler.  The network fills in the rest when it sends the record:
+    the delivery ``time``, the channel's send sequence number ``seq`` (the
+    order a partition releases parked messages in) and the ``network``.
+    """
+
+    __slots__ = ("src", "dst", "message", "size_hint", "time", "seq", "network")
+
+    #: The run loop's question to every event; a message is never cancelled.
+    cancelled = False
+
+    def __init__(self, src: ReplicaId, dst: ReplicaId, message: Any, size_hint: int = 0) -> None:
+        self.src = src
+        self.dst = dst
+        self.message = message
+        self.size_hint = size_hint
+
+    def callback(self) -> None:
+        """Deliver: to the destination's handler, unless a fault armed since
+        the send drops or parks the message."""
+        network = self.network
+        if (network._down or network._partitions) and network._handle_blocked(self):
+            # The destination crashed or was partitioned while the message
+            # was in flight (parked until heal in ``buffer`` mode).
+            return
+        handler = network._handlers.get(self.dst)
+        if handler is None:
+            network.dropped_count += 1
+            return
+        network.delivered_count += 1
+        handler(self, self.time)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"InFlight({self.src}->{self.dst}, {self.message!r})"
+
+
 class _Channel:
     """What the network keeps per (src, dst): the delay parameters, fixed for
     the network's lifetime, and the FIFO bookkeeping."""
 
-    __slots__ = ("base", "jitter_span", "sent", "last_delivery", "parked")
+    __slots__ = ("base", "jitter_span", "jitter_bits", "sent", "last_delivery", "parked")
 
     def __init__(self, base: Micros, jitter_span: int) -> None:
         #: One-way delay of the latency matrix.
         self.base = base
         #: Jitter is drawn from ``range(jitter_span)``; 0 means no draw at all.
         self.jitter_span = jitter_span
+        #: Bits per draw: ``jitter_span.bit_length()``.
+        self.jitter_bits = jitter_span.bit_length()
         #: Messages sent so far — the next message's send sequence number.
         self.sent = 0
         #: Last scheduled delivery time, for FIFO enforcement.
         self.last_delivery: Micros = 0
-        #: Messages held back by a partition in ``buffer`` mode, as (send
-        #: sequence, envelope), released in send order on heal.  A message
-        #: may be parked at send time or — if it was already in flight when
-        #: the partition started — at delivery time; the send sequence keeps
-        #: the channel FIFO across both cases.
-        self.parked: list[tuple[int, Envelope]] = []
+        #: Messages held back by a partition in ``buffer`` mode, released in
+        #: send order (``InFlight.seq``) on heal.  A message may be parked at
+        #: send time or — if it was already in flight when the partition
+        #: started — at delivery time; the send sequence keeps the channel
+        #: FIFO across both cases.
+        self.parked: list[InFlight] = []
 
     def sample_delay(self, rng: Random) -> Micros:
-        """The one-way delay of one message: base plus a jitter draw."""
-        if self.jitter_span:
-            # The draw ``randint(0, jitter_span - 1)`` makes, one call down.
-            return self.base + rng.randrange(self.jitter_span)
+        """The one-way delay of one message: base plus a jitter draw.
+
+        The draw is ``randrange(jitter_span)`` — ``randint(0, span - 1)`` —
+        without its argument checks: ``randrange(n)`` for ``n > 0`` is
+        ``Random._randbelow(n)``, which draws ``n.bit_length()`` bits until
+        the value is below ``n``.  Same calls on the stream, same values.
+        """
+        span = self.jitter_span
+        if span:
+            bits, draw = self.jitter_bits, rng.getrandbits
+            jitter = draw(bits)
+            while jitter >= span:
+                jitter = draw(bits)
+            return self.base + jitter
         return self.base
 
 
@@ -101,7 +154,7 @@ class SimulatedNetwork:
         self._env = env
         self._latency = latency
         self._options = options
-        self._handlers: dict[ReplicaId, Callable[[Envelope, Micros], None]] = {}
+        self._handlers: dict[ReplicaId, Callable[[InFlight, Micros], None]] = {}
         self._partitions: set[frozenset[ReplicaId]] = set()
         self._down: set[ReplicaId] = set()
         #: Per-(src, dst) state, filled on a channel's first use.
@@ -114,8 +167,9 @@ class SimulatedNetwork:
 
     # -- wiring ------------------------------------------------------------------
 
-    def attach(self, replica_id: ReplicaId, handler: Callable[[Envelope, Micros], None]) -> None:
-        """Register the delivery handler of a node (called at delivery time)."""
+    def attach(self, replica_id: ReplicaId, handler: Callable[[InFlight, Micros], None]) -> None:
+        """Register the delivery handler of a node (called at delivery time
+        with the :class:`InFlight` record, which reads as an envelope)."""
         self._handlers[replica_id] = handler
 
     @property
@@ -157,9 +211,9 @@ class SimulatedNetwork:
         channel = self._channels.get((src, dst))
         if channel is None or not channel.parked:
             return
-        parked, channel.parked = sorted(channel.parked), []
-        for seq, envelope in parked:
-            self._schedule_delivery(envelope, channel, self._env.now, seq)
+        parked, channel.parked = sorted(channel.parked, key=attrgetter("seq")), []
+        for record in parked:
+            self._schedule_delivery(record, channel, self._env.now)
 
     def set_down(self, replica_id: ReplicaId, down: bool) -> None:
         """Mark a node as crashed: messages to/from it are dropped."""
@@ -180,69 +234,61 @@ class SimulatedNetwork:
         channel = self._channels.get((src, dst)) or self._open_channel(src, dst)
         return channel.sample_delay(self._env.random)
 
-    def _handle_blocked(self, envelope: Envelope, channel: _Channel, seq: int) -> bool:
-        """Drop or park *envelope* if its channel is blocked; True if handled.
+    def _handle_blocked(self, record: InFlight) -> bool:
+        """Drop or park *record* if its channel is blocked; True if handled.
 
-        Only reached while a fault is armed: :meth:`send` and :meth:`_deliver`
+        Only reached while a fault is armed: :meth:`send` and the delivery
         skip the call when nothing is down and nothing is partitioned.
         """
-        src, dst = envelope.src, envelope.dst
+        src, dst = record.src, record.dst
         if src in self._down or dst in self._down:
             self.dropped_count += 1
             return True
         if frozenset((src, dst)) in self._partitions:
             if self._options.partition_mode == "buffer":
-                channel.parked.append((seq, envelope))
+                self._channels[src, dst].parked.append(record)
             else:
                 self.dropped_count += 1
             return True
         return False
 
-    def send(self, envelope: Envelope, send_time: Optional[Micros] = None) -> None:
+    def send(self, envelope: Any, send_time: Optional[Micros] = None) -> None:
         """Schedule delivery of *envelope*.
 
-        ``send_time`` defaults to the current simulation time; the node's CPU
-        model passes a later time when serialization kept the CPU busy.
+        An :class:`InFlight` record is sent as it is — the caller hands it
+        over; any other envelope is copied into one.  ``send_time`` defaults
+        to the current time; the node's CPU model passes a later time when
+        serialization kept the CPU busy.
         """
+        record = envelope if type(envelope) is InFlight else InFlight(
+            envelope.src, envelope.dst, envelope.message, envelope.size_hint
+        )
+        record.network = self
         self.sent_count += 1
-        self.bytes_sent += envelope.size_hint
-        src, dst = envelope.src, envelope.dst
-        channel = self._channels.get((src, dst)) or self._open_channel(src, dst)
-        seq = channel.sent
+        self.bytes_sent += record.size_hint
+        channel = self._channels.get((record.src, record.dst)) or self._open_channel(
+            record.src, record.dst
+        )
+        record.seq = seq = channel.sent
         channel.sent = seq + 1
-        if (self._down or self._partitions) and self._handle_blocked(envelope, channel, seq):
+        if (self._down or self._partitions) and self._handle_blocked(record):
             return
-        if self._options.loss_probability > 0.0:
-            if self._env.random.random() < self._options.loss_probability:
-                self.dropped_count += 1
-                return
+        loss = self._options.loss_probability
+        if loss > 0.0 and self._env.random.random() < loss:
+            self.dropped_count += 1
+            return
         now = self._env.now
-        departure = now if send_time is None or send_time < now else send_time
-        self._schedule_delivery(envelope, channel, departure, seq)
+        self._schedule_delivery(
+            record, channel, now if send_time is None or send_time < now else send_time
+        )
 
-    def _schedule_delivery(
-        self, envelope: Envelope, channel: _Channel, departure: Micros, seq: int
-    ) -> None:
+    def _schedule_delivery(self, record: InFlight, channel: _Channel, departure: Micros) -> None:
         delivery = departure + channel.sample_delay(self._env.random)
         # FIFO per channel: never deliver before a previously sent message.
         if delivery < channel.last_delivery:
             delivery = channel.last_delivery
-        channel.last_delivery = delivery
-        self._env.schedule_at(delivery, partial(self._deliver, envelope, channel, delivery, seq))
-
-    def _deliver(
-        self, envelope: Envelope, channel: _Channel, delivery_time: Micros, seq: int
-    ) -> None:
-        if (self._down or self._partitions) and self._handle_blocked(envelope, channel, seq):
-            # The destination crashed or was partitioned while the message
-            # was in flight (parked until heal in ``buffer`` mode).
-            return
-        handler = self._handlers.get(envelope.dst)
-        if handler is None:
-            self.dropped_count += 1
-            return
-        self.delivered_count += 1
-        handler(envelope, delivery_time)
+        channel.last_delivery = record.time = delivery
+        self._env.enqueue(delivery, record)
 
 
-__all__ = ["SimulatedNetwork", "NetworkOptions"]
+__all__ = ["InFlight", "SimulatedNetwork", "NetworkOptions"]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
-from ..net.message import Envelope
 from ..protocols.base import (
     Action,
     Broadcast,
@@ -36,7 +35,7 @@ from ..protocols.base import (
 )
 from ..types import Command, Micros, ReplicaId
 from .environment import SimulationEnvironment
-from .network import SimulatedNetwork
+from .network import InFlight, SimulatedNetwork
 
 #: Callback signature for committed client commands:
 #: (replica_id, command_id, output, commit_time_micros).
@@ -142,14 +141,25 @@ class SimulatedNode:
         self._perform(self.replica.start())
 
     def crash(self) -> None:
-        """Crash the node: it stops processing and loses its soft state."""
+        """Crash the node: it stops processing and loses its soft state.
+
+        Its timers and its CPU backlog die with it: the queued inputs go now,
+        the CPU is free for a successor, and the replica's armed timers and
+        pending batch are dropped when they fire (they name the replica that
+        armed them), as on the asyncio backend, whose driver cancels them.
+        """
         self.crashed = True
         self.replica.stop()
         self.network.set_down(self.replica_id, True)
         self._inbox.clear()
+        self._cpu_free_at = 0
+        self._process_scheduled = False
 
     def set_replica(self, replica: Replica) -> None:
-        """Install a fresh replica object (recovery re-creates the protocol)."""
+        """Install a fresh replica object (recovery re-creates the protocol).
+
+        Timers armed by the previous replica do not reach this one.
+        """
         self.replica = replica
         self.crashed = False
         self.network.set_down(self.replica_id, False)
@@ -167,20 +177,20 @@ class SimulatedNode:
         else:
             self._enqueue("client", command, self.env.now)
 
-    def _on_delivery(self, envelope: Envelope, delivery_time: Micros) -> None:
+    def _on_delivery(self, record: InFlight, delivery_time: Micros) -> None:
         if self.crashed:
             return
         self.messages_received += 1
         if self.cpu_model is None:
-            actions = self.replica.on_message(envelope.src, envelope.message)
+            actions = self.replica.on_message(record.src, record.message)
             if actions:
                 self._perform(actions)
         else:
-            self._enqueue("msg", envelope, delivery_time)
+            self._enqueue("msg", record, delivery_time)
 
-    def _fire_timer(self, timer: Timer) -> None:
-        if self.crashed:
-            return
+    def _fire_timer(self, owner: Replica, timer: Timer) -> None:
+        if self.crashed or owner is not self.replica:
+            return  # the node is down, or the replica that armed it is gone
         if self.cpu_model is None:
             self._perform(self.replica.on_timer(timer))
         else:
@@ -212,21 +222,23 @@ class SimulatedNode:
                     self._deliver_to_self(message, send_time)
                 else:
                     size = sizes[index] if sizes is not None else self.message_size(message)
-                    self.network.send(Envelope(me, action.dst, message, size), send_time)
+                    self.network.send(InFlight(me, action.dst, message, size), send_time)
             elif kind is Broadcast:
                 message = action.message
                 size = sizes[index] if sizes is not None else self.message_size(message)
                 send = self.network.send
                 for dst in self.replica.broadcast_targets(include_self=False):
                     self.messages_sent += 1
-                    send(Envelope(me, dst, message, size), send_time)
+                    send(InFlight(me, dst, message, size), send_time)
                 if action.include_self:
                     self._deliver_to_self(message, send_time, size)
             elif kind is ClientReply:
                 if self.reply_handler is not None:
                     self.reply_handler(me, action.command_id, action.output, self.env.now)
             elif kind is SetTimer:
-                self.env.schedule(action.delay, partial(self._fire_timer, action.timer))
+                self.env.schedule(
+                    action.delay, partial(self._fire_timer, self.replica, action.timer)
+                )
 
     def _deliver_to_self(
         self, message: Any, send_time: Optional[Micros], size: Optional[int] = None
@@ -240,8 +252,8 @@ class SimulatedNode:
             arrival = send_time if send_time is not None else self.env.now
             if size is None:
                 size = self.message_size(message)
-            envelope = Envelope(self.replica_id, self.replica_id, message, size)
-            self._enqueue("msg", envelope, arrival)
+            record = InFlight(self.replica_id, self.replica_id, message, size)
+            self._enqueue("msg", record, arrival)
 
     # ------------------------------------------------------------------
     # CPU-model path
@@ -255,9 +267,11 @@ class SimulatedNode:
         if self._process_scheduled:
             return
         self._process_scheduled = True
-        self.env.schedule_at(max(at, self.env.now), self._process_batch)
+        self.env.schedule_at(max(at, self.env.now), partial(self._process_batch, self.replica))
 
-    def _process_batch(self) -> None:
+    def _process_batch(self, owner: Replica) -> None:
+        if owner is not self.replica:
+            return  # scheduled for a replica that crashed since: its backlog died
         self._process_scheduled = False
         if self.crashed or not self._inbox:
             return

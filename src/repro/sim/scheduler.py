@@ -14,7 +14,13 @@ from ..types import Micros
 
 
 class ScheduledEvent:
-    """The handle of a queued callback; ordering is (time, sequence number)."""
+    """The handle of a queued callback; ordering is (time, sequence number).
+
+    An event is anything with a ``cancelled`` flag and a ``callback()``: the
+    run loop asks nothing else.  :meth:`Timer.enqueue` queues such an object
+    as it is — the link model's message in flight
+    (:class:`~repro.sim.network.InFlight`) is its own event.
+    """
 
     __slots__ = ("time", "seq", "callback", "cancelled")
 
@@ -41,8 +47,9 @@ class EventScheduler:
 
     The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so the
     heap orders entries by comparing two integers in C and never looks at the
-    event.  :class:`~repro.sim.environment.SimulationEnvironment` runs its
-    loop directly on this heap; :meth:`peek_time` / :meth:`pop` /
+    event.  :meth:`push` queues a ready-made event under the next ``seq``.
+    :class:`~repro.sim.environment.SimulationEnvironment` runs its loop
+    directly on this heap; :meth:`peek_time` / :meth:`pop` /
     :meth:`run_event` are the same steps one at a time.
     """
 
@@ -62,6 +69,10 @@ class EventScheduler:
         event = ScheduledEvent(time, seq, callback)
         heappush(self._queue, (time, seq, event))
         return event
+
+    def push(self, time: Micros, event: Any) -> None:
+        """Queue *event* (``cancelled`` and ``callback()``) as it is."""
+        heappush(self._queue, (time, next(self._sequence), event))
 
     def peek_time(self) -> Optional[Micros]:
         """The timestamp of the next pending event, or ``None`` if empty."""
@@ -93,6 +104,13 @@ class Timer(Protocol):
     batching accumulator (:class:`~repro.net.batching.BatchAccumulator`) are
     one body each.  Times are integer µs; the returned handle's ``cancel()``
     disarms the callback.
+
+    :meth:`enqueue` is the one way in for an event that already exists — an
+    object with a ``cancelled`` flag and a ``callback()`` method, queued
+    as it is under (time, scheduling order) like any other.  The link model
+    queues each message in flight this way, so a message costs one object
+    and one queue entry rather than a handle wrapping a closure.  Such an
+    event is never cancelled: the caller keeps no handle.
     """
 
     random: Random
@@ -103,6 +121,8 @@ class Timer(Protocol):
     def schedule(self, delay: Micros, callback: Callable[[], None]) -> Any: ...
 
     def schedule_at(self, time: Micros, callback: Callable[[], None]) -> Any: ...
+
+    def enqueue(self, time: Micros, event: Any) -> None: ...
 
 
 class LoopTimer:
@@ -140,6 +160,17 @@ class LoopTimer:
         if queue[0][2] is event:  # a new earliest deadline
             self._arm(loop, time)
         return event
+
+    def enqueue(self, time: Micros, event: Any) -> None:
+        loop = asyncio.get_running_loop()
+        queue = self._events._queue
+        # As in schedule_at.
+        if time <= loop.time() * 1_000_000 and not (queue and queue[0][0] <= time):
+            loop.call_soon(event.callback)
+            return
+        self._events.push(time, event)
+        if queue[0][2] is event:
+            self._arm(loop, time)
 
     def _arm(self, loop: asyncio.AbstractEventLoop, time: Micros) -> None:
         if self._armed is not None:

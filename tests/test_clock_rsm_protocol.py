@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.clocks.base import ManualClock
 from repro.config import ClusterSpec, ProtocolConfig
-from repro.core.messages import ClockTime, CommitRecord, Prepare, PrepareOk, PrepareRecord
+from repro.consensus.single_paxos import PaxosP1a, PaxosP1b
+from repro.core.messages import (
+    ClockTime,
+    CommitRecord,
+    Prepare,
+    PrepareOk,
+    PrepareRecord,
+    RetrieveCmds,
+    RetrieveReply,
+    Suspend,
+    SuspendOk,
+)
 from repro.core.protocol import ClockRsmReplica
+from repro.core.reconfig import EpochHint
 from repro.protocols.base import Broadcast, ClientReply, Send, SetTimer
 from repro.statemachine import AppendLogStateMachine
 from repro.storage.memory_log import InMemoryLog
@@ -118,10 +132,81 @@ class TestPrepareHandling:
         assert len(log) == 0
 
     def test_stale_epoch_message_dropped(self):
+        # Each normal-case message from an older and from a newer epoch is
+        # dropped before it touches anything: no action, no log entry, no
+        # LatestTV movement, no ack.
         replica, _, log = build_replica(replica_id=1, clock_start=10_000)
         replica.epoch = 2
-        actions = replica.on_message(0, Prepare(command(), Timestamp(5_000, 0), epoch=1))
-        assert actions == []
+        ts = Timestamp(5_000, 0)
+        for epoch in (1, 3):
+            for message in (
+                Prepare(command(), ts, epoch=epoch),
+                PrepareOk(ts, 7_000, epoch=epoch),
+                ClockTime(8_000, epoch=epoch),
+            ):
+                assert replica.on_message(0, message) == [], message
+        assert len(log) == 0
+        assert replica.state.pending_count() == 0
+        assert replica.state.latest_tv == {0: 0, 1: 0, 2: 0}
+        assert replica.state.ack_count(ts) == 0
+        # The same three in the replica's own epoch do reach it.
+        replica.on_message(0, Prepare(command(), ts, epoch=2))
+        replica.on_message(0, PrepareOk(ts, 7_000, epoch=2))
+        replica.on_message(2, ClockTime(8_000, epoch=2))
+        assert len(log) == 1 and replica.state.pending_count() == 1
+        assert replica.state.latest_tv == {0: 7_000, 1: 0, 2: 8_000}
+        assert replica.state.ack_count(ts) == 1
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_reconfiguration_messages_reach_the_manager_only_when_enabled(self, enabled):
+        replica, _, _ = build_replica(
+            replica_id=1, clock_start=10_000, enable_reconfiguration=enabled
+        )
+        cut = Timestamp(0, -1)
+        retrieve = replica.on_message(0, RetrieveCmds(cut, Timestamp(9_000, 0)))
+        suspend = replica.on_message(0, Suspend(1, cut))
+        suspend_ok = replica.on_message(0, SuspendOk(1, ()))
+        reply = replica.on_message(0, RetrieveReply((), cut, Timestamp(9_000, 0)))
+        if enabled:
+            assert [(a.dst, type(a.message)) for a in retrieve] == [(0, RetrieveReply)]
+            assert [(a.dst, type(a.message)) for a in suspend] == [(0, SuspendOk)]
+            assert replica.suspended
+        else:
+            assert retrieve == suspend == [] and not replica.suspended
+        # Nothing was collected or decided here: both are ignored either way.
+        assert suspend_ok == reply == []
+
+    def test_epoch_hint_and_consensus_with_reconfiguration_disabled(self, caplog):
+        replica, _, log = build_replica(
+            replica_id=1, clock_start=10_000, enable_reconfiguration=False
+        )
+        replica.epoch = 2
+        with caplog.at_level(logging.DEBUG, logger="repro.core.protocol"):
+            # An EpochHint carries an epoch: another epoch's is dropped as
+            # stale, one for the replica's own epoch is an unknown message.
+            assert replica.on_message(0, EpochHint(5)) == []
+            assert "drops EpochHint" in caplog.text
+            assert "unknown message" not in caplog.text
+            caplog.clear()
+            assert replica.on_message(0, EpochHint(2)) == []
+            assert "unknown message EpochHint(epoch=2)" in caplog.text
+            caplog.clear()
+            # Consensus messages carry no epoch: unknown without a manager.
+            assert replica.on_message(0, PaxosP1a(1, 3)) == []
+            assert "unknown message PaxosP1a" in caplog.text
+        assert len(log) == 0 and not replica.suspended
+
+    def test_consensus_messages_reach_the_manager_when_enabled(self):
+        replica, _, _ = build_replica(replica_id=1, clock_start=10_000)
+        promises = replica.on_message(0, PaxosP1a(1, 3))
+        assert [(a.dst, type(a.message)) for a in promises] == [(0, PaxosP1b)]
+
+    def test_unknown_message_logs_a_warning(self, caplog):
+        replica, _, log = build_replica(replica_id=1, clock_start=10_000)
+        with caplog.at_level(logging.WARNING, logger="repro.core.protocol"):
+            assert replica.on_message(2, "not a protocol message") == []
+        assert caplog.records[-1].levelno == logging.WARNING
+        assert "unknown message 'not a protocol message' from r2" in caplog.text
         assert len(log) == 0
 
 

@@ -18,7 +18,7 @@ from repro.errors import SimulationError
 from repro.net.latency import LatencyMatrix
 from repro.net.message import Envelope
 from repro.sim.environment import SimulationEnvironment
-from repro.sim.network import NetworkOptions, SimulatedNetwork
+from repro.sim.network import NetworkOptions, SimulatedNetwork, _Channel
 from repro.sim.scheduler import EventScheduler
 
 # ---------------------------------------------------------------------------
@@ -296,15 +296,20 @@ def test_engine_matches_a_sorted_list_reference(operations):
 
 
 def test_randrange_makes_the_draws_randint_made():
-    """``randint(0, n - 1)`` is ``randrange(0, n)``; the network calls
-    ``randrange(n)`` directly.  Both must consume the stream identically on
-    every supported interpreter, or every jittered figure moves."""
-    a, b = random.Random(2024), random.Random(2024)
+    """``randint(0, n - 1)`` is ``randrange(0, n)``, which is
+    ``_randbelow(n)``: draw ``n.bit_length()`` bits until the value is below
+    ``n``.  The network makes that draw itself, with ``getrandbits`` and the
+    bit count kept per channel.  All of them must consume the stream
+    identically on every supported interpreter, or every jittered figure
+    moves."""
+    a, b, c = random.Random(2024), random.Random(2024), random.Random(2024)
     spans = [1, 2, 3, 7, 41, 1000, 1601, 2**20 + 1]
+    channels = [_Channel(0, span) for span in spans]
     draws_a = [a.randrange(spans[i % len(spans)]) for i in range(10_000)]
     draws_b = [b.randint(0, spans[i % len(spans)] - 1) for i in range(10_000)]
-    assert draws_a == draws_b
-    assert a.random() == b.random()  # the streams are still aligned
+    draws_c = [channels[i % len(spans)].sample_delay(c) for i in range(10_000)]
+    assert draws_a == draws_b == draws_c
+    assert a.random() == b.random() == c.random()  # the streams are still aligned
 
 
 def test_one_way_delay_draws_base_plus_uniform_jitter():

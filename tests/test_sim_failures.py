@@ -11,6 +11,7 @@ from repro.sim.failures import (
     ReconfigureEvent,
     RecoverEvent,
 )
+from repro.sim.node import CpuModel
 from repro.types import seconds_to_micros
 
 from tests.helpers import make_cluster
@@ -71,3 +72,66 @@ class TestFailureSchedule:
         assert len(cluster.replies) == 1
         assert cluster.replica(2).executed_count == 0
         cluster.heal_all()
+
+
+class TestRecoveredReplicaStartsClean:
+    """A crashed node's timers and CPU backlog die with it: the replica
+    recovered in its place gets neither (as on the asyncio backend, whose
+    driver cancels a stopped replica's timers)."""
+
+    @staticmethod
+    def _count_clocktime_timers(replica):
+        fired = []
+        inner = replica.on_timer
+
+        def counting(timer):
+            if timer.kind == "clocktime":
+                fired.append(timer)
+            return inner(timer)
+
+        replica.on_timer = counting
+        return fired
+
+    def test_a_short_crash_does_not_add_a_timer_chain(self):
+        cluster = make_cluster("clock-rsm", seed=34)
+        cluster.run_for(100_000)
+        for _ in range(3):
+            # Shorter than the CLOCKTIME interval: the old replica's timer is
+            # still armed when its successor starts and arms its own.
+            cluster.crash(0)
+            cluster.run_for(1_000)
+            cluster.recover(0)
+            cluster.run_for(50_000)
+        fired = {rid: self._count_clocktime_timers(cluster.replica(rid)) for rid in range(3)}
+        cluster.run_for(seconds_to_micros(1.0))
+        interval = cluster.replica(0).config.clocktime_interval
+        expected = seconds_to_micros(1.0) // interval
+        for rid, timers in fired.items():
+            assert expected - 1 <= len(timers) <= expected + 1, (rid, len(timers))
+
+    def test_the_cpu_backlog_of_a_crashed_node_is_not_inherited(self):
+        cluster = make_cluster(
+            "clock-rsm", seed=35, uniform_one_way=200, cpu_model=CpuModel(client_fixed=2_000)
+        )
+        for index in range(200):
+            # 200 requests x 2 ms of client CPU: node 0 is busy until ~410 ms.
+            cluster.submit_at(10_000, 0, cluster.make_command(b"x", client=f"c{index}"))
+        cluster.run_for(11_000)
+        cluster.crash(0)
+        cluster.run_for(5_000)
+        recovered = cluster.recover(0)
+        calls = []
+        inner = recovered.on_client_request
+
+        def timed(unit):
+            calls.append(cluster.env.now)
+            return inner(unit)
+
+        recovered.on_client_request = timed
+        submitted_at = cluster.env.now
+        cluster.submit(0, cluster.make_command(b"after", client="late"))
+        cluster.run_for(seconds_to_micros(1.0))
+        # The successor's CPU is idle: its first input runs at once, not
+        # after the ~394 ms of work its predecessor lost.
+        assert calls == [submitted_at]
+        assert any(reply.command_id.client == "late" for reply in cluster.replies)
