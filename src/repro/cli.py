@@ -22,7 +22,7 @@ the whole figure against its committed golden output.
 
 The protocol, scenario, and backend listings in the ``--help`` output are
 generated from the live registries (:mod:`repro.protocols.registry`,
-:mod:`repro.workload.scenarios`, :data:`repro.experiment.BACKENDS`), so a
+:data:`repro.experiment.SCENARIOS`, :data:`repro.experiment.BACKENDS`), so a
 newly registered protocol or scenario shows up without touching this file.
 
 Installed as the ``clock-rsm-repro`` console script.
@@ -113,10 +113,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.backend in ("async", "proc")
             else {}
         )
-        if args.uvloop:
-            if args.backend != "async":
-                raise SystemExit("error: --uvloop applies to the async backend only")
-            options["uvloop"] = True
         result = Deployment(spec, backend=args.backend, **options).run()
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
@@ -149,8 +145,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     backends = ["sim", "async"] if args.backend == "both" else [args.backend]
     exit_code = 0
     runs = []
-    if args.uvloop and "async" not in backends:
-        raise SystemExit("error: --uvloop applies to the async backend only")
     try:
         spec = _apply_shards(ExperimentSpec.from_file(args.spec), args.shards)
         spec = _apply_batch(spec, args.batch)
@@ -160,8 +154,6 @@ def cmd_check(args: argparse.Namespace) -> int:
                 if backend in ("async", "proc")
                 else {}
             )
-            if args.uvloop and backend == "async":
-                options["uvloop"] = True
             run = check_spec(spec, backend=backend, **options)
             runs.append(run)
             if not run.linearizable:
@@ -244,9 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch", type=int, default=None,
                      help="override the spec's [batching] max_batch "
                           "(commands agreed on per protocol round; 1 disables)")
-    run.add_argument("--uvloop", action="store_true",
-                     help="async backend: run under the uvloop event loop "
-                          "(falls back to the stdlib loop if not installed)")
     run.add_argument("--json", action="store_true",
                      help="print the full result as JSON instead of a table")
     run.set_defaults(handler=cmd_run)
@@ -272,9 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--batch", type=int, default=None,
                        help="override the spec's [batching] max_batch before "
                             "checking (batches must stay linearizable)")
-    check.add_argument("--uvloop", action="store_true",
-                       help="async backend: run under the uvloop event loop "
-                            "(falls back to the stdlib loop if not installed)")
     check.add_argument("--json", action="store_true",
                        help="print results and verdicts as JSON")
     check.set_defaults(handler=cmd_check)

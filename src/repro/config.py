@@ -9,9 +9,9 @@ protocols and by :mod:`repro.core.reconfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigurationError
 from .types import Micros, ReplicaId, majority, ms_to_micros
@@ -25,13 +25,10 @@ class ReplicaSpec:
         replica_id: Small integer identifier, unique within the cluster.
         site: Human-readable location name (e.g. ``"CA"`` for the EC2
             California region used by the paper).
-        address: Optional network address used by the asyncio runtime
-            (``host:port``); the simulator ignores it.
     """
 
     replica_id: ReplicaId
     site: str
-    address: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.replica_id < 0:
@@ -107,14 +104,6 @@ class ClusterSpec:
             raise ConfigurationError(f"unknown replica id {replica_id}")
         return tuple(r for r in self.replica_ids if r != replica_id)
 
-    def with_addresses(self, addresses: Mapping[ReplicaId, str]) -> "ClusterSpec":
-        """Return a copy with network addresses attached (asyncio runtime)."""
-        new = []
-        for r in self.replicas:
-            addr = addresses.get(r.replica_id, r.address)
-            new.append(replace(r, address=addr))
-        return ClusterSpec(tuple(new))
-
 
 @dataclass(frozen=True, slots=True)
 class BatchingOptions:
@@ -130,8 +119,8 @@ class BatchingOptions:
             means "batch whatever is already queued, never wait": commands
             arriving in the same event-loop tick (asyncio) or at the same
             virtual instant (simulator) form a batch, matching the paper's
-            implementation note and the cost model's ``batch_window = 0``
-            semantics.  A positive window trades latency for larger batches.
+            implementation note.  A positive window trades latency for
+            larger batches.
         pipeline_depth: How many units a client keeps in flight without
             awaiting the previous commit (message pipelining).  ``1`` is the
             classic closed loop.
@@ -171,17 +160,11 @@ class ProtocolConfig:
             The paper's experiments use 5 ms.
         enable_clocktime_broadcast: Whether Algorithm 2 is enabled at all.
         leader: Designated leader replica id for Paxos / Paxos-bcast.
-        batch_window: Opportunistic batching window used by the throughput
-            model; 0 means "batch whatever is queued, never wait", matching
-            the paper's implementation note.
-        mencius_skip_interval: How often an idle Mencius replica voluntarily
-            skips its outstanding slots (keeps the protocol live under
-            imbalanced load).
-        failure_timeout: Failure-detector timeout.
         wait_for_clock: Whether a Clock-RSM replica faithfully waits until its
             physical clock passes a PREPARE timestamp before acknowledging
             (Algorithm 1 line 8).  Disabling it substitutes the HLC-style
-            "bump forward" optimisation discussed in DESIGN.md.
+            "bump forward" optimisation discussed in docs/PROTOCOLS.md,
+            "When clock quality matters".
         enable_reconfiguration: Whether replicas handle SUSPEND / consensus
             messages (Algorithm 3).
     """
@@ -189,19 +172,12 @@ class ProtocolConfig:
     clocktime_interval: Micros = ms_to_micros(5.0)
     enable_clocktime_broadcast: bool = True
     leader: ReplicaId = 0
-    batch_window: Micros = 0
-    mencius_skip_interval: Micros = ms_to_micros(5.0)
-    failure_timeout: Micros = ms_to_micros(500.0)
     wait_for_clock: bool = True
     enable_reconfiguration: bool = True
 
     def __post_init__(self) -> None:
         if self.clocktime_interval <= 0:
             raise ConfigurationError("clocktime_interval must be positive")
-        if self.mencius_skip_interval <= 0:
-            raise ConfigurationError("mencius_skip_interval must be positive")
-        if self.failure_timeout <= 0:
-            raise ConfigurationError("failure_timeout must be positive")
         if self.leader < 0:
             raise ConfigurationError("leader id must be >= 0")
 

@@ -31,7 +31,7 @@ class NotLeaderError(ProtocolError):
 
 
 class StorageError(ReproError):
-    """Stable storage (command log / checkpoint) failure."""
+    """Stable storage (command log) failure."""
 
 
 class LogCorruptionError(StorageError):

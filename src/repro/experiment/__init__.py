@@ -33,7 +33,6 @@ from .spec import (
     ExperimentSpec,
     FaultSpec,
     ProcessesSpec,
-    RuntimeSpec,
     ShardingSpec,
     ShardOverride,
     WorkloadSpec,
@@ -56,7 +55,6 @@ __all__ = [
     "ExperimentSpec",
     "FaultSpec",
     "ProcessesSpec",
-    "RuntimeSpec",
     "ShardingSpec",
     "ShardOverride",
     "SiteResult",

@@ -24,8 +24,6 @@ its own scheduling jitter (the result's metadata records
 from __future__ import annotations
 
 import asyncio
-import logging
-from typing import Callable, Optional
 
 from ..errors import ConfigurationError
 from ..net.latency import LatencyMatrix
@@ -38,34 +36,12 @@ from .result import ExperimentResult, build_result, split_metrics
 from .spec import ExperimentSpec
 from .walltime import clock_factory, scaled_batching, scaled_protocol_config
 
-_LOGGER = logging.getLogger(__name__)
-
 #: Fault kinds this backend knows how to inject.  Kinds outside this set are
 #: a configuration error, so new FAULT_KINDS entries can never be silently
 #: ignored on the live runtime.
 ASYNC_FAULT_KINDS: frozenset[str] = frozenset(
     {"crash", "recover", "partition", "isolate", "clock-jump"}
 )
-
-
-def resolve_loop_factory(use_uvloop: bool) -> Optional[Callable[[], asyncio.AbstractEventLoop]]:
-    """The event-loop factory to run under, or ``None`` for the stdlib loop.
-
-    ``uvloop`` is an optional dependency; requesting it when the package is
-    not importable degrades to the stdlib loop with a warning rather than
-    failing the run.  Which loop actually ran is recorded in the result's
-    ``metadata["event_loop"]``.
-    """
-    if not use_uvloop:
-        return None
-    try:
-        import uvloop
-    except ImportError:
-        _LOGGER.warning(
-            "uvloop requested but not installed; running on the stdlib event loop"
-        )
-        return None
-    return uvloop.new_event_loop
 
 
 def _scaled_matrix(matrix: LatencyMatrix, scale: float) -> LatencyMatrix:
@@ -85,39 +61,15 @@ class AsyncBackend:
             wall-clock runtime manageable; recorded latencies are scaled back
             so results stay in simulated-time units.
         submit_timeout: Per-command commit timeout in (unscaled) seconds.
-        uvloop: Force the uvloop event loop on (``True``) or off (``False``);
-            ``None`` defers to the spec's ``[runtime] uvloop`` setting.
-            Requesting uvloop when it is not installed falls back to the
-            stdlib loop (see :func:`resolve_loop_factory`).
     """
 
     name = "async"
 
-    def __init__(
-        self,
-        time_scale: float = 1.0,
-        submit_timeout: float = 30.0,
-        uvloop: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, time_scale: float = 1.0, submit_timeout: float = 30.0) -> None:
         if time_scale <= 0:
             raise ConfigurationError("time_scale must be positive")
         self.time_scale = time_scale
         self.submit_timeout = submit_timeout
-        self.uvloop = uvloop
-
-    def loop_factory(
-        self, spec: ExperimentSpec
-    ) -> Optional[Callable[[], asyncio.AbstractEventLoop]]:
-        """The event-loop factory this spec should run under (``None`` = stdlib).
-
-        The constructor's ``uvloop`` override (e.g. the CLI's ``--uvloop``
-        flag) wins over the spec's ``[runtime]`` table.
-        """
-        if self.uvloop is not None:
-            use_uvloop = self.uvloop
-        else:
-            use_uvloop = spec.runtime.uvloop if spec.runtime is not None else False
-        return resolve_loop_factory(use_uvloop)
 
     # ------------------------------------------------------------------
     # Cluster construction
@@ -156,11 +108,7 @@ class AsyncBackend:
     # ------------------------------------------------------------------
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
-        factory = self.loop_factory(spec)
-        if factory is None:
-            return asyncio.run(self.run_in_loop(spec))
-        with asyncio.Runner(loop_factory=factory) as runner:
-            return runner.run(self.run_in_loop(spec))
+        return asyncio.run(self.run_in_loop(spec))
 
     async def run_in_loop(self, spec: ExperimentSpec) -> ExperimentResult:
         """Run one spec inside the current event loop.
@@ -224,13 +172,9 @@ class AsyncBackend:
                 # The spec's synthetic jitter is not injected here: the live
                 # event loop contributes its own natural scheduling jitter.
                 "jitter_applied": False,
-                # Which loop implementation actually ran — "uvloop" when the
-                # opt-in took effect, "asyncio" otherwise (including the
-                # requested-but-not-installed fallback).
-                "event_loop": type(loop).__module__.partition(".")[0],
             },
             clients.history,
         )
 
 
-__all__ = ["ASYNC_FAULT_KINDS", "AsyncBackend", "resolve_loop_factory"]
+__all__ = ["ASYNC_FAULT_KINDS", "AsyncBackend"]

@@ -105,6 +105,8 @@ class WorkloadSpec:
             raise ConfigurationError("outstanding_per_site must be positive")
         if self.payload_size < 0:
             raise ConfigurationError("payload_size must be non-negative")
+        if self.think_time_min_ms < 0:
+            raise ConfigurationError("think_time_min_ms must be non-negative")
         if self.think_time_max_ms < self.think_time_min_ms:
             raise ConfigurationError("think_time_max_ms must be >= think_time_min_ms")
         if self.scenario == "imbalanced" and self.origin_site is None:
@@ -271,10 +273,8 @@ class BatchingSpec:
       :class:`~repro.protocols.records.CommandBatch` (one protocol round,
       one wire message per batch).  ``1`` disables batching.
     * ``window_us`` — opportunistic accumulation window.  ``0`` (the
-      default) batches whatever is already queued and never waits — the
-      same semantics as the simulator cost model's
-      :attr:`~repro.config.ProtocolConfig.batch_window` default; a positive
-      window trades commit latency for larger batches.
+      default) batches whatever is already queued and never waits; a
+      positive window trades commit latency for larger batches.
     * ``pipeline_depth`` — commands each workload client keeps in flight
       without awaiting the previous commit (message pipelining; asyncio
       backend — the simulator's window/saturating clients already model
@@ -299,29 +299,6 @@ class BatchingSpec:
             window_us=self.window_us,
             pipeline_depth=self.pipeline_depth,
         )
-
-
-@dataclass(frozen=True, slots=True)
-class RuntimeSpec:
-    """The ``[runtime]`` table: event-loop tuning for the live backends.
-
-    * ``uvloop`` — run the asyncio backend under the `uvloop
-      <https://github.com/MagicStack/uvloop>`_ event-loop implementation
-      when the package is installed.  Opt-in and degradation-safe: when
-      uvloop is not importable the run proceeds on the stdlib loop and the
-      result's metadata records which loop actually ran
-      (``metadata["event_loop"]``).  Inert on the sim backend (no event
-      loop) and on the proc backend's supervisor (workers are separate
-      interpreters).
-    """
-
-    uvloop: bool = False
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.uvloop, bool):
-            raise ConfigurationError(
-                f"runtime.uvloop must be a boolean, got {self.uvloop!r}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -407,9 +384,6 @@ class ExperimentSpec:
     #: (:mod:`repro.launch`); ``None`` means its defaults.  Inert on the
     #: sim and async backends.
     processes: Optional[ProcessesSpec] = None
-    #: Event-loop tuning for the asyncio backend (``[runtime]``); ``None``
-    #: means the stdlib loop.  Inert on the sim backend.
-    runtime: Optional[RuntimeSpec] = None
 
     # ------------------------------------------------------------------
     # Validation
@@ -741,7 +715,6 @@ __all__ = [
     "BatchingSpec",
     "CpuSpec",
     "ProcessesSpec",
-    "RuntimeSpec",
     "ShardOverride",
     "ShardingSpec",
     "ExperimentSpec",

@@ -1,15 +1,14 @@
 """One accumulate-and-flush primitive for every batching site.
 
-Four places coalesce work — the replica driver (commands into
+Three places coalesce work — the replica driver (commands into
 :class:`~repro.protocols.records.CommandBatch` units), the TCP transport
-(per-peer envelopes into multi-message frames), the KV client (request
-frames into one write), and the simulator's submission path (commands into
-units, per replica).  They all share the same semantics, so they share this
-accumulator: flush when ``max_batch`` items are queued or when the window
-expires, where ``window_us = 0`` means "flush whatever the current instant
-queues, never wait" — the current event-loop tick, or the current virtual
-instant in the simulator.  Time comes from the
-:class:`~repro.sim.scheduler.Timer` the owner passes: a
+(per-peer envelopes into multi-message frames), and the simulator's
+submission path (commands into units, per replica).  They all share the
+same semantics, so they share this accumulator: flush when ``max_batch``
+items are queued or when the window expires, where ``window_us = 0`` means
+"flush whatever the current instant queues, never wait" — the current
+event-loop tick, or the current virtual instant in the simulator.  Time
+comes from the :class:`~repro.sim.scheduler.Timer` the owner passes: a
 :class:`~repro.sim.scheduler.LoopTimer` on the asyncio loop, the
 :class:`~repro.sim.environment.SimulationEnvironment` in the simulator.
 

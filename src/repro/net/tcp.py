@@ -1,8 +1,9 @@
 """Asyncio TCP transport with length-prefixed framing and batch envelopes.
 
-Used by :mod:`repro.runtime.server` to run a real replicated key-value store
-on a set of sockets (the examples run all replicas in one process on
-localhost; the same code works across machines).
+The peer transport a :class:`~repro.runtime.server.ReplicaServer` is given
+to run over real sockets: each ``proc`` backend worker
+(:mod:`repro.launch.worker`) speaks it to its peers, and tests run whole
+clusters of it on localhost in one process.
 
 Framing: each frame is ``u32 big-endian length`` followed by a body in one
 of two forms —
@@ -15,10 +16,9 @@ of two forms —
   ``n`` message values — one TCP write, one length prefix, ``n`` messages.
 
 :class:`FrameParser` accepts both, so batched and unbatched peers
-interoperate on the same socket.  It is the one reader of frames — peer
-connections and the client endpoint (:mod:`repro.runtime.server`,
-:mod:`repro.runtime.client`) alike — and the length prefix is checked
-against :data:`MAX_FRAME_BYTES` in one place, for both directions.
+interoperate on the same socket.  It is the one reader of frames, and the
+length prefix is checked against :data:`MAX_FRAME_BYTES` in one place, for
+both directions.
 
 :class:`TcpTransport` runs every peer connection as one
 :class:`asyncio.Protocol`, in either direction: bytes are cut into frames
@@ -48,10 +48,6 @@ _LENGTH = struct.Struct(">I")
 
 #: Upper bound on a single frame; protects against corrupted length prefixes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-#: How much one read of a client stream asks for (a peer connection is read
-#: by its asyncio transport).
-READ_CHUNK_BYTES = 64 * 1024
 
 
 def _checked_length(length: int) -> int:
@@ -456,5 +452,4 @@ __all__ = [
     "encode_batch_frame",
     "decode_frame_envelopes",
     "MAX_FRAME_BYTES",
-    "READ_CHUNK_BYTES",
 ]

@@ -5,10 +5,10 @@ this package runs the very same protocol objects as live asyncio services:
 
 * :class:`~repro.runtime.driver.AsyncReplicaDriver` — executes a replica's
   actions on an event loop and a transport, and schedules its timers.
-* :class:`~repro.runtime.server.ReplicaServer` — a replica plus a TCP (or
-  in-memory) transport plus a client-facing request/response endpoint.
+* :class:`~repro.runtime.server.ReplicaServer` — a replica plus the peer
+  transport it is given (TCP or in-loop) plus an in-process ``submit`` API.
 * :class:`~repro.runtime.client.ReplicatedKVClient` — an asyncio key-value
-  client that talks to a :class:`ReplicaServer`.
+  client over a colocated :class:`ReplicaServer`'s ``submit``.
 * :class:`~repro.runtime.local.LocalAsyncCluster` — all replicas in one
   process connected by the simulator's link model on the loop's clock, with
   optional injected WAN delays; used by the examples to run a
@@ -18,7 +18,6 @@ this package runs the very same protocol objects as live asyncio services:
 from .client import ReplicatedKVClient
 from .driver import AsyncReplicaDriver
 from .local import LocalAsyncCluster
-from .messages import ClientRequest, ClientResponse
 from .server import ReplicaServer
 
 __all__ = [
@@ -26,6 +25,4 @@ __all__ = [
     "ReplicaServer",
     "ReplicatedKVClient",
     "LocalAsyncCluster",
-    "ClientRequest",
-    "ClientResponse",
 ]

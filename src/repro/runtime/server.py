@@ -1,10 +1,12 @@
-"""A replica server: protocol replica + peer transport + client endpoint.
+"""A replica server: protocol replica + peer transport + submit API.
 
-The server exposes an ``async submit(command)`` API used by in-process
-clients (:class:`~repro.runtime.local.LocalAsyncCluster`) and, when given a
-client listen address, a TCP endpoint speaking length-prefixed
-:class:`~repro.runtime.messages.ClientRequest` / ``ClientResponse`` frames
-for remote clients (:class:`~repro.runtime.client.ReplicatedKVClient`).
+Clients sit next to their replica, as in the paper's deployment: they call
+``async submit(command)`` in the replica's own process
+(:class:`~repro.workload.live.LiveClients`,
+:class:`~repro.runtime.client.ReplicatedKVClient`).  The peer transport is
+whatever the caller passes — a :class:`~repro.net.tcp.TcpTransport` between
+processes, or the in-loop link model of
+:class:`~repro.runtime.local.LocalAsyncCluster`.
 """
 
 from __future__ import annotations
@@ -17,16 +19,15 @@ from typing import Any, Optional
 from ..clocks.base import Clock
 from ..clocks.physical import SystemClock
 from ..config import BatchingOptions, ClusterSpec, ProtocolConfig
-from ..errors import RequestTimeout, TransportError
-from ..net.message import Envelope, MessageRegistry, global_registry
-from ..net.tcp import READ_CHUNK_BYTES, FrameParser, TcpTransport, encode_frame
+from ..errors import RequestTimeout
+from ..net.message import MessageRegistry, global_registry
+from ..net.tcp import TcpTransport
 from ..protocols.registry import create_replica
 from ..statemachine import StateMachine
 from ..storage.log import CommandLog
 from ..storage.memory_log import InMemoryLog
 from ..types import Command, CommandId, ReplicaId, check_seqno
 from .driver import AsyncReplicaDriver
-from .messages import ClientRequest, ClientResponse
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -41,10 +42,7 @@ class ReplicaServer:
         spec: ClusterSpec,
         state_machine: StateMachine,
         *,
-        transport=None,
-        peer_addresses: Optional[dict[ReplicaId, str]] = None,
-        listen_address: Optional[str] = None,
-        client_address: Optional[str] = None,
+        transport,
         log: Optional[CommandLog] = None,
         protocol_config: Optional[ProtocolConfig] = None,
         registry: Optional[MessageRegistry] = None,
@@ -56,10 +54,7 @@ class ReplicaServer:
         self.protocol = protocol
         self.protocol_config = protocol_config
         self.registry = registry or global_registry
-        self.client_address = client_address
         self.batching = batching
-        self._client_server: Optional[asyncio.AbstractServer] = None
-        self._client_tasks: set[asyncio.Task] = set()
         self._pending: dict[CommandId, asyncio.Future] = {}
         # Deadline heap for submit timeouts: one event-loop timer armed for
         # the earliest deadline instead of one ``call_later`` handle per
@@ -70,16 +65,6 @@ class ReplicaServer:
         self._deadline_seq = 0
         self._expiry_handle: Optional[asyncio.TimerHandle] = None
         self._expiry_when = 0.0
-
-        if transport is None:
-            if listen_address is None or peer_addresses is None:
-                raise TransportError(
-                    "either a transport or listen_address + peer_addresses is required"
-                )
-            transport = TcpTransport(
-                replica_id, listen_address, peer_addresses, self.registry,
-                batching=batching,
-            )
         self.transport = transport
 
         replica = create_replica(
@@ -103,21 +88,8 @@ class ReplicaServer:
     async def start(self) -> None:
         if isinstance(self.transport, TcpTransport):
             await self.transport.start()
-        if self.client_address is not None:
-            host, _, port = self.client_address.rpartition(":")
-            self._client_server = await asyncio.start_server(
-                self._handle_client, host, int(port)
-            )
         self.driver.start()
         _LOGGER.info("replica %s (%s) started", self.replica_id, self.replica.protocol_name)
-
-    @property
-    def bound_client_address(self) -> str:
-        """The client listener's actual address (resolves a port 0 request)."""
-        if self._client_server is None or not self._client_server.sockets:
-            raise TransportError(f"replica {self.replica_id} has no client listener running")
-        host, _, _ = self.client_address.rpartition(":")
-        return f"{host}:{self._client_server.sockets[0].getsockname()[1]}"
 
     def crash(self) -> None:
         """Stop the replica abruptly: soft state is lost, the log survives.
@@ -154,13 +126,6 @@ class ReplicaServer:
 
     async def stop(self) -> None:
         self.driver.stop()
-        for task in list(self._client_tasks):
-            task.cancel()
-        self._client_tasks.clear()
-        if self._client_server is not None:
-            self._client_server.close()
-            await self._client_server.wait_closed()
-            self._client_server = None
         if isinstance(self.transport, TcpTransport):
             await self.transport.stop()
         for future in self._pending.values():
@@ -250,73 +215,6 @@ class ReplicaServer:
         future = self._pending.get(command_id)
         if future is not None and not future.done():
             future.set_result(output)
-
-    # ------------------------------------------------------------------
-    # Client TCP endpoint
-    # ------------------------------------------------------------------
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one client connection, pipelined.
-
-        Requests are submitted as they arrive — the reader never waits for an
-        earlier command to commit — so a pipelining client
-        (:class:`~repro.runtime.client.ReplicatedKVClient` with
-        ``pipeline_depth > 1``) keeps several commands in flight on one
-        connection.  Responses are written as commands commit and are matched
-        by command id on the client side, so completion order is free to
-        differ from submission order.  Batch frames (several requests in one
-        length-prefixed envelope) are accepted transparently.
-        """
-        peer = writer.get_extra_info("peername")
-        _LOGGER.debug("client %s connected to replica %s", peer, self.replica_id)
-
-        async def respond(request: ClientRequest) -> None:
-            # Fail fast on any submission error, as the pre-pipelining
-            # endpoint did by letting exceptions tear down the connection: a
-            # silently dropped response would leave the remote client
-            # awaiting a reply that can never come.
-            try:
-                output = await self.submit(request.command)
-                response = ClientResponse(request.command.command_id, output)
-                if writer.is_closing():
-                    return
-                writer.write(
-                    encode_frame(Envelope(self.replica_id, -1, response), self.registry)
-                )
-                await writer.drain()
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                _LOGGER.warning(
-                    "replica %s dropping client connection %s: %s",
-                    self.replica_id,
-                    peer,
-                    exc,
-                )
-                writer.close()
-
-        parser = FrameParser(self.registry)
-        try:
-            while data := await reader.read(READ_CHUNK_BYTES):
-                for envelope in parser.feed(data):
-                    request = envelope.message
-                    if not isinstance(request, ClientRequest):
-                        _LOGGER.warning(
-                            "replica %s got a non-request frame from %s",
-                            self.replica_id,
-                            peer,
-                        )
-                        continue
-                    task = asyncio.create_task(respond(request))
-                    self._client_tasks.add(task)
-                    task.add_done_callback(self._client_tasks.discard)
-        except ConnectionResetError:
-            pass  # a reset ends the connection as EOF does
-        finally:
-            writer.close()
-        _LOGGER.debug("client %s disconnected from replica %s", peer, self.replica_id)
 
 
 __all__ = ["ReplicaServer"]

@@ -241,15 +241,7 @@ class ShardedDeployment:
                 )
             )
 
-        # Honour the async backend's event-loop policy (``[runtime] uvloop``
-        # or the CLI override) for the shared loop all shard groups run in.
-        factory = None
-        if isinstance(self.backend, AsyncBackend):
-            factory = self.backend.loop_factory(self.spec)
-        if factory is None:
-            return asyncio.run(run_all())
-        with asyncio.Runner(loop_factory=factory) as runner:
-            return runner.run(run_all())
+        return asyncio.run(run_all())
 
 
 __all__ = ["ShardedDeployment", "aggregate_results", "shard_subspecs"]

@@ -2,7 +2,7 @@
 
 The paper evaluates latency on Amazon EC2 and throughput on a local cluster.
 This package substitutes both testbeds with a deterministic discrete-event
-simulation (see DESIGN.md for the substitution argument):
+simulation (see docs/ARCHITECTURE.md, "Backends"):
 
 * :mod:`repro.sim.scheduler` / :mod:`repro.sim.environment` — event queue and
   simulation environment (the time source for simulated clocks); the

@@ -1,22 +1,13 @@
-"""Stable storage: command logs and checkpoints.
+"""Stable storage: the command log.
 
 Every replica appends protocol records to a :class:`~repro.storage.log.CommandLog`
 before acknowledging them, exactly as the paper requires ("append ... to Log"
-before sending PREPAREOK).  Two implementations are provided:
-
-* :class:`~repro.storage.memory_log.InMemoryLog` — used by the simulator and
-  by the throughput experiments (the paper also logs to memory for its
-  throughput runs to keep the disk out of the measurement).
-* :class:`~repro.storage.file_log.FileLog` — an append-only, CRC-protected,
-  length-prefixed on-disk log used by the asyncio runtime and by the recovery
-  tests.
-
-Checkpoints (:mod:`repro.storage.checkpoint`) let recovery skip replaying the
-whole log, as suggested in the paper's recovery discussion.
+before sending PREPAREOK).  Every backend logs to
+:class:`~repro.storage.memory_log.InMemoryLog`, as the paper does for its
+throughput runs to keep the disk out of the measurement; the log survives a
+simulated crash, and recovery replays it.
 """
 
-from .checkpoint import Checkpoint, CheckpointStore, FileCheckpointStore, InMemoryCheckpointStore
-from .file_log import FileLog
 from .log import CommandLog, LogRecord
 from .memory_log import InMemoryLog
 
@@ -24,9 +15,4 @@ __all__ = [
     "CommandLog",
     "LogRecord",
     "InMemoryLog",
-    "FileLog",
-    "Checkpoint",
-    "CheckpointStore",
-    "InMemoryCheckpointStore",
-    "FileCheckpointStore",
 ]

@@ -85,8 +85,7 @@ class CommandLog(ABC):
         """Atomically replace the whole log contents with *records*.
 
         Used by reconfiguration, which removes un-executed PREPARE entries
-        with timestamps above the agreed cut (Algorithm 3, line 15), and by
-        checkpoint-based truncation.
+        with timestamps above the agreed cut (Algorithm 3, line 15).
         """
 
     # -- convenience helpers -------------------------------------------------
@@ -107,9 +106,6 @@ class CommandLog(ABC):
         """The last *count* records (fewer if the log is shorter)."""
         everything = list(self.records())
         return everything[-count:] if count > 0 else []
-
-    def close(self) -> None:
-        """Release underlying resources (files); in-memory logs are a no-op."""
 
 
 __all__ = [

@@ -7,14 +7,6 @@ commands that the CPU becomes the bottleneck.  The generators here reproduce
 both setups on top of a :class:`~repro.sim.cluster.SimulatedCluster`.
 """
 
-from .generator import ClosedLoopClients, SaturatingClients, WorkloadOptions
-from .scenarios import balanced_workload, imbalanced_workload, saturating_workload
+from .generator import ClosedLoopClients, SaturatingClients
 
-__all__ = [
-    "WorkloadOptions",
-    "ClosedLoopClients",
-    "SaturatingClients",
-    "balanced_workload",
-    "imbalanced_workload",
-    "saturating_workload",
-]
+__all__ = ["ClosedLoopClients", "SaturatingClients"]

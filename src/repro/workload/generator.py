@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from ..metrics.collector import LatencyCollector
@@ -11,43 +10,20 @@ from ..sim.cluster import ReplyEvent, SimulatedCluster
 from ..types import Command, CommandId, Micros, ReplicaId, ms_to_micros
 
 
-@dataclass(frozen=True, slots=True)
-class WorkloadOptions:
-    """Client behaviour knobs.
-
-    Defaults mirror the paper's latency experiments: 40 clients per replica,
-    64-byte commands, think time uniform in [0, 80] ms.
-
-    ``payload_factory`` customises command payloads; it receives the
-    simulation's :class:`random.Random` and must return bytes (e.g.
-    :func:`repro.kvstore.commands.random_update` for key-value workloads).
-    When unset, clients send opaque ``payload_size``-byte blobs.
-    """
-
-    clients_per_replica: int = 40
-    payload_size: int = 64
-    think_time_min: Micros = 0
-    think_time_max: Micros = ms_to_micros(80.0)
-    payload_factory: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        if self.clients_per_replica <= 0:
-            raise ValueError("clients_per_replica must be positive")
-        if self.payload_size < 0:
-            raise ValueError("payload_size must be non-negative")
-        if self.think_time_max < self.think_time_min:
-            raise ValueError("think_time_max must be >= think_time_min")
-        if self.payload_factory is not None and not callable(self.payload_factory):
-            raise ValueError("payload_factory must be callable")
-
-
 class ClosedLoopClients:
     """Closed-loop clients attached to one replica of a simulated cluster.
 
     Each client keeps exactly one command outstanding: submit, wait for the
     commit reply from the local replica, think for a uniformly random
-    duration, submit again.  This is the client model the paper uses for all
-    latency experiments.
+    duration in ``[think_time_min, think_time_max]``, submit again.  This is
+    the client model the paper uses for all latency experiments, and the
+    defaults are its setup: 40 clients per replica, 64-byte commands, think
+    time uniform in [0, 80] ms.
+
+    ``payload_factory`` customises command payloads; it receives the
+    simulation's :class:`random.Random` and must return bytes (e.g.
+    :func:`repro.kvstore.commands.random_update` for key-value workloads).
+    When unset, clients send opaque ``payload_size``-byte blobs.
     """
 
     _pool_ids = itertools.count(1)
@@ -56,19 +32,25 @@ class ClosedLoopClients:
         self,
         cluster: SimulatedCluster,
         replica_id: ReplicaId,
-        options: WorkloadOptions = WorkloadOptions(),
+        clients: int = 40,
+        payload_size: int = 64,
+        think_time_min: Micros = 0,
+        think_time_max: Micros = ms_to_micros(80.0),
         collector: Optional[LatencyCollector] = None,
         payload_factory=None,
     ) -> None:
         self.cluster = cluster
         self.replica_id = replica_id
-        self.options = options
+        self.clients = clients
+        self.payload_size = payload_size
+        self.think_time_min = think_time_min
+        self.think_time_max = think_time_max
         self.collector = collector
         self.submitted = 0
         self.completed = 0
         self._stopped = False
         self._pool_id = next(self._pool_ids)
-        self._payload_factory = payload_factory or options.payload_factory
+        self._payload_factory = payload_factory
         self._command_seq = itertools.count(1)
         #: Maps an outstanding command to the client index that issued it.
         self._outstanding: dict[CommandId, int] = {}
@@ -79,7 +61,7 @@ class ClosedLoopClients:
     def start(self) -> None:
         """Schedule every client's first request with a random initial offset."""
         self.cluster.start()
-        for client_index in range(self.options.clients_per_replica):
+        for client_index in range(self.clients):
             offset = self._think_time()
             self.cluster.env.schedule(
                 offset, lambda idx=client_index: self._submit_next(idx)
@@ -96,14 +78,13 @@ class ClosedLoopClients:
         return f"{site}/pool{self._pool_id}/client{client_index}"
 
     def _think_time(self) -> Micros:
-        options = self.options
-        if options.think_time_max == options.think_time_min:
-            return options.think_time_min
-        return self.cluster.env.random.randint(options.think_time_min, options.think_time_max)
+        if self.think_time_max == self.think_time_min:
+            return self.think_time_min
+        return self.cluster.env.random.randint(self.think_time_min, self.think_time_max)
 
     def _make_payload(self) -> bytes:
         if self._payload_factory is None:
-            return bytes(self.options.payload_size)
+            return bytes(self.payload_size)
         return self._payload_factory(self.cluster.env.random)
 
     def _submit_next(self, client_index: int) -> None:
@@ -205,4 +186,4 @@ class SaturatingClients:
             self._submit_one()
 
 
-__all__ = ["WorkloadOptions", "ClosedLoopClients", "SaturatingClients"]
+__all__ = ["ClosedLoopClients", "SaturatingClients"]

@@ -6,6 +6,8 @@ from repro.analysis.ec2 import ec2_latency_matrix
 from repro.config import ClusterSpec, ProtocolConfig
 from repro.kvstore.kv import KVStateMachine
 from repro.net.latency import LatencyMatrix
+from repro.net.tcp import TcpTransport
+from repro.runtime.server import ReplicaServer
 from repro.sim.cluster import SimulatedCluster
 from repro.statemachine import AppendLogStateMachine
 from repro.types import Command, CommandId
@@ -47,6 +49,20 @@ def make_cluster(
 
 
 LOOPBACK_ANY_PORT = "127.0.0.1:0"
+
+
+def tcp_servers(protocol: str, spec: ClusterSpec, batching=None) -> list:
+    """One key-value ``ReplicaServer`` per replica of *spec*, each on its own
+    ``TcpTransport`` at :data:`LOOPBACK_ANY_PORT` (start them with
+    :func:`start_on_bound_ports`)."""
+    return [
+        ReplicaServer(
+            protocol, rid, spec, KVStateMachine(),
+            transport=TcpTransport(rid, LOOPBACK_ANY_PORT, {}, batching=batching),
+            batching=batching,
+        )  # fmt: skip
+        for rid in spec.replica_ids
+    ]
 
 
 async def start_on_bound_ports(servers) -> None:

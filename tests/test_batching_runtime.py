@@ -17,15 +17,13 @@ from repro.experiment import (
     check_spec,
 )
 from repro.kvstore.commands import encode_put
-from repro.kvstore.kv import KVStateMachine
 from repro.protocols.records import CommandBatch
 from repro.runtime.client import ReplicatedKVClient
 from repro.runtime.local import LocalAsyncCluster
-from repro.runtime.server import ReplicaServer
 from repro.sim.scheduler import LoopTimer
 from repro.types import Command, CommandId
 
-from tests.helpers import LOOPBACK_ANY_PORT, start_on_bound_ports
+from tests.helpers import start_on_bound_ports, tcp_servers
 
 
 def run(coro):
@@ -146,38 +144,27 @@ class TestDriverAccumulation:
 class TestPipelinedTcpClient:
     def test_pipelined_batched_client_over_real_sockets(self):
         async def scenario():
-            spec = _spec(("CA", "VA", "IR"))
             batching = BatchingOptions(max_batch=8, window_us=0, pipeline_depth=4)
-            servers = [
-                ReplicaServer(
-                    "clock-rsm",
-                    rid,
-                    spec,
-                    KVStateMachine(),
-                    listen_address=LOOPBACK_ANY_PORT,
-                    peer_addresses={},
-                    client_address=LOOPBACK_ANY_PORT,
-                    batching=batching,
-                )
-                for rid in spec.replica_ids
-            ]
+            servers = tcp_servers("clock-rsm", _spec(("CA", "VA", "IR")), batching)
             await start_on_bound_ports(servers)
-            client_addrs = {s.replica_id: s.bound_client_address for s in servers}
             try:
-                async with ReplicatedKVClient(
-                    address=client_addrs[0], batching=batching
-                ) as client:
-                    results = await client.pipelined(
-                        [
-                            (lambda i=i: client.put(f"pipe{i}", b"v%d" % i))
-                            for i in range(12)
-                        ],
-                        depth=4,
-                    )
-                    assert results == [None] * 12
-                async with ReplicatedKVClient(address=client_addrs[1]) as reader:
-                    for i in range(12):
-                        assert await reader.get(f"pipe{i}") == b"v%d" % i
+                client = ReplicatedKVClient(servers[0])
+                # Twelve puts in flight at once: none awaits an earlier commit.
+                results = await asyncio.gather(
+                    *(client.put(f"pipe{i}", b"v%d" % i) for i in range(12))
+                )
+                assert results == [None] * 12
+                # Submitted in one tick, they were agreed on in batches.
+                batches = [
+                    record.command
+                    for record in servers[0].replica.log.records()
+                    if isinstance(record, PrepareRecord)
+                    and isinstance(record.command, CommandBatch)
+                ]
+                assert batches and max(len(batch) for batch in batches) > 1
+                reader = ReplicatedKVClient(servers[1])
+                for i in range(12):
+                    assert await reader.get(f"pipe{i}") == b"v%d" % i
             finally:
                 for server in servers:
                     await server.stop()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.config import ClusterSpec, ProtocolConfig, ReplicaSpec, validate_active_config
@@ -10,7 +12,7 @@ from repro.errors import ConfigurationError
 
 class TestReplicaSpec:
     def test_valid(self):
-        spec = ReplicaSpec(0, "CA", "127.0.0.1:9000")
+        spec = ReplicaSpec(0, "CA")
         assert spec.replica_id == 0
         assert spec.site == "CA"
 
@@ -61,13 +63,18 @@ class TestClusterSpec:
         with pytest.raises(ConfigurationError):
             spec.others(7)
 
-    def test_with_addresses(self):
+    def test_spec_is_immutable(self):
+        # Reconfiguration changes the active set, never the spec itself.
         spec = ClusterSpec.from_sites(["CA", "VA"])
-        updated = spec.with_addresses({0: "host0:1", 1: "host1:2"})
-        assert updated.replica(0).address == "host0:1"
-        assert updated.replica(1).address == "host1:2"
-        # The original is unchanged (immutability).
-        assert spec.replica(0).address is None
+        with pytest.raises(FrozenInstanceError):
+            spec.replicas = ()
+        with pytest.raises(FrozenInstanceError):
+            spec.replica(0).site = "IR"
+        assert spec.sites == ("CA", "VA")
+
+    def test_equal_sites_give_equal_specs(self):
+        assert ClusterSpec.from_sites(["CA", "VA"]) == ClusterSpec.from_sites(["CA", "VA"])
+        assert ClusterSpec.from_sites(["CA", "VA"]) != ClusterSpec.from_sites(["VA", "CA"])
 
 
 class TestProtocolConfig:
@@ -82,14 +89,18 @@ class TestProtocolConfig:
         [
             {"clocktime_interval": 0},
             {"clocktime_interval": -5},
-            {"mencius_skip_interval": 0},
-            {"failure_timeout": 0},
             {"leader": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ProtocolConfig(**kwargs)
+
+    def test_config_is_immutable(self):
+        config = ProtocolConfig(leader=2)
+        with pytest.raises(FrozenInstanceError):
+            config.leader = 0
+        assert config.leader == 2
 
 
 class TestValidateActiveConfig:

@@ -177,56 +177,27 @@ class TestAsyncBackend:
         with pytest.raises(ConfigurationError, match="invalid options"):
             Deployment(SMALL, backend="async", warp_factor=9)
 
-
-class TestEventLoopPolicy:
-    """The ``[runtime] uvloop`` opt-in resolves to a loop factory, or falls
-    back to the stdlib loop when uvloop is not installed."""
-
-    def spec(self, uvloop: bool) -> ExperimentSpec:
-        from dataclasses import replace
-
-        from repro.experiment import RuntimeSpec
-
-        return replace(SMALL, runtime=RuntimeSpec(uvloop=uvloop))
-
-    def test_fallback_when_uvloop_missing(self, monkeypatch):
-        import sys
-
-        from repro.experiment.async_backend import AsyncBackend
-
-        # Forcing ``import uvloop`` to fail makes the test independent of
-        # whether the environment happens to have the package.
-        monkeypatch.setitem(sys.modules, "uvloop", None)
-        backend = AsyncBackend(time_scale=20)
-        assert backend.loop_factory(self.spec(uvloop=True)) is None
-        result = backend.run(self.spec(uvloop=True))
-        assert result.metadata["event_loop"] == "asyncio"
-        assert result.total_committed > 0
-
-    def test_stub_uvloop_is_selected(self, monkeypatch):
+    def test_run_in_loop_runs_on_the_callers_event_loop(self):
         import asyncio
-        import sys
-        import types
 
         from repro.experiment.async_backend import AsyncBackend
 
-        stub = types.ModuleType("uvloop")
-        stub.new_event_loop = asyncio.new_event_loop
-        monkeypatch.setitem(sys.modules, "uvloop", stub)
+        async def inside():
+            loop = asyncio.get_running_loop()
+            result = await AsyncBackend(time_scale=20).run_in_loop(SMALL)
+            assert asyncio.get_running_loop() is loop
+            return result
+
+        result = asyncio.run(inside())
+        assert result.backend == "async"
+        assert all(site.committed > 0 for site in result.sites.values())
+
+    def test_back_to_back_runs_each_get_a_fresh_loop(self):
+        from repro.experiment.async_backend import AsyncBackend
+
         backend = AsyncBackend(time_scale=20)
-        assert backend.loop_factory(self.spec(uvloop=True)) is stub.new_event_loop
-        # The spec's opt-out and the constructor override both win over it.
-        assert backend.loop_factory(self.spec(uvloop=False)) is None
-        forced_off = AsyncBackend(time_scale=20, uvloop=False)
-        assert forced_off.loop_factory(self.spec(uvloop=True)) is None
-        forced_on = AsyncBackend(time_scale=20, uvloop=True)
-        assert forced_on.loop_factory(SMALL) is stub.new_event_loop
-
-    def test_metadata_records_loop_implementation(self):
-        from repro.experiment.async_backend import AsyncBackend
-
-        result = AsyncBackend(time_scale=20).run(SMALL)
-        assert result.metadata["event_loop"] == "asyncio"
+        first, second = backend.run(SMALL), backend.run(SMALL)
+        assert first.total_committed > 0 and second.total_committed > 0
 
 
 class TestSimAsyncParity:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -13,7 +14,6 @@ from repro.experiment import (
     ExperimentSpec,
     FaultSpec,
     ProcessesSpec,
-    RuntimeSpec,
     WorkloadSpec,
 )
 from repro.protocols.registry import (
@@ -209,56 +209,6 @@ class TestProcessesTable:
             )
 
 
-class TestRuntimeTable:
-    def base(self, **overrides) -> ExperimentSpec:
-        return ExperimentSpec(
-            name="runtime-spec",
-            protocol="clock-rsm",
-            sites=("CA", "VA", "IR"),
-            duration_s=1.0,
-            **overrides,
-        )
-
-    def test_round_trips_through_dict_and_toml(self, tmp_path):
-        spec = self.base(runtime=RuntimeSpec(uvloop=True))
-        assert spec.to_dict()["runtime"] == {"uvloop": True}
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
-        path = tmp_path / "runtime.toml"
-        path.write_text(
-            """
-            name = "runtime-spec"
-            protocol = "clock-rsm"
-            sites = ["CA", "VA", "IR"]
-            duration_s = 1.0
-
-            [runtime]
-            uvloop = true
-            """
-        )
-        assert ExperimentSpec.from_file(path) == spec
-
-    def test_omitted_table_stays_none_and_out_of_to_dict(self):
-        spec = self.base()
-        assert spec.runtime is None
-        assert "runtime" not in spec.to_dict()
-
-    def test_defaults_and_validation(self):
-        assert RuntimeSpec().uvloop is False
-        with pytest.raises(ConfigurationError, match="uvloop"):
-            RuntimeSpec(uvloop="yes")
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown keys in runtime"):
-            ExperimentSpec.from_dict(
-                {
-                    "name": "x",
-                    "protocol": "clock-rsm",
-                    "sites": ["CA", "VA", "IR"],
-                    "runtime": {"uvlop": True},
-                }
-            )
-
-
 class TestValidation:
     def base(self, **overrides):
         kwargs = dict(name="v", protocol="clock-rsm", sites=("CA", "VA", "IR"))
@@ -331,6 +281,26 @@ class TestValidation:
             ExperimentSpec.from_dict(
                 {"name": "x", "protocol": "paxos", "sites": ["CA"], "sched": 1}
             )
+
+    def test_runtime_table_is_an_unknown_key(self):
+        with pytest.raises(
+            ConfigurationError, match=re.escape("unknown experiment spec keys: ['runtime']")
+        ):
+            ExperimentSpec.from_dict(
+                {
+                    "name": "x",
+                    "protocol": "clock-rsm",
+                    "sites": ["CA", "VA", "IR"],
+                    "runtime": {"uvloop": True},
+                }
+            )
+
+    def test_negative_think_time_rejected(self):
+        # A negative draw is a negative delay on sim (the run dies mid-way)
+        # and a silent zero sleep on async: the spec must refuse it up front.
+        with pytest.raises(ConfigurationError, match="think_time_min_ms"):
+            WorkloadSpec(think_time_min_ms=-50.0, think_time_max_ms=10.0)
+        assert WorkloadSpec(think_time_min_ms=0.0, think_time_max_ms=0.0)
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigurationError, match="workload"):

@@ -19,10 +19,9 @@ from repro.config import BatchingOptions, ClusterSpec
 from repro.kvstore.commands import REJECTED, encode_get, encode_put
 from repro.kvstore.kv import KVStateMachine
 from repro.net.wire import decode, encode
-from repro.runtime.server import ReplicaServer
 from repro.types import Command, CommandId
 
-from tests.helpers import LOOPBACK_ANY_PORT, make_cluster, make_command, start_on_bound_ports
+from tests.helpers import make_cluster, make_command, start_on_bound_ports, tcp_servers
 
 GARBAGE = b"\x00garbage"
 #: good, garbage, good — the third must see the first's write.
@@ -81,13 +80,7 @@ class TestTcpCluster:
                 lambda _loop, context: unhandled.append(context)
             )
             spec = ClusterSpec.from_sites(["CA", "VA", "IR"])
-            servers = [
-                ReplicaServer(
-                    "clock-rsm", rid, spec, KVStateMachine(),
-                    listen_address=LOOPBACK_ANY_PORT, peer_addresses={}, batching=ONE_BATCH,
-                )
-                for rid in spec.replica_ids
-            ]
+            servers = tcp_servers("clock-rsm", spec, ONE_BATCH)
             await start_on_bound_ports(servers)
             try:
                 # Submitted in one tick to a remote replica's peers: the batch

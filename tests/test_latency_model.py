@@ -100,7 +100,8 @@ class TestEc2Placements:
         assert paxos_bcast_latency(five, origin=0, leader=1) == ms_to_micros(177.0)
 
     def test_clock_rsm_ca_balanced(self, five):
-        # Dominated by the prefix-replication term (135.5 ms), cf. DESIGN.md.
+        # Dominated by the prefix-replication term (135.5 ms), cf. docs/PROTOCOLS.md,
+        # "Commit latency (the paper's Table II)".
         assert clock_rsm_balanced(five, 0) == ms_to_micros(135.5)
 
     def test_clock_rsm_ca_imbalanced(self, five):

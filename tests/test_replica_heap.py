@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import tempfile
 import types
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +32,6 @@ from repro.protocols.records import AcceptRecord, CommandBatch, DecideRecord, Sk
 from repro.runtime.driver import AsyncReplicaDriver
 from repro.runtime.local import LocalAsyncCluster
 from repro.sim.cluster import SimulatedCluster
-from repro.storage.file_log import FileLog
 from repro.storage.memory_log import InMemoryLog
 from repro.types import Command, CommandId, Timestamp, make_noop, ms_to_micros
 
@@ -169,20 +166,17 @@ def test_every_record_survives_append_and_records(records):
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_records, max_size=8), st.lists(_records, max_size=4))
-def test_file_log_keeps_the_same_records_across_reopen_and_rewrite(records, replacement):
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "replica.log"
-        log = FileLog(path)
-        log.append_all(records)
-        assert list(log.records()) == records
-        log.close()
-        reopened = FileLog(path)
-        assert list(reopened.records()) == records
-        reopened.rewrite(replacement)
-        reopened.close()
-        again = FileLog(path)
-        assert again.snapshot() == replacement
-        again.close()
+def test_the_log_keeps_the_same_records_across_handover_and_rewrite(records, replacement):
+    log = InMemoryLog()
+    log.append_all(records)
+    assert list(log.records()) == records
+    # A recovering replica is handed what the crashed one logged.
+    handed_over = InMemoryLog(log.records())
+    assert list(handed_over.records()) == records
+    handed_over.rewrite(replacement)
+    assert handed_over.snapshot() == replacement
+    assert InMemoryLog(handed_over.records()).snapshot() == replacement
+    assert log.snapshot() == records
 
 
 def test_nothing_the_log_holds_is_tracked_once_the_collector_has_seen_it():

@@ -9,16 +9,14 @@ import pytest
 from repro.analysis.ec2 import ec2_latency_matrix
 from repro.config import ClusterSpec, ProtocolConfig
 from repro.errors import TransportError
-from repro.kvstore.kv import KVStateMachine
 from repro.net.message import Envelope, global_registry
 from repro.net.tcp import decode_frame_envelopes, encode_frame
 from repro.protocols.multipaxos import Phase2a
 from repro.runtime.client import ReplicatedKVClient
 from repro.runtime.local import LocalAsyncCluster
-from repro.runtime.messages import ClientRequest, ClientResponse
-from repro.types import Command, CommandId, Timestamp
+from repro.types import Command, CommandId
 
-from tests.helpers import LOOPBACK_ANY_PORT, start_on_bound_ports
+from tests.helpers import start_on_bound_ports, tcp_servers
 
 
 def run(coro):
@@ -39,13 +37,6 @@ class TestFrameCodec:
     def test_malformed_body_rejected(self):
         with pytest.raises(TransportError):
             decode_frame_envelopes(global_registry.encode({"nope": 1}), global_registry)
-
-    def test_client_messages_round_trip(self):
-        request = ClientRequest(Command(CommandId("cli", 9), b"x"))
-        decoded = global_registry.decode(global_registry.encode(request))
-        assert decoded == request
-        response = ClientResponse(CommandId("cli", 9), b"result")
-        assert global_registry.decode(global_registry.encode(response)) == response
 
 
 def _spec(n: int = 3) -> ClusterSpec:
@@ -107,6 +98,22 @@ class TestLocalAsyncCluster:
         assert slow > fast
         assert slow >= 0.008  # at least one scaled CA-VA round trip
 
+    def test_one_client_keeps_operations_from_separate_tasks_in_flight(self):
+        async def scenario():
+            cluster = LocalAsyncCluster("clock-rsm", _spec(3))
+            async with cluster:
+                client = ReplicatedKVClient(server=cluster.server_at("VA"))
+                puts = [asyncio.create_task(client.put(f"k{i}", b"%d" % i)) for i in range(8)]
+                # All eight are submitted before the first one commits.
+                await asyncio.sleep(0)
+                assert len(cluster.server_at("VA")._pending) == 8
+                assert await asyncio.gather(*puts) == [None] * 8
+                reads = await asyncio.gather(*(client.get(f"k{i}") for i in range(8)))
+                assert reads == [b"%d" % i for i in range(8)]
+            return True
+
+        assert run(scenario())
+
     def test_submit_helper_runs_raw_payloads(self):
         async def scenario():
             from repro.kvstore.commands import encode_put
@@ -123,31 +130,42 @@ class TestLocalAsyncCluster:
 class TestTcpServers:
     def test_replicas_and_clients_over_real_sockets(self):
         async def scenario():
-            from repro.runtime.server import ReplicaServer
-
-            spec = _spec(3)
-            servers = [
-                ReplicaServer(
-                    "clock-rsm",
-                    rid,
-                    spec,
-                    KVStateMachine(),
-                    listen_address=LOOPBACK_ANY_PORT,
-                    peer_addresses={},
-                    client_address=LOOPBACK_ANY_PORT,
-                )
-                for rid in spec.replica_ids
-            ]
+            servers = tcp_servers("clock-rsm", _spec(3))
             await start_on_bound_ports(servers)
-            client_addresses = {s.replica_id: s.bound_client_address for s in servers}
             try:
-                async with ReplicatedKVClient(address=client_addresses[0]) as client0:
-                    assert await client0.put("tcp-key", b"over-the-wire") is None
-                async with ReplicatedKVClient(address=client_addresses[2]) as client2:
-                    assert await client2.get("tcp-key") == b"over-the-wire"
+                client0 = ReplicatedKVClient(servers[0])
+                assert await client0.put("tcp-key", b"over-the-wire") is None
+                client2 = ReplicatedKVClient(servers[2])
+                assert await client2.get("tcp-key") == b"over-the-wire"
             finally:
                 for server in servers:
                     await server.stop()
             return True
 
         assert run(scenario())
+
+    @pytest.mark.parametrize("protocol", ["paxos", "paxos-bcast", "mencius-bcast"])
+    def test_every_protocol_replicates_over_real_sockets(self, protocol):
+        async def scenario():
+            servers = tcp_servers(protocol, _spec(3))
+            await start_on_bound_ports(servers)
+            try:
+                writer = ReplicatedKVClient(servers[1])
+                assert await writer.put("tcp-key", b"v1") is None
+                reader = ReplicatedKVClient(servers[2])
+                assert await reader.put("tcp-key", b"v2") == b"v1"
+                assert await writer.delete("tcp-key") is True
+                assert await reader.get("tcp-key") is None
+            finally:
+                for server in servers:
+                    await server.stop()
+            return True
+
+        assert run(scenario())
+
+    def test_a_server_is_given_its_transport(self):
+        from repro.kvstore.kv import KVStateMachine
+        from repro.runtime.server import ReplicaServer
+
+        with pytest.raises(TypeError, match="transport"):
+            ReplicaServer("clock-rsm", 0, _spec(3), KVStateMachine())

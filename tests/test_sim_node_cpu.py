@@ -86,8 +86,9 @@ class TestCpuSimulation:
     def test_throughput_is_bounded_by_the_cpu_model(self):
         # With an extremely slow CPU, fewer commands commit in a fixed window
         # than with a fast one.
+        from repro.metrics.collector import LatencyCollector
         from repro.statemachine import NullStateMachine
-        from repro.workload.scenarios import saturating_workload
+        from repro.workload.generator import SaturatingClients
         from repro.config import ClusterSpec, ProtocolConfig
         from repro.net.latency import LatencyMatrix
         from repro.sim.cluster import SimulatedCluster
@@ -103,10 +104,11 @@ class TestCpuSimulation:
                 cpu_model=model,
                 state_machine_factory=lambda _rid: NullStateMachine(),
             )
-            handle = saturating_workload(cluster, payload_size=64, window_per_replica=16)
+            collector = LatencyCollector()
+            for replica_id in cluster.spec.replica_ids:
+                SaturatingClients(cluster, replica_id, 64, 16, collector).start()
             cluster.run_for(200_000)
-            handle.stop()
-            return handle.collector.count()
+            return collector.count()
 
         fast = run(CpuModel(5, 0.005, 5, 0.005))
         slow = run(CpuModel(500, 0.5, 500, 0.5))

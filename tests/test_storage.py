@@ -1,21 +1,13 @@
-"""Tests for command logs and checkpoints."""
+"""Tests for the in-memory command log."""
 
 from __future__ import annotations
-
-import zlib
 
 import pytest
 
 from repro.core.messages import CommitRecord, PrepareRecord
-from repro.errors import CodecError, LogCorruptionError, StorageError
-from repro.storage.checkpoint import (
-    Checkpoint,
-    FileCheckpointStore,
-    InMemoryCheckpointStore,
-)
-from repro.storage.file_log import FileLog
+from repro.errors import StorageError
+from repro.storage.log import packed_record
 from repro.storage.memory_log import InMemoryLog
-from repro.net.wire import encode
 from repro.types import Command, CommandId, Timestamp
 
 
@@ -60,136 +52,83 @@ class TestInMemoryLog:
         log.append_all([_prepare(0), _prepare(1)])
         assert len(log) == 2
 
-
-class TestFileLog:
-    def test_append_and_reload(self, tmp_path):
-        path = tmp_path / "wal" / "replica0.log"
-        log = FileLog(path)
+    def test_mixed_records_replay_in_append_order(self):
         records = [_prepare(i) for i in range(10)] + [CommitRecord(Timestamp(10, 0))]
+        log = InMemoryLog()
         for record in records:
             log.append(record)
-        log.sync()
-        log.close()
+        assert list(log.records()) == records
 
-        reloaded = FileLog(path)
-        assert list(reloaded.records()) == records
-        reloaded.close()
-
-    def test_torn_tail_is_discarded(self, tmp_path):
-        path = tmp_path / "replica.log"
-        log = FileLog(path)
-        log.append(_prepare(1))
-        log.append(_prepare(2))
-        log.sync()
-        log.close()
-
-        # Simulate a crash in the middle of the last frame.
-        data = path.read_bytes()
-        path.write_bytes(data[:-3])
-
-        reloaded = FileLog(path)
-        assert [r.ts.micros for r in reloaded.records()] == [10]
-        # Appending after truncation keeps the log consistent.
-        reloaded.append(_prepare(3))
-        reloaded.sync()
-        reloaded.close()
-        again = FileLog(path)
-        assert [r.ts.micros for r in again.records()] == [10, 30]
-        again.close()
-
-    def test_corruption_in_the_middle_is_detected(self, tmp_path):
-        path = tmp_path / "replica.log"
-        log = FileLog(path)
-        log.append(_prepare(1))
-        log.append(_prepare(2))
-        log.append(_prepare(3))
-        log.sync()
-        log.close()
-
-        data = bytearray(path.read_bytes())
-        data[15] ^= 0xFF  # flip a payload byte of the first record
-        path.write_bytes(bytes(data))
-        with pytest.raises(LogCorruptionError):
-            FileLog(path)
-
-    def test_rewrite_is_atomic_and_durable(self, tmp_path):
-        path = tmp_path / "replica.log"
-        log = FileLog(path)
-        for i in range(5):
-            log.append(_prepare(i))
+    def test_append_after_rewrite_continues_the_new_contents(self):
+        log = InMemoryLog([_prepare(i) for i in range(5)])
         log.rewrite([_prepare(7)])
-        log.append(_prepare(8))
-        log.close()
+        assert log.append(_prepare(8)) == 1
+        assert [r.ts.micros for r in log.records()] == [70, 80]
 
-        reloaded = FileLog(path)
-        assert [r.ts.micros for r in reloaded.records()] == [70, 80]
-        reloaded.close()
+    def test_rewrite_leaves_nothing_unsynced(self):
+        log = InMemoryLog()
+        log.append_all([_prepare(0), _prepare(1)])
+        assert log.unsynced_count == 2
+        log.rewrite([_prepare(5)])
+        assert log.unsynced_count == 0
 
-    def test_sync_on_append(self, tmp_path):
-        log = FileLog(tmp_path / "wal.log", sync_on_append=True)
+    def test_initial_records_count_as_synced(self):
+        log = InMemoryLog([_prepare(i) for i in range(3)])
+        assert log.unsynced_count == 0
+        assert log.fsync_count == 0
+
+    def test_every_sync_is_counted(self):
+        # A durability barrier costs the same whether or not anything is new.
+        log = InMemoryLog()
         log.append(_prepare(1))
-        assert log.fsync_count == 1
-        log.close()
+        log.sync()
+        log.sync()
+        assert log.fsync_count == 2
+        assert log.unsynced_count == 0
+
+    def test_records_iterates_the_log_as_it_was(self):
+        log = InMemoryLog([_prepare(0), _prepare(1)])
+        replay = log.records()
+        log.append(_prepare(2))
+        assert [r.ts.micros for r in replay] == [0, 10]
+
+    def test_snapshot_is_a_copy(self):
+        log = InMemoryLog([_prepare(0)])
+        snapshot = log.snapshot()
+        snapshot.append(_prepare(1))
+        assert len(log) == 1
+        assert log.snapshot() == [_prepare(0)]
+
+    def test_remove_if_without_a_match_keeps_the_log(self):
+        log = InMemoryLog([_prepare(i) for i in range(3)])
+        log.append(_prepare(3))
+        assert log.remove_if(lambda r: r.ts.micros > 1_000) == 0
+        assert [r.ts.micros for r in log.records()] == [0, 10, 20, 30]
+        # No rewrite happened: the unsynced append is still unsynced.
+        assert log.unsynced_count == 1
+
+    def test_tail_longer_than_the_log_returns_everything(self):
+        log = InMemoryLog([_prepare(i) for i in range(3)])
+        assert [r.ts.micros for r in log.tail(10)] == [0, 10, 20]
+        assert log.tail(-1) == []
+
+    def test_a_replica_handed_the_log_replays_the_same_records(self):
+        # How the simulator models a crash that keeps stable storage intact.
+        log = InMemoryLog([_prepare(0), CommitRecord(Timestamp(0, 0)), _prepare(1)])
+        recovered = InMemoryLog(log.records())
+        assert recovered.snapshot() == log.snapshot()
 
 
-class TestCheckpointStores:
-    def test_in_memory_round_trip(self):
-        store = InMemoryCheckpointStore()
-        assert store.load() is None
-        checkpoint = Checkpoint(b"state", Timestamp(100, 1), epoch=2, command_count=7)
-        store.save(checkpoint)
-        assert store.load() == checkpoint
+class TestPackedLayouts:
+    def test_a_rewrite_with_an_unpackable_record_keeps_the_old_contents(self):
+        log = InMemoryLog([_prepare(0)])
+        with pytest.raises(StorageError, match="no packed log layout"):
+            log.rewrite([_prepare(1), ("prepare", 0, 0)])
+        assert log.snapshot() == [_prepare(0)]
 
-    def test_file_round_trip(self, tmp_path):
-        store = FileCheckpointStore(tmp_path / "ckpt" / "snap.bin")
-        assert store.load() is None
-        checkpoint = Checkpoint(b"\x00" * 100, Timestamp(5, 0), epoch=1, command_count=3)
-        store.save(checkpoint)
-        assert store.load() == checkpoint
-        # Overwriting keeps only the newest checkpoint.
-        newer = Checkpoint(b"newer", Timestamp(9, 0), epoch=2, command_count=5)
-        store.save(newer)
-        assert store.load() == newer
+    def test_a_taken_tag_is_refused(self):
+        with pytest.raises(StorageError, match="already taken"):
 
-    def test_corrupted_checkpoint_detected(self, tmp_path):
-        path = tmp_path / "snap.bin"
-        store = FileCheckpointStore(path)
-        store.save(Checkpoint(b"state", Timestamp(1, 0)))
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(StorageError):
-            store.load()
-
-    def test_truncated_checkpoint_detected(self, tmp_path):
-        path = tmp_path / "snap.bin"
-        path.write_bytes(b"\x01\x02")
-        with pytest.raises(StorageError):
-            FileCheckpointStore(path).load()
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            b"Zjunk",  # no value at all
-            encode(7) + b"tail",  # trailing bytes
-            # A checkpoint with its fields out of their declared order.
-            b"O" + encode("Checkpoint") + encode(
-                {"last_applied": None, "state": b"s", "epoch": 0, "command_count": 0}
-            ),
-        ],
-        ids=["garbage", "trailing", "reordered-fields"],
-    )
-    def test_a_payload_that_passes_its_crc_but_does_not_decode(self, tmp_path, payload):
-        path = tmp_path / "snap.bin"
-        path.write_bytes(zlib.crc32(payload).to_bytes(4, "big") + payload)
-        with pytest.raises(StorageError, match="does not decode") as raised:
-            FileCheckpointStore(path).load()
-        assert not isinstance(raised.value, CodecError)
-        assert isinstance(raised.value.__cause__, CodecError)
-
-    def test_a_foreign_record_is_refused(self, tmp_path):
-        path = tmp_path / "snap.bin"
-        payload = encode([1, 2])
-        path.write_bytes(zlib.crc32(payload).to_bytes(4, "big") + payload)
-        with pytest.raises(StorageError, match="foreign record"):
-            FileCheckpointStore(path).load()
+            @packed_record("prepare")
+            class Impostor:
+                pass

@@ -28,8 +28,6 @@ import repro.core.reconfig
 import repro.protocols.mencius
 import repro.protocols.multipaxos
 import repro.protocols.records
-import repro.runtime.messages
-import repro.storage.checkpoint
 import repro.types
 from repro.core.messages import Prepare, PrepareOk, PrepareRecord, RetrieveReply, SuspendOk
 from repro.errors import CodecError
@@ -49,8 +47,6 @@ _MODULES = (
     repro.protocols.mencius,
     repro.protocols.multipaxos,
     repro.consensus.single_paxos,
-    repro.storage.checkpoint,
-    repro.runtime.messages,
 )
 
 #: name -> class for everything the library registers globally.
