@@ -2,7 +2,7 @@
 
 Message names follow Algorithm 1/2/3 of the paper.  Every type is a frozen
 dataclass registered with the global message registry so it can cross the TCP
-transport and be stored in the file-backed command log.
+transport.
 """
 
 from __future__ import annotations

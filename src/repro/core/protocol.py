@@ -50,6 +50,7 @@ from .messages import (
     Suspend,
     SuspendOk,
 )
+from .reconfig import ReconfigurationManager
 from .state import ClockRsmState, PendingCommand
 
 _LOGGER = logging.getLogger(__name__)
@@ -85,8 +86,6 @@ class ClockRsmReplica(Replica):
         self._parked_requests: deque[CommandUnit] = deque()
         self.reconfig = None
         if self.config.enable_reconfiguration:
-            from .reconfig import ReconfigurationManager
-
             self.reconfig = ReconfigurationManager(self)
         if recover and len(self.log) > 0:
             self._recover_from_log()

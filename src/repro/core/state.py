@@ -134,10 +134,13 @@ class ClockRsmState:
         Returns the number of distinct replicas known to have logged it.
         Acks may arrive before the PREPARE itself (the acknowledging replica
         may be closer to the originator than we are), so this state is kept
-        independently of ``PendingCmds``.
+        independently of ``PendingCmds``.  An ack from a replica outside the
+        active configuration (not in ``latest_tv``) counts for nothing, as
+        its clock readings do not (:meth:`observe_clock`).
         """
         acks = self._acks.setdefault((ts.micros, ts.replica), set())
-        acks.add(replica)
+        if replica in self.latest_tv:
+            acks.add(replica)
         return len(acks)
 
     def ack_count(self, ts: Timestamp) -> int:

@@ -15,21 +15,6 @@ class ProtocolError(ReproError):
     """A protocol invariant was violated (indicates a bug or corruption)."""
 
 
-class StaleEpochError(ProtocolError):
-    """A message from an older epoch was received after a reconfiguration."""
-
-    def __init__(self, message_epoch: int, current_epoch: int) -> None:
-        super().__init__(
-            f"message epoch {message_epoch} is older than current epoch {current_epoch}"
-        )
-        self.message_epoch = message_epoch
-        self.current_epoch = current_epoch
-
-
-class NotLeaderError(ProtocolError):
-    """A leader-only operation was attempted on a non-leader replica."""
-
-
 class StorageError(ReproError):
     """Stable storage (command log) failure."""
 
@@ -54,14 +39,6 @@ class ClockError(ReproError):
     """A clock produced a non-monotonic or otherwise invalid reading."""
 
 
-class ReconfigurationError(ReproError):
-    """Reconfiguration could not complete (e.g. no majority reachable)."""
-
-
-class UnavailableError(ReproError):
-    """The requested operation cannot currently be served (no quorum)."""
-
-
 class LaunchError(ReproError):
     """A multi-process deployment failed (worker crash, handshake timeout).
 
@@ -83,16 +60,12 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "ProtocolError",
-    "StaleEpochError",
-    "NotLeaderError",
     "StorageError",
     "LogCorruptionError",
     "TransportError",
     "CodecError",
     "SimulationError",
     "ClockError",
-    "ReconfigurationError",
-    "UnavailableError",
     "LaunchError",
     "ClientError",
     "RequestTimeout",

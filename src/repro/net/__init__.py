@@ -4,9 +4,10 @@ The replication protocols themselves are sans-IO (see
 :mod:`repro.protocols.base`); this package supplies everything needed to move
 their messages between replicas:
 
-* :mod:`repro.net.wire` — a compact self-describing binary codec used by the
-  TCP transport and the file-backed command log (the paper uses Protocol
-  Buffers; any compact codec preserves the evaluated behaviour).
+* :mod:`repro.net.wire` — a compact binary codec used by the TCP transport:
+  tagged primitives, and registered messages laid out by position, like the
+  paper's Protocol Buffers (any compact codec preserves the evaluated
+  behaviour).
 * :mod:`repro.net.message` — message registry and the :class:`Envelope`
   wrapper that transports exchange.
 * :mod:`repro.net.latency` — one-way latency matrices, including helpers to

@@ -1,10 +1,10 @@
 """Message registry and transport envelopes.
 
 Every protocol message in this library is a frozen dataclass.  To cross a
-real transport (TCP) or be appended to a file-backed log, a message type must
-be *registered* so the wire codec can round-trip it by name.  Registration
-compiles the class's one wire layout (:class:`~repro.net.wire.ObjectPlan`)
-and refuses a class it cannot compile.  It is done with the
+real transport (TCP), a message type must be *registered* so the wire codec
+can round-trip it by its type id.  Registration compiles the class's one
+wire layout (:class:`~repro.net.wire.ObjectPlan`) and refuses a class it
+cannot compile.  It is done with the
 :func:`register_message` decorator; the protocols register all their message
 types at import time.
 """
@@ -12,6 +12,7 @@ types at import time.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Type, TypeVar
 
@@ -21,24 +22,35 @@ from .wire import ObjectPlan, WireDecoder, WireEncoder
 
 T = TypeVar("T")
 
+_U16_MAX = 2**16 - 1
+
 
 class MessageRegistry:
-    """Maps message type names to dataclass types for codec round-trips."""
+    """The table of registered message classes and the codec pair built on it.
+
+    Each class has one name and a *type id*: the position of its name among
+    all registered names in sorted order, so two processes that register the
+    same classes give them the same ids whatever order they import them in.
+    :meth:`digest` covers the whole table — names, ids and every field's
+    form — so peers can check they speak the same wire before exchanging
+    messages (the TCP transport's hello does).
+    """
 
     def __init__(self) -> None:
         # The codec is compiled: one ObjectPlan per registered class, found by
-        # the class on encode and by its raw utf-8 type-name bytes on decode;
-        # its reader and writer are generated when the class is first coded.
-        # This one map is the registry.  The codec pair below holds it itself,
-        # so a class registered after construction (or after the first call)
-        # is picked up.
+        # the class on encode and by its type id on decode; its reader and
+        # writer are generated when the class is first coded.  The codec
+        # pair below holds both maps itself, so a class registered after
+        # construction (or after the first call) is picked up.
         self._plans: dict[Any, ObjectPlan] = {}
+        self._ids: dict[int, ObjectPlan] = {}
+        self._digest: Optional[bytes] = None
         # Reusing the encoder keeps its internal bytearray warm across
         # frames, which makes ``encode``/``encode_many`` single-threaded
         # (like the event loop that calls them); the ``*_into`` variants and
         # the decoder only touch caller-owned state and are reentrant.
         self._encoder = WireEncoder(plans=self._plans)
-        self._decoder = WireDecoder(plans=self._plans)
+        self._decoder = WireDecoder(plans=self._ids)
 
     def register(self, cls: Type[T], name: Optional[str] = None) -> Type[T]:
         """Register *cls* under *name* (defaults to the class name).
@@ -46,6 +58,8 @@ class MessageRegistry:
         A class has one name: registering it again under the same name does
         nothing, under another raises :class:`~repro.errors.CodecError`, as
         does a class the codec cannot plan (:meth:`ObjectPlan.compile`).
+        Every registration renumbers the table and drops the generated code,
+        which the next use regenerates against the new table.
         """
         if not dataclasses.is_dataclass(cls):
             raise CodecError(f"only dataclasses can be registered, got {cls!r}")
@@ -55,14 +69,34 @@ class MessageRegistry:
             if known.name != key:
                 raise CodecError(f"{cls!r} is already registered as {known.name!r}, not {key!r}")
             return cls
-        existing = self._plans.get(key.encode("utf-8"))
-        if existing is not None:
-            raise CodecError(f"message name {key!r} already registered to {existing.cls!r}")
-        self._plans[cls] = self._plans[key.encode("utf-8")] = ObjectPlan.compile(cls, key)
+        for existing in self._plans.values():
+            if existing.name == key:
+                raise CodecError(f"message name {key!r} already registered to {existing.cls!r}")
+        if len(self._plans) > _U16_MAX:
+            raise CodecError(f"a registry holds at most {_U16_MAX + 1} classes (u16 type ids)")
+        self._plans[cls] = ObjectPlan.compile(cls, key)
+        self._ids.clear()
+        for type_id, plan in enumerate(sorted(self._plans.values(), key=lambda plan: plan.name)):
+            plan.number(type_id)
+            plan.reset(self._plans)
+            self._ids[type_id] = plan
+        self._digest = None
         return cls
 
+    def table(self) -> list[str]:
+        """One line per class in type-id order: ``<id> <name>(<field>:<form>,...)``."""
+        return [f"{type_id} {plan.signature()}" for type_id, plan in sorted(self._ids.items())]
+
+    def digest(self) -> bytes:
+        """16 bytes naming :meth:`table`: equal digests, the same wire."""
+        if self._digest is None:
+            text = "\n".join(self.table()).encode("utf-8")
+            self._digest = hashlib.sha256(text).digest()[:16]
+        return self._digest
+
     def names(self) -> Iterator[str]:
-        return (plan.name for key, plan in self._plans.items() if key is plan.cls)
+        """Registered names, in registration order."""
+        return (plan.name for plan in self._plans.values())
 
     def is_registered(self, cls: type) -> bool:
         return cls in self._plans
@@ -99,7 +133,7 @@ class MessageRegistry:
         return self._encoder.encode_many_into(buf, values)
 
 
-#: The library-wide registry used by the default transports and logs.
+#: The library-wide registry used by the default transport.
 global_registry = MessageRegistry()
 
 

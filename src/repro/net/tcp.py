@@ -20,6 +20,14 @@ interoperate on the same socket.  It is the one reader of frames, and the
 length prefix is checked against :data:`MAX_FRAME_BYTES` in one place, for
 both directions.
 
+Hello: the first bytes of every outbound connection are
+:func:`encode_hello` — a magic and the digest of the sender's message table
+(:meth:`~repro.net.message.MessageRegistry.digest`), written with the first
+frames, so no round trip is added.  The acceptor checks it before it reads
+any frame and refuses another with a :class:`~repro.errors.TransportError`:
+it writes its own hello back, so the sender logs the refusal too, and
+closes the connection.  Nothing from a refused connection is dispatched.
+
 :class:`TcpTransport` runs every peer connection as one
 :class:`asyncio.Protocol`, in either direction: bytes are cut into frames
 and dispatched in ``data_received``, where they arrive, and a flushed write
@@ -48,6 +56,15 @@ _LENGTH = struct.Struct(">I")
 
 #: Upper bound on a single frame; protects against corrupted length prefixes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+_HELLO_MAGIC = b"RSMw"
+#: Bytes in a hello: the magic, then the 16-byte message-table digest.
+HELLO_BYTES = len(_HELLO_MAGIC) + 16
+
+
+def encode_hello(registry: MessageRegistry) -> bytes:
+    """The first bytes a connection carries: the wire and table its sender speaks."""
+    return _HELLO_MAGIC + registry.digest()
 
 
 def _checked_length(length: int) -> int:
@@ -100,6 +117,8 @@ def decode_frame_envelopes(body: Any, registry: MessageRegistry) -> list[Envelop
     if type(header) is not dict or "src" not in header or "dst" not in header:
         raise TransportError("malformed frame body")
     src, dst = header["src"], header["dst"]
+    if type(src) is not int or type(dst) is not int:
+        raise TransportError(f"frame header names replicas {src!r} -> {dst!r}, not replica ids")
     if "message" in header:
         if len(values) != 1:
             raise TransportError("single-message frame carries trailing values")
@@ -165,14 +184,16 @@ class _Connection(asyncio.Protocol):
 
     Inbound, every complete frame is dispatched as it arrives.  Outbound
     (*dst* set), the connection becomes ``dst``'s write path the moment it is
-    made: the frames that waited for it go out first, in send order, and
-    every later flush writes straight to it.  Peers never write back on an
-    outbound connection; reading it anyway keeps the two directions one class.
+    made: the hello and the frames that waited for it go out first, in send
+    order, and every later flush writes straight to it.  Peers write back on
+    an outbound connection only to refuse its hello; reading it anyway keeps
+    the two directions one class: either way the peer's hello comes first.
     """
 
     def __init__(self, owner: "TcpTransport", dst: Optional[ReplicaId] = None) -> None:
         self._owner = owner
         self._dst = dst
+        self._hello: Optional[bytearray] = bytearray()  # the peer's, until checked
         self._parser = FrameParser(owner._registry)
         self.transport: Optional[asyncio.Transport] = None
         self.lost: asyncio.Future = asyncio.get_running_loop().create_future()
@@ -185,10 +206,20 @@ class _Connection(asyncio.Protocol):
             return
         owner._connections.add(self)
         if self._dst is not None:
-            transport.writelines(owner._waiting.pop(self._dst, ()))
+            transport.writelines([encode_hello(owner._registry), *owner._waiting.pop(self._dst, ())])
             owner._peers[self._dst] = transport
 
     def data_received(self, data: bytes) -> None:
+        if self._hello is not None:
+            try:
+                data = self._check_hello(data)
+            except TransportError as exc:
+                _LOGGER.warning(
+                    "replica %s: refused the connection with %s: %s",
+                    self._owner.local_id, self.transport.get_extra_info("peername"), exc,
+                )  # fmt: skip
+                self.transport.close()
+                return
         dispatch = self._owner._dispatch
         try:
             for envelope in self._parser.feed(data):
@@ -201,6 +232,28 @@ class _Connection(asyncio.Protocol):
                 exc,
             )
             self.transport.close()
+
+    def _check_hello(self, data: bytes) -> bytes:
+        """Take the peer's hello out of *data*; returns what follows it.
+
+        Until the hello is complete, returns nothing.  A hello that is not
+        this replica's raises :class:`~repro.errors.TransportError`; an
+        acceptor writes its own back first, so the sender learns why.
+        """
+        hello = self._hello
+        hello += data
+        if len(hello) < HELLO_BYTES:
+            return b""
+        self._hello = None
+        ours = encode_hello(self._owner._registry)
+        if hello[:HELLO_BYTES] != ours:
+            if self._dst is None:
+                self.transport.write(ours)
+            raise TransportError(
+                f"its hello {bytes(hello[:HELLO_BYTES]).hex()} is not this replica's "
+                f"{ours.hex()}: another wire format or another message table"
+            )
+        return bytes(hello[HELLO_BYTES:])
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         owner = self._owner
@@ -451,5 +504,7 @@ __all__ = [
     "encode_frame",
     "encode_batch_frame",
     "decode_frame_envelopes",
+    "encode_hello",
+    "HELLO_BYTES",
     "MAX_FRAME_BYTES",
 ]

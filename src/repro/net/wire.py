@@ -1,11 +1,11 @@
-"""A compact, self-describing binary codec.
+"""A compact binary codec: tagged primitives, positional messages.
 
-The paper serializes messages with Google Protocol Buffers.  The evaluated
-quantities (message counts and wide-area latencies) do not depend on the wire
-format, so this reproduction ships a small dependency-free codec instead.  It
-supports the primitive types the protocols need plus *registered* dataclass
-types (see :mod:`repro.net.message`), and is used by the asyncio TCP
-transport and the file-backed command log.
+The paper serializes messages with Google Protocol Buffers, which put field
+numbers on the wire, not field names.  This reproduction ships a small
+dependency-free codec in the same spirit: a primitive value carries a one-byte
+tag, and a *registered* dataclass (see :mod:`repro.net.message`) is a small
+type id followed by its fields in declared order, each in the fixed form its
+declaration gives it.  The asyncio TCP transport is its one user.
 
 Wire grammar (all integers big-endian)::
 
@@ -21,55 +21,57 @@ Wire grammar (all integers big-endian)::
     BYTES   := 'B' u32 length, raw bytes
     LIST    := 'L' u32 count, value*
     MAP     := 'M' u32 count, (value value)*
-    OBJ     := 'O' STR(type-name) MAP(field-name -> value)
+    OBJ     := 'O' u16 type-id, body(class)
+
+    body(C)             := form(field)* over C's fields, in declared order
+    form(int)           := int64
+    form(str)           := u32 length, utf-8 bytes
+    form(bytes)         := u32 length, raw bytes
+    form(registered C)  := body(C)
+    form(tuple[X, ...]) := u32 count, form(X)*
+    form(anything else) := value            (Any, a union, Optional, ...)
+
+A type id is the position of the class's registered name among all the
+registry's names in sorted order (:class:`~repro.net.message.MessageRegistry`),
+so it depends on the registry's table and never on import order.
 
 Implementation notes (the wire hot path):
 
 * Containers are coded **iteratively** (an explicit work stack), so nesting
   depth is a checked limit (:data:`MAX_DEPTH`) raising
   :class:`~repro.errors.CodecError` — never a Python ``RecursionError`` a
-  malicious peer could trigger remotely.
+  malicious peer could trigger remotely.  A LIST or MAP, an object, an
+  inlined class body and a non-empty fixed-form tuple each take one level;
+  what they hold sits one level below them.
 * Registered dataclasses are coded only by **generated straight-line code**
-  (:class:`ObjectPlan`, built when the class is registered — a class that
-  cannot be planned cannot be registered; its reader and writer are
-  generated when the class is first coded).  Each class has one wire
-  spelling: its type name, then every field in declared order.  Everything
-  constant between two variable leaves — the OBJ head ``'O' STR(type-name)
-  'M' u32(n)``, the ``STR(field-name)`` keys, the tag of a field declared
-  ``int`` / ``str`` / ``bytes``, head and keys of a nested class made only
-  of such leaves — is one ``bytes`` constant: packed with the leaf after it
-  on encode, compared in place on decode, which ends in ``cls(*values)``.
-  An OBJ whose type name has no plan, or whose head or keys are not the
-  plan's (another field count, an unknown, reordered or omitted field) is a
-  ``CodecError``.  Only a field *value* that is not what its declaration
-  says (another type, an int beyond int64) is coded by the generic routines,
-  that field alone.  A LIST whose elements begin with one planned class's
-  head is looped over that class's reader, a run of one planned class over
-  its writer.  The generated code recurses only from an OBJ into a value
-  nested in it, each OBJ costing two levels of the same checked
-  ``max_depth``.
+  (:class:`ObjectPlan`; a class that cannot be planned cannot be registered;
+  its reader and writer are generated when the class is first coded).  The
+  fixed-width parts between two variable-length ones — int64 fields, the
+  u32 length of the next ``str`` / ``bytes``, across inlined classes — are
+  one ``struct`` call; a field off its declaration (another type, an int
+  beyond int64) is a ``CodecError`` at encode.  The reader builds a slotted
+  class with a dataclass-generated ``__init__`` and no ``__post_init__``
+  through ``object.__new__`` and its slot descriptors — the stores the
+  frozen ``__init__`` makes, at half the cost — and any other class as
+  ``cls(*values)``.
 * A MAP is coded pair by pair in place while its pairs are a STR key with
-  an int64 INT or a planned OBJ — the shape of a transport frame's header —
-  with the OBJ going straight to its plan; the first pair of another shape
-  and every pair after it go through the work stack.  Same bytes, same
-  checks, either way.
-* The encoder appends into one reusable ``bytearray`` using preallocated
-  :class:`struct.Struct` packers with fused tag+value formats — no
-  per-value ``bytes`` temporaries joined at the end.  ``encode_into`` /
+  an int64 INT or an OBJ — the shape of a transport frame's header — with
+  the OBJ going straight to its plan; the first pair of another shape and
+  every pair after it go through the work stack.
+* The encoder appends into one reusable ``bytearray``; ``encode_into`` /
   ``encode_many_into`` expose the same path to callers (the TCP transport)
-  that want to fuse their own framing header into the same buffer.
+  that fuse their own framing header into the same buffer.
 * The decoder reads ``bytes`` in place and only materializes the STR/BYTES
-  leaves; fixed-width fields are ``unpack_from`` reads.  (Another buffer
-  type is copied to ``bytes`` once: slicing leaves out of a ``memoryview``
-  one by one costs more than the copy.)  Declared lengths are validated
-  against the remaining buffer *before* any allocation, so a corrupted
-  length field fails fast instead of attempting a giant allocation.
-* Every malformed-input failure mode — truncation, unknown tags, lengths
-  beyond the buffer or beyond u32, unhashable MAP keys, invalid UTF-8, an
-  OBJ off its registered layout, and constructors choking on bad fields —
-  surfaces as ``CodecError``, the documented contract that lets transport
-  readers treat any decode failure as a protocol error instead of dying on
-  a stray ``TypeError``.
+  leaves.  (Another buffer type is copied to ``bytes`` once: slicing leaves
+  out of a ``memoryview`` one by one costs more than the copy.)  Declared
+  lengths and counts are validated against the remaining buffer *before*
+  any allocation, so a corrupted length field fails fast.
+* Every malformed-input failure mode — truncation, unknown tags or type
+  ids, lengths beyond the buffer or beyond u32, unhashable MAP keys,
+  invalid UTF-8, and constructors choking on bad fields — surfaces as
+  ``CodecError``, the documented contract that lets transport readers treat
+  any decode failure as a protocol error instead of dying on a stray
+  ``TypeError``.
 """
 
 from __future__ import annotations
@@ -80,32 +82,29 @@ import re
 import struct
 import types
 import typing
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping
 
 from ..errors import CodecError
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-_U32_MAX = 2**32 - 1
 
 #: Maximum container nesting the codec will encode or decode.  Deeper
 #: payloads raise :class:`~repro.errors.CodecError`; protocol messages are a
 #: handful of levels deep, so the limit only ever triggers on hostile or
-#: corrupted input (each OBJ costs two levels: the OBJ and its field MAP).
+#: corrupted input.
 MAX_DEPTH = 64
 
+_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 
-# Fused tag+payload packers for the fixed-width wire forms: one pack_into
-# writes both the tag byte and the big-endian payload, no temporaries.
+# Fused tag+payload packers: one pack writes the tag byte and the payload.
 _TAG_I64 = struct.Struct(">Bq")   # 'I' int64
 _TAG_F64 = struct.Struct(">Bd")   # 'D' float64
 _TAG_U32 = struct.Struct(">BI")   # any tag followed by a u32 length/count
-
-_PAD9 = bytes(_TAG_I64.size)
-_PAD5 = bytes(_TAG_U32.size)
+_TAG_U16 = struct.Struct(">BH")   # 'O' type id
 
 _TAG_N = 0x4E  # 'N'
 _TAG_T = 0x54  # 'T'
@@ -123,10 +122,12 @@ _TAG_O = 0x4F  # 'O'
 def declared_as_tuple(field: dataclasses.Field) -> bool:
     """Whether a dataclass field is annotated as a tuple.
 
-    The wire format does not distinguish tuples from lists; fields declared
-    as tuples are converted back on decode so equality round-trips.  Only the
-    annotation's outermost type counts: ``tuple[...]`` / ``Tuple[...]``,
-    alone or as every non-``None`` member of an ``Optional`` / union.
+    A field whose declaration has no fixed form (``Optional[tuple[...]]``,
+    say) is a generic value, and the generic grammar does not distinguish
+    tuples from lists; such fields declared as tuples are converted back on
+    decode so equality round-trips.  Only the annotation's outermost type
+    counts: ``tuple[...]`` / ``Tuple[...]``, alone or as every non-``None``
+    member of an ``Optional`` / union.
     """
     annotation = field.type
     if not isinstance(annotation, str):
@@ -152,73 +153,226 @@ def _type_hints(cls: type) -> dict[str, Any]:
         return {}  # unresolvable (a class local to a function): all fields generic
 
 
-class _OffPlan(struct.error):
-    """Raised by generated code: the field at hand is not what its plan says."""
+# A field's form (see the grammar): ``int``, ``str`` or ``bytes``; the
+# ObjectPlan of an inlined class; ``(tuple, element form)``; or ``None``, a
+# generic value.
+Form = Any
 
 
-def _off_layout(plan: "ObjectPlan", field: int, pos: int) -> CodecError:
-    """The error for an OBJ of *plan*'s type name not in the one layout its plan writes."""
-    due = f"field {plan.fields[field][0]!r}" if plan.fields else "no field"
+def _form(hint: Any, plans: Mapping[Any, "ObjectPlan"]) -> Form:
+    """The form of a field declared as *hint*, given the registered *plans*."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return (tuple, _form(args[0], plans)) if len(args) == 2 and args[1] is Ellipsis else None
+    if hint is int or hint is str or hint is bytes:
+        return hint
+    return plans.get(hint) if isinstance(hint, type) else None
+
+
+def _form_text(form: Form) -> str:
+    if form is None:
+        return "any"
+    if type(form) is tuple:
+        return f"tuple[{_form_text(form[1])}]"
+    return form.name if isinstance(form, ObjectPlan) else form.__name__
+
+
+def _min_size(form: Form, seen: tuple = ()) -> int:
+    """Fewest bytes a value of *form* can take (a bound on hostile counts)."""
+    if form is int:
+        return 8
+    if form is None:
+        return 1  # a tag
+    if not isinstance(form, ObjectPlan):
+        return 4  # a length or a count
+    if form in seen:
+        return 0
+    return sum(_min_size(f, seen + (form,)) for f in form.forms())
+
+
+def _slot_setters(cls: type) -> list[Callable[[Any, Any], None]] | None:
+    """The slot stores ``cls.__init__`` makes, if building by them is the same build.
+
+    Only for a class whose ``__init__`` is the one ``dataclasses`` generated
+    (compiled from source text: its code has no file) with no
+    ``__post_init__``, each field a slot of its own.
+    """
+    init = getattr(cls.__init__, "__code__", None)
+    if init is None or init.co_filename != "<string>" or hasattr(cls, "__post_init__"):
+        return None
+    setters = []
+    for field in dataclasses.fields(cls):
+        slot = getattr(cls, field.name, None)
+        if type(slot) is not types.MemberDescriptorType:
+            return None
+        setters.append(slot.__set__)
+    return setters
+
+
+def _off_declaration(where: str, form: Form, value: Any) -> CodecError:
     return CodecError(
-        f"{plan.name!r} object not in its registered layout (all fields, in declared "
-        f"order): expected {due} at offset {pos}"
+        f"{where} is declared {_form_text(form)}, got a value of type "
+        f"{type(value).__name__}: a message field must hold what its class declares"
     )
 
 
-#: Wire tag of a field whose *declared* type is exactly one of these.
-_LEAF_TAGS = {int: b"I", str: b"S", bytes: b"B"}
+def _build(cls: type, *values: Any) -> Any:
+    """``cls(*values)``, a failure of which is a :class:`CodecError`."""
+    try:
+        return cls(*values)
+    except CodecError:
+        raise
+    except Exception as exc:
+        raise CodecError(f"cannot build {cls.__qualname__!r} from its decoded fields: {exc}") from exc
 
-# Source of the generated reader (see ``ObjectPlan._generate``): one leaf whose
-# tag ends at ``pos`` into ``{into}``, and one constructor call into ``{into}``.
-_READ_SIZED = (
-    "if pos + 4 > end: raise CodecError('truncated wire data')\n"
-    "  n = u32(data, pos)[0]; pos += 4\n"
-    "  if n > end - pos: raise CodecError("
-    "f'declared length {{n}} exceeds the {{end - pos}} bytes remaining')\n"
-    "  {into} = data[pos:pos + n]; pos += n"
-)
-_READ_LEAF = {
-    int: "if pos + 8 > end: raise CodecError('truncated wire data')\n"
-    "  {into} = i64(data, pos)[0]; pos += 8",
-    bytes: _READ_SIZED,
-    str: _READ_SIZED + "\n  try: {into} = {into}.decode('utf-8')\n"
-    "  except UnicodeDecodeError as exc: raise CodecError(f'invalid utf-8 in string: {{exc}}') from exc",
-}
-_BUILD = (
-    "try: {into} = {cls}({args})\n"
-    "{pad}except CodecError: raise\n"
-    "{pad}except Exception as exc: raise CodecError("
-    "f'cannot build {{{name}!r}} from its decoded fields: {{exc}}') from exc"
-)
+
+_DEEPER = "raise CodecError(f'{} nests deeper than max_depth={{codec._max_depth}}')"
+
+
+class _Generator:
+    """Generates a plan's reader and writer in one walk over its layout.
+
+    The two walk the same fields in the same order, so they share the
+    points where the fixed-width parts pile up in ``fixed`` and leave as one
+    ``unpack_from`` / ``pack`` (:meth:`flush`): a variable-length part, a
+    loop, the end.  The reader's objects wait in ``built`` until the fields
+    they are built from are read.  ``need`` is the levels the top object's
+    inlined bodies take below its depth (one for the object itself).
+    """
+
+    def __init__(self, scope: dict[str, Any]) -> None:
+        self.scope = scope
+        self.read: list[str] = []
+        self.write: list[str] = []
+        self.fixed: list[tuple[str, str, str]] = []  # (struct code, read into, write from)
+        self.built: list[str] = []
+        self.names = 0
+        self.need = 1
+
+    def const(self, value: Any) -> str:
+        name = f"k{len(self.scope)}"
+        self.scope[name] = value
+        return name
+
+    def var(self, prefix: str) -> str:
+        self.names += 1
+        return f"{prefix}{self.names}"
+
+    def flush(self, pad: str) -> None:
+        if self.fixed:
+            layout = struct.Struct(">" + "".join(code for code, _, _ in self.fixed))
+            targets = "".join(f"{target}, " for _, target, _ in self.fixed)
+            self.read.append(f"{pad}{targets}= {self.const(layout.unpack_from)}(data, pos); pos += {layout.size}")
+            self.write.append(f"{pad}buf += {self.const(layout.pack)}({', '.join(v for _, _, v in self.fixed)})")
+            self.fixed = []
+        self.read += self.built
+        self.built = []
+
+    def body(self, plan: "ObjectPlan", source: str, level: int, pad: str, stack: tuple) -> str:
+        """Code the body of a *plan* object *level* levels down, written from
+        variable *source*; returns the variable it is read into."""
+        stack += (plan,)
+        values = []
+        for (name, as_tuple), form in zip(plan.fields, plan.forms()):
+            value = self.var("x")
+            self.write.append(f"{pad}{value} = {source}.{name}")
+            values.append(self.field(form, value, level + 1, pad, stack, f"{plan.name}.{name}", as_tuple))
+        target, cls, setters = self.var("o"), self.const(plan.cls), _slot_setters(plan.cls)
+        if setters is None:
+            self.built.append(f"{pad}{target} = build({', '.join([cls, *values])})")
+        else:
+            stores = "".join(f"; {self.const(setter)}({target}, {v})" for setter, v in zip(setters, values))
+            self.built.append(f"{pad}{target} = new({cls}){stores}")
+        return target
+
+    def field(
+        self, form: Form, value: str, level: int, pad: str, stack: tuple, where: str, as_tuple: bool = False
+    ) -> str:
+        """Code one value of *form* *level* levels down, written from variable
+        *value*; returns the variable it is read into.  *where* names it."""
+        target = self.var("v")
+        if form is None:
+            self.flush(pad)
+            self.read.append(f"{pad}{target}, pos = codec._read(data, pos, end, depth + {level})")
+            self.read += [f"{pad}if type({target}) is list: {target} = tuple({target})"] * as_tuple
+            self.write.append(f"{pad}codec._write(buf, {value}, depth + {level})")
+            return target
+        plan = form if isinstance(form, ObjectPlan) else None
+        declared = self.const(plan.cls) if plan else "tuple" if type(form) is tuple else form.__name__
+        self.write.append(
+            f"{pad}if type({value}) is not {declared}: raise off({self.const(where)}, {self.const(form)}, {value})"
+        )
+        if form is int:
+            self.fixed.append(("q", target, value))
+        elif form is str or form is bytes:
+            length = self.var("n")
+            self.write += [f"{pad}{value} = {value}.encode('utf-8')"] * (form is str)
+            self.fixed.append(("I", length, f"len({value})"))
+            self.flush(pad)
+            self.read += [
+                f"{pad}if {length} > end - pos: raise CodecError("
+                f"f'declared length {{{length}}} exceeds the {{end - pos}} bytes remaining')",
+                f"{pad}{target} = data[pos:pos + {length}]{'.decode()' * (form is str)}; pos += {length}",
+            ]
+            self.write.append(f"{pad}buf += {value}")
+        elif plan and plan not in stack:
+            self.need = max(self.need, level + 1)
+            return self.body(plan, value, level, pad, stack)
+        elif plan:  # a class inside itself: one call of its own code per level
+            self.flush(pad)
+            self.read.append(f"{pad}{target}, pos = {self.const(plan)}.read(codec, data, pos, end, depth + {level})")
+            self.write.append(f"{pad}{self.const(plan)}.write(codec, buf, {value}, depth + {level})")
+        else:  # (tuple, element form): a count, then the elements
+            count, item = self.var("n"), self.var("e")
+            self.fixed.append(("I", count, f"len({value})"))
+            self.flush(pad)
+            read, write, need = self.read, self.write, self.need
+            self.read, self.write, self.need = [], [], level + 1
+            element = self.field(form[1], item, level + 1, pad + " ", stack, where + "[]")
+            self.flush(pad + " ")
+            (loop_read, self.read), (loop_write, self.write) = (self.read, read), (self.write, write)
+            need, self.need = self.need, need
+            self.read += [
+                f"{pad}if {count} > (end - pos) // {max(1, _min_size(form[1]))}: raise CodecError("
+                f"f'declared count {{{count}}} exceeds the {{end - pos}} bytes remaining')",
+                f"{pad}if {count} and room < {need}: " + _DEEPER.format("input"),
+                f"{pad}{target} = []",
+                f"{pad}for _ in range({count}):",
+                *loop_read,
+                f"{pad} {target}.append({element})",
+                f"{pad}{target} = tuple({target})",
+            ]
+            self.write += [
+                f"{pad}if {value} and room < {need}: " + _DEEPER.format("value"),
+                f"{pad}for {item} in {value}:",
+                *loop_write,
+            ]
+        return target
 
 
 class ObjectPlan:
     """Everything the codec needs to know about one registered dataclass.
 
-    Compiled once, at registration, from what is constant per class: the
-    OBJ head ``'O' STR(type-name) 'M' u32(field-count)`` and one
-    ``STR(field-name)`` key per field as ready-made bytes, the field names
-    in declared order, and which fields are declared as tuples.
+    Compiled once, at registration: the class, its registered name, its
+    fields in declared order (with whether each is declared as a tuple), and
+    ``head`` — ``'O' u16(type id)``, set by the registry (:meth:`number`).
 
     ``read(decoder, data, pos, end, depth) -> (value, pos)``, called with
-    *pos* at the ``'O'`` tag of an OBJ that has this plan's type name, and
-    ``write(encoder, buf, value, depth)`` are that layout as straight-line
+    *pos* just past the head (at the body), and ``write(encoder, buf, value,
+    depth)``, which writes the body, are the class's layout as straight-line
     code, generated the first time either is called (:meth:`_generate`).
+    *depth* is how many containers enclose the object.
     """
 
-    __slots__ = ("cls", "name", "head", "fields", "read", "write")
+    __slots__ = ("cls", "name", "fields", "head", "read", "write", "_plans", "_forms")
 
     def __init__(self, cls: type, name: str) -> None:
-        fields = dataclasses.fields(cls)
         self.cls = cls
         self.name = name
-        # The constants come from the generic encoder, so they are its bytes.
-        self.head = b"O" + encode(name) + _TAG_U32.pack(_TAG_M, len(fields))
-        #: ``(field name, STR(field name), declared as tuple)`` in declared order
-        self.fields = tuple(
-            (f.name, encode(f.name), declared_as_tuple(f)) for f in fields
-        )
-        self.reset()
+        #: ``(field name, declared as tuple)`` in declared order
+        self.fields = tuple((f.name, declared_as_tuple(f)) for f in dataclasses.fields(cls))
+        self.head = b""
+        self.reset({})
 
     @classmethod
     def compile(cls, dataclass: type, name: str) -> "ObjectPlan":
@@ -254,147 +408,72 @@ class ObjectPlan:
             + "; a message class is built as cls(*fields in declared order)"
         )
 
-    def reset(self) -> None:
-        """Forget the generated ``read`` / ``write``: the next call of either builds both."""
+    def number(self, type_id: int) -> None:
+        """Give the class its type id (the head its OBJ starts with)."""
+        self.head = _TAG_U16.pack(_TAG_O, type_id)
+
+    def reset(self, plans: Mapping[Any, "ObjectPlan"]) -> None:
+        """Forget forms and generated code; *plans* (class -> plan) is the registry now.
+
+        The next call of ``read`` or ``write`` generates both.
+        """
+        self._plans, self._forms = plans, None
 
         def first(attr: str) -> Callable[..., Any]:
             def stub(codec: Any, *args: Any) -> Any:
-                self._generate(codec._plans)
+                self._generate()
                 return getattr(self, attr)(codec, *args)
 
             return stub
 
         self.read, self.write = first("read"), first("write")
 
-    @staticmethod
-    def _leaves(key: bytes, hint: Any, plans: Mapping[Any, "ObjectPlan"]):
-        """How a field declared as *hint* is coded in place, if it is.
+    def forms(self) -> tuple[Form, ...]:
+        """Each field's form, in declared order, from its declaration and the registry."""
+        if self._forms is None:
+            hints = _type_hints(self.cls)
+            self._forms = tuple(_form(hints.get(name), self._plans) for name, _ in self.fields)
+        return self._forms
 
-        Returns ``(nested plan or None, [(constant, leaf type), ...])``: each
-        variable leaf with the constant bytes before it — the field's *key*,
-        head and keys of an inlined class, the leaf's tag.  ``int`` / ``str``
-        / ``bytes`` is one leaf; a class of *plans* made only of those is
-        inlined (without fields: one constant, no leaf); any other field has
-        no leaves and goes through the generic routines.
-        """
-        if not isinstance(hint, type):
-            return None, []
-        if hint in _LEAF_TAGS:
-            return None, [(key + _LEAF_TAGS[hint], hint)]
-        nested, hints = plans.get(hint), _type_hints(hint)
-        if nested is None or any(hints.get(n) not in _LEAF_TAGS for n, _, _ in nested.fields):
-            return None, []
-        leaves, constant = [], key + nested.head
-        for name, inner_key, _ in nested.fields:
-            leaves.append((constant + inner_key + _LEAF_TAGS[hints[name]], hints[name]))
-            constant = b""
-        return nested, leaves or [(constant, None)]
+    def signature(self) -> str:
+        """``name(field:form, ...)``: the class's layout, as the registry digest covers it."""
+        fields = ",".join(f"{name}:{_form_text(form)}" for (name, _), form in zip(self.fields, self.forms()))
+        return f"{self.name}({fields})"
 
-    def _generate(self, plans: Mapping[Any, "ObjectPlan"]) -> None:
+    def _generate(self) -> None:
         """Build ``read`` and ``write`` from this plan, as ``dataclasses`` builds ``__init__``.
 
-        Everything constant between two variable leaves is one ``bytes``
-        constant: packed by the writer with the leaf that follows it,
-        compared in place by the reader.  A field whose value is not what its
-        declaration says — another type, an int beyond int64, a leaf under
-        another tag, a nested object too deep to inline — raises ``OffPlan``
-        and goes through the codec's generic routines, that field alone; a
-        head or *key* that is not the planned one is a ``CodecError``.
-        Only offsets and field names are written into the source; bytes,
-        classes and type names enter through *scope*.
+        Classes a field declares are inlined (a class inside itself calls its
+        own generated code, one level per call).  The levels the inlined
+        bodies take, known in advance, are checked once on entry; a
+        non-empty tuple's levels are checked before its loop.  Only offsets,
+        variable and field names are written into the source; classes,
+        setters and packers enter through the scope.
         """
         scope: dict[str, Any] = {
-            "plan": self, "CodecError": CodecError, "OffPlan": _OffPlan, "off_layout": _off_layout,
-            "struct_error": struct.error, "u32": _U32.unpack_from, "i64": _I64.unpack_from,
+            "CodecError": CodecError, "struct_error": struct.error, "new": object.__new__,
+            "build": _build, "off": _off_declaration,
         }  # fmt: skip
-
-        def const(value: Any) -> str:
-            scope[f"c{len(scope)}"] = value
-            return f"c{len(scope) - 1}"
-
-        def build(pad: str, into: str, plan: ObjectPlan, var: str) -> str:
-            args = ", ".join(f"{var}{i}" for i in range(len(plan.fields)))
-            return pad + _BUILD.format(
-                pad=pad, into=into, cls=const(plan.cls), name=const(plan.name), args=args
-            )
-
-        hints = _type_hints(self.cls)
-        read: list[str] = []
-        write: list[str] = []
-        for i, (name, key, as_tuple) in enumerate(self.fields):
-            key = self.head * (not i) + key  # the head is part of the first constant
-            nested, leaves = self._leaves(key, hints.get(name), plans)
-            key_const = const(key)
-            generic = [
-                f"if not data.startswith({key_const}, pos): raise off_layout(plan, {i}, pos)",
-                f"v{i}, pos = codec._read(data, pos + {len(key)}, end, d2)",
-                *[f"if type(v{i}) is list: v{i} = tuple(v{i})"] * as_tuple,
-            ]
-            write.append(f" item = value.{name}")
-            if not leaves:
-                read += [" " + line for line in generic]
-                write += [
-                    f" buf += {key_const}",
-                    " if type(item) is tuple or type(item) is list:"
-                    " codec._write_sequence(buf, item, d2)",
-                    " else: codec._write(buf, item, d2)",
-                ]
-                continue
-            read += [" at = pos", " try:"]
-            write.append(" try:")
-            if nested:  # its OBJ (and MAP) two levels down: too deep, and it is read generically
-                read.append(f"  if room < {3 + bool(nested.fields)}: raise OffPlan")
-                write.append(f"  if room < 2 or type(item) is not {const(nested.cls)}: raise OffPlan")
-            append = []
-            for j, (constant, kind) in enumerate(leaves):
-                read += [
-                    f"  if not data.startswith({const(constant)}, pos): raise OffPlan",
-                    f"  pos += {len(constant)}",
-                ]
-                if kind is None:
-                    append.append(f"  buf += {const(constant)}")
-                    continue
-                read.append("  " + _READ_LEAF[kind].format(into=f"n{j}" if nested else f"v{i}"))
-                pack = struct.Struct(f">{len(constant)}s{'q' if kind is int else 'I'}").pack
-                write += [
-                    f"  a{j} = item.{nested.fields[j][0]}" if nested else f"  a{j} = item",
-                    f"  if type(a{j}) is not {kind.__name__}: raise OffPlan",
-                    *[f"  a{j} = a{j}.encode('utf-8')"] * (kind is str),
-                    f"  s{j} = {const(pack)}({const(constant)}, "
-                    + (f"a{j})" if kind is int else f"len(a{j}))"),
-                ]
-                append.append(f"  buf += s{j}" + f"; buf += a{j}" * (kind is not int))
-            if nested:
-                read.append(build("  ", f"v{i}", nested, "n"))
-            read += [" except OffPlan:", "  pos = at", *["  " + line for line in generic]]
-            write += [
-                " except struct_error:",  # off its declaration, or beyond int64 / u32
-                f"  buf += {key_const}; codec._write(buf, item, d2)",
-                " else:",
-                *append,
-            ]
-        if not self.fields:
-            head = const(self.head)
-            read += [
-                f" if not data.startswith({head}, pos): raise off_layout(plan, 0, pos)",
-                f" pos += {len(self.head)}",
-            ]
-            write.append(f" buf += {head}")
+        code = _Generator(scope)
+        result = code.body(self, "value", 0, "  ", ())
+        code.flush("  ")
         source = [
             "def read(codec, data, pos, end, depth):",
-            " room = codec._max_depth - depth",  # levels left below *depth*
-            f" if room < {2 if self.fields else 1}: raise CodecError("  # the OBJ, and its MAP
-            "f'input nests deeper than max_depth={codec._max_depth}')",
-            " d2 = depth + 2",
-            *read,
-            build(" ", "value", self, "v"),
-            " return value, pos",
+            " room = codec._max_depth - depth",  # levels left from *depth* down
+            f" if room < {code.need}: " + _DEEPER.format("input"),
+            " try:",
+            *code.read,
+            " except struct_error: raise CodecError('truncated wire data') from None",
+            " except UnicodeDecodeError as exc: raise CodecError(f'invalid utf-8 in string: {exc}') from None",
+            f" return {result}, pos",
             "def write(codec, buf, value, depth):",
-            " room = codec._max_depth - depth - 2",
-            " if room < 0: raise CodecError("
-            "f'value nests deeper than max_depth={codec._max_depth}')",
-            " d2 = depth + 2",
-            *write,
+            " room = codec._max_depth - depth",
+            f" if room < {code.need}: " + _DEEPER.format("value"),
+            " try:",
+            *code.write,
+            "  pass",
+            f" except struct_error as exc: raise CodecError(f'cannot encode a {{{code.const(self.name)}!r}}: "
+            "an int beyond int64, or a length or count beyond u32 ({exc})') from None",
         ]
         exec("\n".join(source), scope)
         self.read, self.write = scope["read"], scope["write"]
@@ -471,139 +550,82 @@ class WireEncoder:
         plans = self._plans
         plan = plans.get(type(value))
         if plan is not None:
+            buf += plan.head
             plan.write(self, buf, value, depth)
             return
         # Iterative depth-first encode: the stack holds (value, depth)
         # pairs still to be emitted; container children are pushed in
-        # reverse so they pop in document order.
+        # reverse so they pop in document order.  A length or count beyond
+        # u32 fails the ``pack`` that writes it.
         max_depth = self._max_depth
         stack: list[tuple[Any, int]] = [(value, depth)]
         pop = stack.pop
         push = stack.append
-        while stack:
-            value, depth = pop()
-            if isinstance(value, dict):
-                if len(value) > _U32_MAX:
-                    raise CodecError(
-                        f"map of {len(value)} entries exceeds the u32 count field"
-                    )
-                if depth >= max_depth:
-                    raise CodecError(f"value nests deeper than max_depth={max_depth}")
-                pos = len(buf)
-                buf += _PAD5
-                _TAG_U32.pack_into(buf, pos, _TAG_M, len(value))
-                child_depth = depth + 1
-                # A STR key with an int64 or a registered object — every
-                # pair of a frame header — is written here, in place; the
-                # first other pair goes on the stack with all behind it.
-                items = iter(value.items())
-                for key, item in items:
-                    plan = plans.get(type(item))
-                    if type(key) is str and (
-                        plan is not None or type(item) is int and _INT64_MIN <= item <= _INT64_MAX
-                    ):
-                        raw = key.encode("utf-8")
-                        if len(raw) <= _U32_MAX:
-                            buf += _TAG_U32.pack(_TAG_S, len(raw))
-                            buf += raw
-                            if plan is None:
-                                buf += _TAG_I64.pack(_TAG_I, item)
-                            else:
-                                plan.write(self, buf, item, child_depth)
-                            continue
-                    for key, item in reversed([(key, item), *items]):
-                        push((item, child_depth))
-                        push((key, child_depth))
-                    break
-            elif value is None:
-                buf.append(_TAG_N)
-            elif value is True:
-                buf.append(_TAG_T)
-            elif value is False:
-                buf.append(_TAG_F)
-            elif isinstance(value, int):
-                if _INT64_MIN <= value <= _INT64_MAX:
-                    pos = len(buf)
-                    buf += _PAD9
-                    _TAG_I64.pack_into(buf, pos, _TAG_I, value)
-                else:
-                    raw = value.to_bytes(
-                        (value.bit_length() + 8) // 8, "big", signed=True
-                    )
-                    if len(raw) > _U32_MAX:
-                        raise CodecError(
-                            f"BIGINT of {len(raw)} bytes exceeds the u32 length field"
-                        )
-                    pos = len(buf)
-                    buf += _PAD5
-                    _TAG_U32.pack_into(buf, pos, _TAG_J, len(raw))
-                    buf += raw
-            elif isinstance(value, float):
-                pos = len(buf)
-                buf += _PAD9
-                _TAG_F64.pack_into(buf, pos, _TAG_D, value)
-            elif isinstance(value, str):
-                raw = value.encode("utf-8")
-                if len(raw) > _U32_MAX:
-                    raise CodecError(
-                        f"string of {len(raw)} utf-8 bytes exceeds the u32 length field"
-                    )
-                pos = len(buf)
-                buf += _PAD5
-                _TAG_U32.pack_into(buf, pos, _TAG_S, len(raw))
-                buf += raw
-            elif isinstance(value, (bytes, bytearray, memoryview)):
-                if len(value) > _U32_MAX:
-                    raise CodecError(
-                        f"bytes of length {len(value)} exceed the u32 length field"
-                    )
-                pos = len(buf)
-                buf += _PAD5
-                _TAG_U32.pack_into(buf, pos, _TAG_B, len(value))
-                buf += value
-            elif isinstance(value, (list, tuple)):
-                if len(value) > _U32_MAX:
-                    raise CodecError(
-                        f"list of {len(value)} items exceeds the u32 count field"
-                    )
-                if depth >= max_depth:
-                    raise CodecError(f"value nests deeper than max_depth={max_depth}")
-                pos = len(buf)
-                buf += _PAD5
-                _TAG_U32.pack_into(buf, pos, _TAG_L, len(value))
-                child_depth = depth + 1
-                for item in reversed(value):
-                    push((item, child_depth))
-            else:
-                plan = plans.get(type(value))
-                if plan is None:
-                    raise CodecError(
-                        f"cannot encode value of type {type(value).__name__}: "
-                        "not a primitive or a registered message"
-                    )
-                plan.write(self, buf, value, depth)
-
-    def _write_sequence(self, buf: bytearray, items: Any, depth: int) -> None:
-        """Append the LIST encoding of an exact ``list``/``tuple``."""
-        if depth >= self._max_depth:
-            raise CodecError(f"value nests deeper than max_depth={self._max_depth}")
         try:
-            buf += _TAG_U32.pack(_TAG_L, len(items))
-        except struct.error:
-            raise CodecError(
-                f"list of {len(items)} items exceeds the u32 count field"
-            ) from None
-        plans = self._plans
-        child_depth = depth + 1
-        kind = plan = None
-        for item in items:
-            if type(item) is not kind:  # a run of one planned class: its writer, directly
-                kind = type(item)
-                plan = plans.get(kind)
-            if plan is not None:
-                plan.write(self, buf, item, child_depth)
-            else:
-                self._write(buf, item, child_depth)
+            while stack:
+                value, depth = pop()
+                if isinstance(value, (dict, list, tuple)) and depth >= max_depth:
+                    raise CodecError(f"value nests deeper than max_depth={max_depth}")
+                if isinstance(value, dict):
+                    buf += _TAG_U32.pack(_TAG_M, len(value))
+                    # A STR key with an int64 or a registered object — every
+                    # pair of a frame header — is written here, in place; the
+                    # first other pair goes on the stack with all behind it.
+                    items = iter(value.items())
+                    for key, item in items:
+                        plan = plans.get(type(item))
+                        if type(key) is not str or plan is None and not (
+                            type(item) is int and _INT64_MIN <= item <= _INT64_MAX
+                        ):
+                            for key, item in reversed([(key, item), *items]):
+                                push((item, depth + 1))
+                                push((key, depth + 1))
+                            break
+                        raw = key.encode("utf-8")
+                        buf += _TAG_U32.pack(_TAG_S, len(raw))
+                        buf += raw
+                        if plan is None:
+                            buf += _TAG_I64.pack(_TAG_I, item)
+                        else:
+                            buf += plan.head
+                            plan.write(self, buf, item, depth + 1)
+                elif value is None:
+                    buf.append(_TAG_N)
+                elif value is True:
+                    buf.append(_TAG_T)
+                elif value is False:
+                    buf.append(_TAG_F)
+                elif isinstance(value, int):
+                    if _INT64_MIN <= value <= _INT64_MAX:
+                        buf += _TAG_I64.pack(_TAG_I, value)
+                    else:
+                        raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+                        buf += _TAG_U32.pack(_TAG_J, len(raw))
+                        buf += raw
+                elif isinstance(value, float):
+                    buf += _TAG_F64.pack(_TAG_D, value)
+                elif isinstance(value, str):
+                    raw = value.encode("utf-8")
+                    buf += _TAG_U32.pack(_TAG_S, len(raw))
+                    buf += raw
+                elif isinstance(value, (bytes, bytearray, memoryview)):
+                    buf += _TAG_U32.pack(_TAG_B, len(value))
+                    buf += value
+                elif isinstance(value, (list, tuple)):
+                    buf += _TAG_U32.pack(_TAG_L, len(value))
+                    for item in reversed(value):
+                        push((item, depth + 1))
+                else:
+                    plan = plans.get(type(value))
+                    if plan is None:
+                        raise CodecError(
+                            f"cannot encode value of type {type(value).__name__}: "
+                            "not a primitive or a registered message"
+                        )
+                    buf += plan.head
+                    plan.write(self, buf, value, depth)
+        except struct.error as exc:
+            raise CodecError(f"a length or count beyond its u32 field: {exc}") from None
 
 
 # Decoder frame kinds (the explicit stack replacing recursion).
@@ -617,14 +639,12 @@ class WireDecoder:
     Args:
         max_depth: Container nesting limit (:data:`MAX_DEPTH` by default);
             deeper input raises :class:`~repro.errors.CodecError`.
-        plans: Live mapping ``utf-8 type-name bytes -> ObjectPlan``.  An OBJ
-            is read by the plan of its type name and must be in the one
-            layout that plan writes; an OBJ with any other name, or in any
-            other layout (extra, missing or reordered fields), raises
+        plans: Live mapping ``type id -> ObjectPlan``.  An OBJ is read by
+            the plan of its type id; an OBJ with any other id raises
             :class:`~repro.errors.CodecError`.
     """
 
-    def __init__(self, max_depth: int = MAX_DEPTH, plans: Mapping[Any, ObjectPlan] = _NO_PLANS) -> None:
+    def __init__(self, max_depth: int = MAX_DEPTH, plans: Mapping[int, ObjectPlan] = _NO_PLANS) -> None:
         self._max_depth = max_depth
         self._plans = plans
 
@@ -662,210 +682,139 @@ class WireDecoder:
 
     # -- reader ------------------------------------------------------------
 
+    def _plan(self, data: bytes, pos: int) -> ObjectPlan:
+        """The plan of the OBJ whose head starts at *pos*."""
+        type_id = _U16.unpack_from(data, pos + 1)[0]
+        plan = self._plans.get(type_id)
+        if plan is None:
+            raise CodecError(f"object at offset {pos} has no registered type name (type id {type_id})")
+        return plan
+
     def _read(self, data: bytes, pos: int, end: int, depth: int = 0) -> tuple[Any, int]:
         """Read one value starting at *pos*; returns ``(value, new_pos)``.
 
-        Iterative: container frames live on an explicit stack.  A LIST frame
-        is ``[kind, items, remaining]``; a MAP frame is ``[kind, dict,
-        remaining, key, have_key]`` (entries are inserted as their pair
-        completes, so an unhashable key fails right where it decodes).  An
-        OBJ is read whole by its plan, which comes back here only for a
-        field value it does not code in place.
+        *end* is ``len(data)``: a fixed-width read past it fails its
+        ``unpack_from``, which is a truncation.  Iterative: container frames
+        live on an explicit stack.  A LIST frame is ``[kind, items,
+        remaining]``; a MAP frame is ``[kind, dict, remaining, key,
+        have_key]`` (entries are inserted as their pair completes, so an
+        unhashable key fails right where it decodes).  An OBJ is read whole
+        by its plan, which comes back here only for a field with no fixed
+        form.
 
         *depth* is how many containers already enclose the value.
         """
+        if pos + 3 <= end and data[pos] == _TAG_O:  # an object: its plan reads it whole
+            return self._plan(data, pos).read(self, data, pos + 3, end, depth)
         max_depth = self._max_depth
         limit = max_depth - depth  # frames this call may stack
-        plans = self._plans
         stack: list[list[Any]] = []
-        while True:
-            # ---- read exactly one leaf, or open a container frame -------
-            if pos >= end:
-                raise CodecError("truncated wire data")
-            tag = data[pos]
-            pos += 1
-            have_value = True
-            value: Any = None
-            if tag == _TAG_M:
-                if pos + 4 > end:
+        try:
+            while True:
+                # ---- read exactly one leaf, or open a container frame -------
+                if pos >= end:
                     raise CodecError("truncated wire data")
-                count = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                if count > (end - pos) // 2:
-                    raise CodecError(
-                        f"declared count {count} exceeds the {end - pos} bytes remaining"
-                    )
-                value = {}
-                if count:
-                    if len(stack) >= limit:
-                        raise CodecError(
-                            f"input nests deeper than max_depth={max_depth}"
-                        )
-                    # A STR key with an INT or a planned OBJ — every pair of
-                    # a frame header — is read here, in place; the first
-                    # other pair (or one that does not fit) is left to the
-                    # frame below, which reads it and the rest as ever.
+                tag = data[pos]
+                pos += 1
+                have_value = True
+                value: Any = None
+                if tag == _TAG_O:
+                    value, pos = self._plan(data, pos - 1).read(self, data, pos + 2, end, depth + len(stack))
+                elif tag == _TAG_M or tag == _TAG_L:
+                    count = _U32.unpack_from(data, pos)[0]
+                    pos += 4
+                    # Each element costs at least its one tag byte (a pair,
+                    # two): a count the remaining buffer cannot satisfy fails
+                    # here, fast, instead of looping towards a huge container.
+                    if count > (end - pos) // (2 if tag == _TAG_M else 1):
+                        raise CodecError(f"declared count {count} exceeds the {end - pos} bytes remaining")
+                    value = {} if tag == _TAG_M else []
+                    if count and len(stack) >= limit:
+                        raise CodecError(f"input nests deeper than max_depth={max_depth}")
+                    # A STR key with an INT or an OBJ — every pair of a frame
+                    # header — is read here, in place; the first other pair
+                    # (or one that does not fit) is left to the frame below,
+                    # which reads it and the rest as ever.
                     here = depth + len(stack) + 1  # the depth of the values
-                    while count and pos + 5 <= end and data[pos] == _TAG_S:
+                    while tag == _TAG_M and count and pos + 5 <= end and data[pos] == _TAG_S:
                         at = pos + 5 + _U32.unpack_from(data, pos + 1)[0]  # the value's tag
-                        if at >= end:
-                            break
-                        kind = data[at]
-                        if kind == _TAG_I:
-                            if at + 9 > end:
-                                break
-                        elif kind != _TAG_O or (plan := self._plan_at(data, at + 1, end)) is None:
+                        if at >= end or data[at] != _TAG_I and (data[at] != _TAG_O or at + 3 > end):
                             break
                         try:
                             key = data[pos + 5 : at].decode("utf-8")
                         except UnicodeDecodeError:
                             break
-                        if kind == _TAG_I:
+                        if data[at] == _TAG_I:
                             value[key] = _I64.unpack_from(data, at + 1)[0]
                             pos = at + 9
                         else:
-                            value[key], pos = plan.read(self, data, at, end, here)
+                            value[key], pos = self._plan(data, at).read(self, data, at + 3, end, here)
                         count -= 1
                     if count:
-                        stack.append([_F_MAP, value, count, None, False])
+                        stack.append([_F_MAP, value, count, None, False] if tag == _TAG_M else [_F_LIST, value, count])
                         have_value = False
-            elif tag == _TAG_I:
-                if pos + 8 > end:
-                    raise CodecError("truncated wire data")
-                value = _I64.unpack_from(data, pos)[0]
-                pos += 8
-            elif tag == _TAG_S:
-                if pos + 4 > end:
-                    raise CodecError("truncated wire data")
-                n = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                if n > end - pos:
-                    raise CodecError(
-                        f"declared length {n} exceeds the {end - pos} bytes remaining"
-                    )
-                try:
-                    value = data[pos : pos + n].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CodecError(f"invalid utf-8 in string: {exc}") from exc
-                pos += n
-            elif tag == _TAG_B:
-                if pos + 4 > end:
-                    raise CodecError("truncated wire data")
-                n = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                if n > end - pos:
-                    raise CodecError(
-                        f"declared length {n} exceeds the {end - pos} bytes remaining"
-                    )
-                value = data[pos : pos + n]
-                pos += n
-            elif tag == _TAG_O:
-                # The plan checks the levels the OBJ needs, as it reads it.
-                plan = self._plan_at(data, pos, end)
-                if plan is None:
-                    raise CodecError(f"object at offset {pos - 1} has no registered type name")
-                value, pos = plan.read(self, data, pos - 1, end, depth + len(stack))
-            elif tag == _TAG_N:
-                value = None
-            elif tag == _TAG_T:
-                value = True
-            elif tag == _TAG_F:
-                value = False
-            elif tag == _TAG_D:
-                if pos + 8 > end:
-                    raise CodecError("truncated wire data")
-                value = _F64.unpack_from(data, pos)[0]
-                pos += 8
-            elif tag == _TAG_J:
-                if pos + 4 > end:
-                    raise CodecError("truncated wire data")
-                n = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                if n > end - pos:
-                    raise CodecError(
-                        f"declared length {n} exceeds the {end - pos} bytes remaining"
-                    )
-                value = int.from_bytes(data[pos : pos + n], "big", signed=True)
-                pos += n
-            elif tag == _TAG_L:
-                if pos + 4 > end:
-                    raise CodecError("truncated wire data")
-                count = _U32.unpack_from(data, pos)[0]
-                pos += 4
-                # Each element costs at least its one tag byte: a count the
-                # remaining buffer cannot possibly satisfy fails here, fast,
-                # instead of looping (or preallocating) towards a huge list.
-                if count > end - pos:
-                    raise CodecError(
-                        f"declared count {count} exceeds the {end - pos} bytes remaining"
-                    )
-                if count == 0:
-                    value = []
+                elif tag == _TAG_I:
+                    value = _I64.unpack_from(data, pos)[0]
+                    pos += 8
+                elif tag == _TAG_S or tag == _TAG_B or tag == _TAG_J:
+                    n = _U32.unpack_from(data, pos)[0]
+                    pos += 4
+                    if n > end - pos:
+                        raise CodecError(f"declared length {n} exceeds the {end - pos} bytes remaining")
+                    value = data[pos : pos + n]
+                    pos += n
+                    if tag == _TAG_S:
+                        value = value.decode("utf-8")
+                    elif tag == _TAG_J:
+                        value = int.from_bytes(value, "big", signed=True)
+                elif tag == _TAG_N:
+                    value = None
+                elif tag == _TAG_T:
+                    value = True
+                elif tag == _TAG_F:
+                    value = False
+                elif tag == _TAG_D:
+                    value = _F64.unpack_from(data, pos)[0]
+                    pos += 8
                 else:
-                    if len(stack) >= limit:
-                        raise CodecError(
-                            f"input nests deeper than max_depth={max_depth}"
-                        )
-                    value = []
-                    here = depth + len(stack) + 1  # the depth of the elements
-                    if plans and data[pos] == _TAG_O:
-                        # Elements that begin with one planned class's head
-                        # are read in place by its reader; the first that
-                        # does not leaves the rest to the loop below.
-                        plan = self._plan_at(data, pos + 1, end)
-                        while count and plan is not None and data.startswith(plan.head, pos):
-                            item, pos = plan.read(self, data, pos, end, here)
-                            value.append(item)
-                            count -= 1
-                    if count:
-                        stack.append([_F_LIST, value, count])
-                        have_value = False
-            else:
-                raise CodecError(f"unknown wire tag {bytes((tag,))!r}")
+                    raise CodecError(f"unknown wire tag {bytes((tag,))!r}")
 
-            if not have_value:
-                continue  # a container frame was opened; read its first child
+                if not have_value:
+                    continue  # a container frame was opened; read its first child
 
-            # ---- feed the completed value into the enclosing frames -----
-            while True:
-                if not stack:
-                    return value, pos
-                frame = stack[-1]
-                kind = frame[0]
-                if kind == _F_LIST:
-                    items = frame[1]
-                    items.append(value)
-                    frame[2] -= 1
-                    if frame[2]:
-                        break  # more elements to read
-                    stack.pop()
-                    value = items
-                else:  # _F_MAP
-                    if not frame[4]:
-                        frame[3] = value
-                        frame[4] = True
-                        break  # the key's value is next
-                    try:
-                        frame[1][frame[3]] = value
-                    except TypeError as exc:
-                        raise CodecError(
-                            f"unhashable map key of type {type(frame[3]).__name__}"
-                        ) from exc
-                    frame[3] = None
-                    frame[4] = False
-                    frame[2] -= 1
-                    if frame[2]:
-                        break  # more pairs to read
-                    stack.pop()
-                    value = frame[1]
-
-    def _plan_at(self, data: bytes, pos: int, end: int) -> Optional[ObjectPlan]:
-        """The plan of the OBJ whose type name should be the STR at *pos*."""
-        name_at = pos + 5
-        if name_at > end or data[pos] != _TAG_S:
-            return None
-        name_end = name_at + _U32.unpack_from(data, pos + 1)[0]
-        return self._plans.get(data[name_at:name_end]) if name_end <= end else None
+                # ---- feed the completed value into the enclosing frames -----
+                while True:
+                    if not stack:
+                        return value, pos
+                    frame = stack[-1]
+                    if frame[0] == _F_LIST:
+                        items = frame[1]
+                        items.append(value)
+                        frame[2] -= 1
+                        if frame[2]:
+                            break  # more elements to read
+                        stack.pop()
+                        value = items
+                    else:  # _F_MAP
+                        if not frame[4]:
+                            frame[3] = value
+                            frame[4] = True
+                            break  # the key's value is next
+                        try:
+                            frame[1][frame[3]] = value
+                        except TypeError as exc:
+                            raise CodecError(f"unhashable map key of type {type(frame[3]).__name__}") from exc
+                        frame[3] = None
+                        frame[4] = False
+                        frame[2] -= 1
+                        if frame[2]:
+                            break  # more pairs to read
+                        stack.pop()
+                        value = frame[1]
+        except struct.error:
+            raise CodecError("truncated wire data") from None
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"invalid utf-8 in string: {exc}") from None
 
 
 def _as_bytes(data: Any) -> bytes:

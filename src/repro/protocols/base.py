@@ -311,19 +311,6 @@ class Replica(ABC):
         return f"<{type(self).__name__} r{self.replica_id}@{site}>"
 
 
-def expand_broadcast(replica: Replica, action: Broadcast) -> list[Send]:
-    """Expand a :class:`Broadcast` into per-destination :class:`Send` actions.
-
-    Drivers that have no native broadcast support (the TCP runtime) use this;
-    the simulator keeps broadcasts intact so it can charge a single
-    serialization cost and per-destination network delays.
-    """
-    return [
-        Send(dst, action.message)
-        for dst in replica.broadcast_targets(action.include_self)
-    ]
-
-
 __all__ = [
     "ProtocolName",
     "CLOCK_RSM",
@@ -340,5 +327,4 @@ __all__ = [
     "ExecutionOrder",
     "Replica",
     "ReplicaObserver",
-    "expand_broadcast",
 ]

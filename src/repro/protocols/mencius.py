@@ -114,7 +114,7 @@ class MenciusReplica(Replica):
 
     def __init__(self, replica_id: ReplicaId, spec: Any, **kwargs: Any) -> None:
         super().__init__(replica_id, spec, **kwargs)
-        self.ledger = SlotLedger()
+        self.ledger = SlotLedger(spec.replica_ids)
         #: My next unused own slot (initially my replica id).
         self.next_own_slot = self.replica_id
         #: For each replica, the highest skip bound it has announced.

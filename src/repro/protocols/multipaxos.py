@@ -93,7 +93,7 @@ class MultiPaxosReplica(Replica):
         self.leader: ReplicaId = self.config.leader
         if self.leader not in spec.replica_ids:
             raise ValueError(f"configured leader {self.leader} is not in the spec")
-        self.ledger = SlotLedger()
+        self.ledger = SlotLedger(spec.replica_ids)
         #: Next free slot; meaningful only at the leader.
         self.next_slot = 0
         #: Commands this replica originated and has not yet answered.

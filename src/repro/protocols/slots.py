@@ -11,7 +11,7 @@ changes how many client commands ride in one slot, never the slot order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from ..types import ReplicaId
 
@@ -51,7 +51,9 @@ class SlotLedger:
     command it held lives on in the replica's log).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, replicas: Iterable[ReplicaId]) -> None:
+        #: The replica set: an acknowledgement from anyone else counts for nothing.
+        self._replicas = frozenset(replicas)
         self._slots: dict[int, SlotState] = {}
         #: The next slot index to execute (all smaller slots are executed).
         self.execute_frontier = 0
@@ -92,8 +94,10 @@ class SlotLedger:
         return state
 
     def add_ack(self, slot: int, replica: ReplicaId) -> int:
+        """Record *replica*'s ack of *slot*; returns the slot's distinct ackers."""
         state = self.get(slot)
-        state.acks.add(replica)
+        if replica in self._replicas:
+            state.acks.add(replica)
         return len(state.acks)
 
     def mark_decided(self, slot: int) -> SlotState:

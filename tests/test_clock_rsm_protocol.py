@@ -266,6 +266,25 @@ class TestCommitRule:
         assert origin.state.ack_count(prepare.ts) == 0
         assert origin.state._acks == {}
 
+    def test_an_ack_from_outside_the_configuration_does_not_make_a_majority(self):
+        # Over TCP the sender of a message is what its frame header says; a
+        # PREPAREOK "from" replica 7 of a 3-replica cluster is no log copy.
+        replicas = {rid: build_replica(replica_id=rid, wait_for_clock=False)[0] for rid in range(3)}
+        origin = replicas[0]
+        prepare = only(origin.on_client_request(command()), Broadcast)[0].message
+        oks = self._deliver_prepare_everywhere(replicas, prepare)
+        origin.on_message(0, oks[0])  # its own copy: one ack
+        origin.on_message(7, PrepareOk(prepare.ts, oks[1].clock_micros))
+        assert origin.state.ack_count(prepare.ts) == 1
+        later = prepare.ts.micros + 1_000
+        for rid in (1, 2):  # every replica's clock is past the command: stable
+            origin.on_message(rid, ClockTime(later))
+        assert origin.executed_count == 0
+        # The copy of a replica in the configuration completes the majority.
+        actions = origin.on_message(1, oks[1])
+        assert origin.executed_count == 1
+        assert [reply.command_id for reply in only(actions, ClientReply)] == [CommandId("client", 1)]
+
     def test_non_origin_replicas_execute_but_do_not_reply(self):
         replicas = {rid: build_replica(replica_id=rid, wait_for_clock=False)[0] for rid in range(3)}
         origin = replicas[0]

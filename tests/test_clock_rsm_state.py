@@ -64,6 +64,14 @@ class TestAcks:
         assert state.ack_count(ts) == 2
         assert state.ackers(ts) == frozenset({0, 1})
 
+    def test_an_ack_from_outside_the_configuration_counts_for_nothing(self):
+        state = _state()
+        ts = Timestamp(10, 0)
+        assert state.record_ack(ts, 0) == 1
+        assert state.record_ack(ts, 7) == 1
+        assert state.record_ack(ts, -1) == 1
+        assert state.ackers(ts) == frozenset({0})
+
     def test_acks_may_arrive_before_prepare(self):
         state = _state()
         ts = Timestamp(10, 1)

@@ -63,6 +63,14 @@ class TestMultiPaxosLeader:
         assert leader.on_message(1, Phase2b(0)) == []
         assert leader.executed_count == before
 
+    def test_a_2b_from_outside_the_replica_set_does_not_make_a_majority(self):
+        leader = build(MultiPaxosReplica, 0)
+        leader.on_client_request(cmd(1))
+        assert leader.on_message(7, Phase2b(0)) == []
+        assert leader.executed_count == 0
+        leader.on_message(1, Phase2b(0))
+        assert leader.executed_count == 1
+
     def test_invalid_leader_configuration_rejected(self):
         with pytest.raises(ValueError):
             build(MultiPaxosReplica, 0, n=3, leader=9)

@@ -15,21 +15,28 @@ def _cmd(i: int) -> Command:
 
 class TestSlotLedger:
     def test_record_command_and_acks(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         state = ledger.record_command(3, _cmd(3))
         assert state.command == _cmd(3)
         assert ledger.add_ack(3, 0) == 1
         assert ledger.add_ack(3, 0) == 1  # duplicates ignored
         assert ledger.add_ack(3, 1) == 2
 
+    def test_an_ack_from_outside_the_replica_set_counts_for_nothing(self):
+        ledger = SlotLedger(range(3))
+        assert ledger.add_ack(3, 0) == 1
+        assert ledger.add_ack(3, 7) == 1
+        assert ledger.add_ack(3, 1) == 2
+        assert ledger.peek(3).acks == {0, 1}
+
     def test_record_command_keeps_first_value(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         ledger.record_command(0, _cmd(1))
         ledger.record_command(0, _cmd(2))
         assert ledger.peek(0).command == _cmd(1)
 
     def test_execution_in_slot_order_with_gaps(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         for slot in (0, 1, 2):
             ledger.record_command(slot, _cmd(slot))
         ledger.mark_decided(1)
@@ -41,7 +48,7 @@ class TestSlotLedger:
         assert ledger.execute_frontier == 3
 
     def test_skipped_slots_execute_as_noops(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         ledger.mark_skipped(0)
         ledger.record_command(1, _cmd(1))
         ledger.mark_decided(1)
@@ -50,7 +57,7 @@ class TestSlotLedger:
         assert executed[0].skipped is True
 
     def test_implicit_skip_callback(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         ledger.record_command(2, _cmd(2))
         ledger.mark_decided(2)
         executed = [s.slot for s in ledger.pop_executable(lambda slot: slot < 2)]
@@ -62,21 +69,21 @@ class TestSlotLedger:
         assert ledger.highest_known_slot() == 2
 
     def test_decided_slot_without_command_blocks_execution(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         ledger.mark_decided(0)  # e.g. a Phase2b arrived before the Phase2a
         assert list(ledger.pop_executable()) == []
         ledger.record_command(0, _cmd(0))
         assert [s.slot for s in ledger.pop_executable()] == [0]
 
     def test_slots_never_execute_twice(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         ledger.record_command(0, _cmd(0))
         ledger.mark_decided(0)
         assert [s.slot for s in ledger.pop_executable()] == [0]
         assert list(ledger.pop_executable()) == []
 
     def test_describe_and_known_slots(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         ledger.record_command(4, _cmd(4))
         ledger.record_command(1, _cmd(1))
         assert ledger.known_slots() == [1, 4]
@@ -86,7 +93,7 @@ class TestSlotLedger:
         assert info["undecided"] == 2
 
     def test_executed_slots_are_forgotten(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         for slot in range(4):
             ledger.record_command(slot, _cmd(slot))
             ledger.add_ack(slot, 0)
@@ -97,7 +104,7 @@ class TestSlotLedger:
         assert ledger.describe()["known_slots"] == 1
 
     def test_a_message_below_the_frontier_does_not_recreate_its_slot(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         ledger.record_command(0, _cmd(0))
         ledger.mark_decided(0)
         list(ledger.pop_executable())
@@ -113,7 +120,7 @@ class TestSlotLedger:
         assert list(ledger.pop_executable()) == []
 
     def test_highest_known_slot_survives_forgetting(self):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         assert ledger.highest_known_slot() == -1
         for slot in (0, 1, 2):
             ledger.record_command(slot, _cmd(slot))
@@ -126,7 +133,7 @@ class TestSlotLedger:
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=30, unique=True))
     def test_execution_order_is_always_contiguous_prefix(self, decided_slots):
-        ledger = SlotLedger()
+        ledger = SlotLedger(range(3))
         for slot in decided_slots:
             ledger.record_command(slot, _cmd(slot))
             ledger.mark_decided(slot)

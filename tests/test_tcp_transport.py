@@ -22,14 +22,18 @@ from repro.core.messages import ClockTime, Prepare
 from repro.errors import TransportError
 from repro.kvstore.commands import encode_put
 from repro.kvstore.kv import KVStateMachine
-from repro.net.message import Envelope, global_registry
-from repro.net.tcp import MAX_FRAME_BYTES, TcpTransport, encode_frame
+from repro.net.message import Envelope, MessageRegistry, global_registry
+from repro.net.tcp import HELLO_BYTES, MAX_FRAME_BYTES, TcpTransport, encode_frame, encode_hello
 from repro.net.wire import encode
 from repro.runtime.server import ReplicaServer
 from repro.storage.memory_log import InMemoryLog
 from repro.types import Command, CommandId, Timestamp
 
 from tests.helpers import LOOPBACK_ANY_PORT, start_on_bound_ports
+
+
+#: What a peer speaking this process's message table writes first.
+HELLO = encode_hello(global_registry)
 
 
 def _prepare(seqno: int) -> Prepare:
@@ -141,7 +145,7 @@ class TestPeerKilledMidFrame:
             # A peer connects, announces a 100-byte frame, ships only part of
             # it, and dies (abort: RST, no graceful shutdown).
             _, writer = await asyncio.open_connection(host, int(port))
-            writer.write(struct.pack(">I", 100) + b"half a frame")
+            writer.write(HELLO + struct.pack(">I", 100) + b"half a frame")
             await writer.drain()
             writer.transport.abort()
             await asyncio.sleep(0.1)
@@ -149,7 +153,7 @@ class TestPeerKilledMidFrame:
             # A fresh connection delivers a complete frame; the dead peer's
             # partial bytes must not have corrupted the receiver's state.
             _, writer = await asyncio.open_connection(host, int(port))
-            writer.write(encode_frame(Envelope(0, 1, _prepare(3)), global_registry))
+            writer.write(HELLO + encode_frame(Envelope(0, 1, _prepare(3)), global_registry))
             await writer.drain()
             await asyncio.wait_for(done.wait(), timeout=5)
             writer.close()
@@ -309,6 +313,7 @@ class TestEarlyTraffic:
             host, port = receiver.bound_address.rsplit(":", 1)
 
             _, writer = await asyncio.open_connection(host, int(port))
+            writer.write(HELLO)
             for index in range(3):
                 writer.write(
                     encode_frame(Envelope(0, 1, _prepare(index)), global_registry)
@@ -402,12 +407,12 @@ class TestMalformedFrames:
             bad_reader, bad_writer = await asyncio.open_connection(host, int(port))
             offender.append(bad_writer.get_extra_info("sockname")[1])
 
-            bad_writer.write(frame)
+            bad_writer.write(HELLO + frame)
             await bad_writer.drain()
             # The receiver hangs up on the offender (EOF) ...
             assert await asyncio.wait_for(bad_reader.read(), timeout=5) == b""
             # ... and keeps serving the connection that was open beside it.
-            good_writer.write(encode_frame(Envelope(0, 1, _prepare(3)), global_registry))
+            good_writer.write(HELLO + encode_frame(Envelope(0, 1, _prepare(3)), global_registry))
             await good_writer.drain()
             await asyncio.wait_for(done.wait(), timeout=5)
             assert [m.command.command_id.seqno for m in received] == [3]
@@ -422,6 +427,90 @@ class TestMalformedFrames:
         (warning,) = [r for r in caplog.records if r.name == "repro.net.tcp"]
         assert "malformed frame" in warning.getMessage()
         assert str(offender[0]) in warning.getMessage()  # names the peer
+
+
+class TestHello:
+    """Every connection starts with its sender's message-table digest."""
+
+    @staticmethod
+    def _refusals(caplog) -> list[str]:
+        return [
+            r.getMessage() for r in caplog.records
+            if r.name == "repro.net.tcp" and "refused the connection" in r.getMessage()
+        ]  # fmt: skip
+
+    def test_a_peer_with_another_message_table_is_refused_and_both_ends_log_it(self, caplog):
+        other = MessageRegistry()
+        other.register(ClockTime)  # the same class, another table
+
+        async def scenario():
+            receiver = TcpTransport(1, "127.0.0.1:0", {})
+            received: list = []
+            receiver.set_handler(received.append)
+            await receiver.start()
+            sender = TcpTransport(0, "127.0.0.1:0", {1: receiver.bound_address}, registry=other)
+            await sender.start()
+            try:
+                sender.send(Envelope(0, 1, ClockTime(1)))
+                for _ in range(250):
+                    if len(self._refusals(caplog)) == 2 and 1 not in sender._peers:
+                        break
+                    await asyncio.sleep(0.02)
+            finally:
+                await sender.stop()
+                await receiver.stop()
+            return received
+
+        with caplog.at_level(logging.WARNING, logger="repro.net.tcp"):
+            received = run(scenario())
+        assert received == []  # nothing from the refused connection was dispatched
+        refusals = self._refusals(caplog)
+        assert len(refusals) == 2
+        theirs, ours = encode_hello(other).hex(), HELLO.hex()
+        assert any(m.startswith("replica 1:") and f"its hello {theirs} is not this replica's {ours}" in m for m in refusals)
+        assert any(m.startswith("replica 0:") and f"its hello {ours} is not this replica's {theirs}" in m for m in refusals)
+
+    def test_a_connection_without_a_hello_gets_the_acceptors_and_is_closed(self, caplog):
+        async def scenario():
+            receiver = TcpTransport(1, "127.0.0.1:0", {})
+            received: list = []
+            receiver.set_handler(received.append)
+            await receiver.start()
+            host, port = receiver.bound_address.rsplit(":", 1)
+            reader, writer = await asyncio.open_connection(host, int(port))
+            writer.write(2 * encode_frame(Envelope(0, 1, _prepare(3)), global_registry))
+            await writer.drain()
+            answer = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            await receiver.stop()
+            return answer, received
+
+        with caplog.at_level(logging.WARNING, logger="repro.net.tcp"):
+            answer, received = run(scenario())
+        assert answer == HELLO and len(answer) == HELLO_BYTES
+        assert received == []
+        assert len(self._refusals(caplog)) == 1
+
+    def test_a_hello_split_across_segments_is_accepted(self):
+        async def scenario():
+            receiver = TcpTransport(1, "127.0.0.1:0", {})
+            received: list = []
+            done = asyncio.Event()
+            receiver.set_handler(lambda env: (received.append(env.message), done.set()))
+            await receiver.start()
+            host, port = receiver.bound_address.rsplit(":", 1)
+            _, writer = await asyncio.open_connection(host, int(port))
+            stream = HELLO + encode_frame(Envelope(0, 1, _prepare(3)), global_registry)
+            for piece in (stream[:3], stream[3:HELLO_BYTES - 1], stream[HELLO_BYTES - 1 : HELLO_BYTES + 2], stream[HELLO_BYTES + 2 :]):
+                writer.write(piece)
+                await writer.drain()
+                await asyncio.sleep(0.01)
+            await asyncio.wait_for(done.wait(), timeout=5)
+            writer.close()
+            await receiver.stop()
+            return received
+
+        assert [m.command.command_id.seqno for m in run(scenario())] == [3]
 
 
 class _Unregistered:

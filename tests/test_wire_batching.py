@@ -32,14 +32,10 @@ from repro.net.wire import decode_many, encode_many
 from repro.protocols.records import CommandBatch, make_unit, unit_commands
 from repro.types import Command, CommandId, Timestamp
 
-from tests.wire_reference import WireReference
+from tests.wire_reference import WireReference, library_classes
 
-_REFERENCE = WireReference(
-    {
-        cls.__name__: cls
-        for cls in (Prepare, PrepareOk, ClockTime, Command, CommandId, Timestamp, CommandBatch)
-    }
-)
+# Type ids are positions in the whole table: the reference knows every class.
+_REFERENCE = WireReference(library_classes())
 
 
 def _prepare(seqno: int) -> Prepare:
@@ -92,6 +88,16 @@ class TestBatchFrames:
         )
         with pytest.raises(TransportError):
             decode_frame_envelopes(body, global_registry)
+
+    @pytest.mark.parametrize(
+        "src, dst", [("0", 1), (0, None), (1.0, 2), (True, 1), (0, [1])], ids=repr
+    )
+    def test_a_header_naming_no_replica_ids_is_rejected(self, src, dst):
+        # The receiving replica takes the sender from the header: it must be an id.
+        for header in ({"src": src, "dst": dst, "message": ClockTime(1)}, {"src": src, "dst": dst, "batch": 1}):
+            body = global_registry.encode_many([header, ClockTime(1)][: 2 - ("message" in header)])
+            with pytest.raises(TransportError, match="not replica ids"):
+                decode_frame_envelopes(body, global_registry)
 
     def test_empty_and_malformed_bodies_rejected(self):
         with pytest.raises(TransportError):
