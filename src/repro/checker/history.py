@@ -17,7 +17,7 @@ the experiment that produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional
 
 from ..types import Command, CommandId, Micros, ReplicaId

@@ -35,7 +35,7 @@ from typing import Any, Optional
 from ..errors import CodecError, ReproError
 from ..kvstore.commands import DELETE, GET, PUT, KvOp, decode_op
 from ..types import CommandId
-from .history import OK, OpHistory, OpRecord
+from .history import OK, OpHistory
 
 #: Sentinel "never returned" time, larger than any microsecond reading.
 _NEVER = float("inf")

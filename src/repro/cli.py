@@ -4,7 +4,6 @@ Runs experiment specs and the analytical model without pytest::
 
     python -m repro.cli run examples/specs/fig1_balanced_5.toml
     python -m repro.cli run examples/specs/fig1_balanced_5.toml --backend async
-    python -m repro.cli run examples/specs/fig1_balanced_5.toml --shards 4
     python -m repro.cli run examples/specs/paper/fig6_cdf_sg.toml
     python -m repro.cli check examples/specs/crash_leaderless_commit.toml
     python -m repro.cli protocols
@@ -41,15 +40,8 @@ from .analysis.ec2 import EC2_SITES, ec2_latency_matrix
 from .bench.numerical import figure7_data, table2_rows, table4_rows
 from .bench.reporting import format_table
 from .errors import ReproError
-from .experiment import (
-    BACKENDS,
-    SCENARIOS,
-    BatchingSpec,
-    Deployment,
-    ExperimentSpec,
-    ShardingSpec,
-    check_spec,
-)
+from .experiment import BACKENDS, SCENARIOS, BatchingSpec, Deployment, ExperimentSpec
+from .experiment.check import check_spec
 from .protocols.registry import available_protocols, capability_rows
 
 
@@ -77,19 +69,6 @@ def _resolve_leader(sites: Sequence[str], leader: Optional[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _apply_shards(spec: ExperimentSpec, shards: Optional[int]) -> ExperimentSpec:
-    """Apply a ``--shards`` override to a loaded spec.
-
-    The spec's per-shard overrides are kept as written: shrinking the count
-    below an override's index is a :class:`ConfigurationError` (reported as
-    ``error: ...``), never a silently dropped override.
-    """
-    if shards is None:
-        return spec
-    base = spec.sharding or ShardingSpec()
-    return replace(spec, sharding=replace(base, shards=shards))
-
-
 def _apply_batch(spec: ExperimentSpec, batch: Optional[int]) -> ExperimentSpec:
     """Apply a ``--batch`` override to a loaded spec.
 
@@ -106,8 +85,7 @@ def _apply_batch(spec: ExperimentSpec, batch: Optional[int]) -> ExperimentSpec:
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a declarative experiment spec file on the chosen backend."""
     try:
-        spec = _apply_shards(ExperimentSpec.from_file(args.spec), args.shards)
-        spec = _apply_batch(spec, args.batch)
+        spec = _apply_batch(ExperimentSpec.from_file(args.spec), args.batch)
         options = (
             {"time_scale": args.time_scale}
             if args.backend in ("async", "proc")
@@ -119,24 +97,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0
-    shard_count = len(result.shards) if result.shards is not None else 1
-    sharded = f", {shard_count} shards" if shard_count > 1 else ""
     title = (
         f"{result.name}: {result.protocol} on the {result.backend} backend, "
-        f"{result.duration_s:g} s measured{sharded}"
+        f"{result.duration_s:g} s measured"
     )
     print(format_table(result.per_site_rows(), title))
     print(
         f"total committed: {result.total_committed} "
         f"({result.throughput_kops:.1f} kop/s)"
     )
-    if result.shards is not None:
-        for index, shard_result in enumerate(result.shards):
-            print(
-                f"  shard {index} [{shard_result.protocol}]: "
-                f"{shard_result.total_committed} committed "
-                f"({shard_result.throughput_kops:.1f} kop/s)"
-            )
     return 0
 
 
@@ -146,8 +115,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     exit_code = 0
     runs = []
     try:
-        spec = _apply_shards(ExperimentSpec.from_file(args.spec), args.shards)
-        spec = _apply_batch(spec, args.batch)
+        spec = _apply_batch(ExperimentSpec.from_file(args.spec), args.batch)
         for backend in backends:
             options = (
                 {"time_scale": args.time_scale, "submit_timeout": args.submit_timeout}
@@ -230,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--time-scale", type=float, default=20.0,
                      help="async/proc backends: divide delays and durations "
                           "by this factor")
-    run.add_argument("--shards", type=int, default=None,
-                     help="override the spec's [sharding] shard count "
-                          "(deploys N independent protocol groups)")
     run.add_argument("--batch", type=int, default=None,
                      help="override the spec's [batching] max_batch "
                           "(commands agreed on per protocol round; 1 disables)")
@@ -255,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--submit-timeout", type=float, default=5.0,
                        help="async/proc backends: per-command commit timeout "
                             "in seconds")
-    check.add_argument("--shards", type=int, default=None,
-                       help="override the spec's [sharding] shard count "
-                            "(checks per-shard linearizability)")
     check.add_argument("--batch", type=int, default=None,
                        help="override the spec's [batching] max_batch before "
                             "checking (batches must stay linearizable)")

@@ -14,8 +14,8 @@ callers feed messages in and get ``(outgoing messages, decided value)`` back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from ..net.message import register_message
 from ..types import ReplicaId, majority

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from ..net.message import register_message
 from ..protocols.records import CommandUnit, pack_unit, unpack_unit
 from ..storage.log import PackedRecord, packed_record
-from ..types import Command, Micros, ReplicaId, Timestamp
+from ..types import Micros, Timestamp
 
 # ---------------------------------------------------------------------------
 # Normal-case replication messages (Algorithm 1 and 2)

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
-from ..config import ClusterSpec, ProtocolConfig
+from ..config import ClusterSpec
 from ..protocols.base import (
     CLOCK_RSM,
     Action,
@@ -38,7 +38,7 @@ from ..protocols.base import (
     Timer,
 )
 from ..protocols.records import CommandUnit
-from ..types import Command, Micros, ReplicaId, Timestamp, ZERO_TS, is_noop
+from ..types import ReplicaId, Timestamp, ZERO_TS, is_noop
 from .messages import (
     ClockTime,
     CommitRecord,

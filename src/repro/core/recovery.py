@@ -13,7 +13,7 @@ them normally once it rejoins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import LogCorruptionError
 from ..storage.log import CommandLog

@@ -10,13 +10,13 @@ currently blocking a command.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
 from ..errors import ProtocolError
 from ..protocols.records import CommandUnit
-from ..types import Command, Micros, ReplicaId, Timestamp
+from ..types import Micros, ReplicaId, Timestamp
 
 #: A timestamp as the state keys it: ``(micros, replica)``.
 _Key = tuple[Micros, ReplicaId]

@@ -25,7 +25,6 @@ from .spec import (
     APPS,
     CLOCK_KINDS,
     FAULT_KINDS,
-    PLACEMENTS,
     SCENARIOS,
     BatchingSpec,
     ClockSpec,
@@ -33,8 +32,6 @@ from .spec import (
     ExperimentSpec,
     FaultSpec,
     ProcessesSpec,
-    ShardingSpec,
-    ShardOverride,
     WorkloadSpec,
 )
 
@@ -42,7 +39,6 @@ __all__ = [
     "APPS",
     "CLOCK_KINDS",
     "FAULT_KINDS",
-    "PLACEMENTS",
     "SCENARIOS",
     "BACKENDS",
     "BatchingSpec",
@@ -55,8 +51,6 @@ __all__ = [
     "ExperimentSpec",
     "FaultSpec",
     "ProcessesSpec",
-    "ShardingSpec",
-    "ShardOverride",
     "SiteResult",
     "WorkloadSpec",
     "run_comparison",

@@ -108,15 +108,9 @@ class AsyncBackend:
     # ------------------------------------------------------------------
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
-        return asyncio.run(self.run_in_loop(spec))
+        return asyncio.run(self._run(spec))
 
-    async def run_in_loop(self, spec: ExperimentSpec) -> ExperimentResult:
-        """Run one spec inside the current event loop.
-
-        Several invocations can be gathered concurrently in one loop — each
-        builds its own cluster and client tasks — which is how sharded
-        deployments run their groups side by side.
-        """
+    async def _run(self, spec: ExperimentSpec) -> ExperimentResult:
         cluster = self.build_cluster(spec)  # validates backend support
         loop = asyncio.get_running_loop()
         clients = LiveClients(spec, self.time_scale, self.submit_timeout)

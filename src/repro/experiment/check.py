@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from ..checker.linearizability import check_history
+from ..checker.linearizability import CheckReport, check_history
 from .deployment import run_spec
 from .result import ExperimentResult
 from .spec import ExperimentSpec
@@ -21,15 +21,10 @@ from .spec import ExperimentSpec
 
 @dataclass
 class CheckedRun:
-    """One experiment run together with its consistency verdict.
-
-    ``report`` is a :class:`~repro.checker.linearizability.CheckReport` for
-    single-group runs and a :class:`~repro.shard.check.ShardedCheckReport`
-    (same interface) for sharded ones.
-    """
+    """One experiment run together with its consistency verdict."""
 
     result: ExperimentResult
-    report: Any
+    report: CheckReport
 
     @property
     def linearizable(self) -> bool:
@@ -48,15 +43,7 @@ class CheckedRun:
 def check_spec(
     spec: ExperimentSpec, backend: str = "sim", **options: Any
 ) -> CheckedRun:
-    """Run *spec* on *backend* with history recording and check the history.
-
-    Sharded specs are checked shard by shard (plus a cross-shard client-order
-    pass); see :func:`repro.shard.check.check_sharded_spec`.
-    """
-    if spec.sharding is not None and spec.sharding.shards > 1:
-        from ..shard.check import check_sharded_spec  # lazy: repro.shard builds on us
-
-        return check_sharded_spec(spec, backend, **options)
+    """Run *spec* on *backend* with history recording and check the history."""
     recorded = replace(spec, record_history=True)
     result = run_spec(recorded, backend, **options)
     assert result.history is not None  # record_history guarantees it

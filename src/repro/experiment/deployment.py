@@ -42,43 +42,25 @@ BACKENDS: dict[str, Callable[..., Any]] = {
 }
 
 
-def build_backend(backend: str, **options: Any) -> Any:
-    """Resolve a backend name in :data:`BACKENDS` and construct it.
-
-    The one place backend names and options are validated — shared by
-    :class:`Deployment` and :class:`repro.shard.ShardedDeployment`.
-    """
-    factory = BACKENDS.get(backend)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; available: {sorted(BACKENDS)}"
-        )
-    try:
-        return factory(**options)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"invalid options for the {backend!r} backend: {exc}"
-        ) from exc
-
-
 class Deployment:
     """One experiment spec bound to a backend, ready to run."""
 
     def __init__(self, spec: ExperimentSpec, backend: str = "sim", **options: Any) -> None:
+        factory = BACKENDS.get(backend)
+        if factory is None:
+            raise ConfigurationError(
+                f"unknown backend {backend!r}; available: {sorted(BACKENDS)}"
+            )
+        try:
+            self.backend = factory(**options)
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"invalid options for the {backend!r} backend: {exc}"
+            ) from exc
         self.spec = spec
-        self.backend_name = backend
-        self.backend = build_backend(backend, **options)
 
     def run(self) -> ExperimentResult:
         """Deploy, run the workload (and faults), and summarize the run."""
-        if self.spec.sharding is not None and self.spec.sharding.shards > 1:
-            # Sharded specs fan out to one deployment per shard group; the
-            # import is lazy because repro.shard builds on this module.
-            from ..shard.deployment import ShardedDeployment
-
-            return ShardedDeployment(
-                self.spec, self.backend_name, backend_instance=self.backend
-            ).run()
         return self.backend.run(self.spec)
 
 
@@ -102,4 +84,4 @@ def run_comparison(
     }
 
 
-__all__ = ["BACKENDS", "Deployment", "build_backend", "run_spec", "run_comparison"]
+__all__ = ["BACKENDS", "Deployment", "run_spec", "run_comparison"]

@@ -57,9 +57,6 @@ class ExperimentResult:
     metadata: dict[str, Any] = field(default_factory=dict)
     #: Operation history (set when the spec enabled ``record_history``).
     history: Optional[OpHistory] = None
-    #: Per-shard results when this is the aggregate of a sharded deployment
-    #: (see :mod:`repro.shard`); ``None`` for single-group runs.
-    shards: Optional[list["ExperimentResult"]] = None
 
     # -- latency accessors -------------------------------------------------
 
@@ -150,8 +147,6 @@ class ExperimentResult:
                 "pending": self.history.count("pending"),
                 "failed": self.history.count("fail"),
             }
-        if self.shards is not None:
-            data["shards"] = [shard.to_dict() for shard in self.shards]
         return data
 
 

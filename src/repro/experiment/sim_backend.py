@@ -7,7 +7,6 @@ from typing import Optional
 
 from ..checker.history import HistoryRecorder
 from ..sim.cluster import SimulatedCluster
-from ..sim.environment import SimulationEnvironment
 from ..sim.failures import FailureSchedule
 from ..sim.network import NetworkOptions
 from ..sim.node import CpuModel
@@ -32,11 +31,9 @@ def _cpu_model(cpu: CpuSpec) -> CpuModel:
 class PreparedSimRun:
     """One cluster with its workload and faults armed, awaiting the clock.
 
-    :meth:`SimBackend.prepare` returns one of these; running the (possibly
-    shared) simulation environment for the spec's total runtime and calling
+    :meth:`SimBackend.prepare` returns one of these; running the cluster's
+    simulation environment for the spec's total runtime and calling
     :meth:`SimBackend.collect` turns it into an :class:`ExperimentResult`.
-    Sharded deployments prepare several of these on a single environment so
-    the shard groups' events interleave in one virtual timeline.
     """
 
     spec: ExperimentSpec
@@ -50,9 +47,7 @@ class SimBackend:
 
     name = "sim"
 
-    def build_cluster(
-        self, spec: ExperimentSpec, env: Optional[SimulationEnvironment] = None
-    ) -> SimulatedCluster:
+    def build_cluster(self, spec: ExperimentSpec) -> SimulatedCluster:
         """Wire the cluster a spec describes (without workload or faults)."""
         return SimulatedCluster(
             spec.cluster_spec(),
@@ -70,17 +65,14 @@ class SimBackend:
             clock_drift_ppm=spec.clock_drift_ppm(),
             cpu_model=_cpu_model(spec.cpu) if spec.cpu is not None else None,
             state_machine_factory=state_machine_factory(spec.workload.app),
-            env=env,
             # Real command batching at the submission path (the CPU model's
             # own message-level batching composes with it, see sim.node).
             batching=spec.batching.options() if spec.batching is not None else None,
         )
 
-    def prepare(
-        self, spec: ExperimentSpec, env: Optional[SimulationEnvironment] = None
-    ) -> PreparedSimRun:
+    def prepare(self, spec: ExperimentSpec) -> PreparedSimRun:
         """Build the cluster and arm workload, history capture, and faults."""
-        cluster = self.build_cluster(spec, env=env)
+        cluster = self.build_cluster(spec)
         recorder = HistoryRecorder(cluster) if spec.record_history else None
         handle = build_workload(cluster, spec.workload, warmup=spec.warmup_micros)
         if spec.faults:

@@ -44,9 +44,6 @@ CLOCK_KINDS: tuple[str, ...] = ("perfect", "skewed", "drifting")
 #: Fault event kinds understood by both experiment backends.
 FAULT_KINDS: tuple[str, ...] = ("crash", "recover", "partition", "isolate", "clock-jump")
 
-#: Key→shard placement strategies (see :mod:`repro.shard.router`).
-PLACEMENTS: tuple[str, ...] = ("hash", "range")
-
 
 @dataclass(frozen=True, slots=True)
 class ClockSpec:
@@ -175,95 +172,6 @@ class FaultSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class ShardOverride:
-    """Per-shard deviations from the base spec (seed and/or protocol).
-
-    ``shard`` is the zero-based shard index the override applies to.  An
-    override with neither a ``seed`` nor a ``protocol`` would be a silent
-    no-op, so it is rejected.
-    """
-
-    shard: int
-    seed: Optional[int] = None
-    protocol: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.shard, int) or isinstance(self.shard, bool):
-            raise ConfigurationError(
-                f"override shard index must be an integer, got {self.shard!r}"
-            )
-        if self.shard < 0:
-            raise ConfigurationError(
-                f"override shard index must be >= 0, got {self.shard}"
-            )
-        if self.seed is None and self.protocol is None:
-            raise ConfigurationError(
-                f"override for shard {self.shard} sets neither seed nor protocol"
-            )
-        if self.protocol is not None:
-            protocol_capabilities(self.protocol)  # raises on unknown protocols
-
-
-@dataclass(frozen=True, slots=True)
-class ShardingSpec:
-    """Partition the keyspace over N independent protocol groups.
-
-    Every shard deploys the full site list as its own replica group (its own
-    total order); clients are routed by key, so each key lives on exactly one
-    shard.  ``placement`` selects the key→shard function: ``hash`` spreads
-    keys uniformly (CRC-32 of the key), ``range`` preserves lexicographic
-    locality (contiguous key ranges per shard).  ``overrides`` lets single
-    shards deviate from the base spec's seed or protocol.
-    """
-
-    shards: int = 1
-    placement: str = "hash"
-    overrides: tuple[ShardOverride, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "overrides", tuple(self.overrides))
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
-            raise ConfigurationError(f"shards must be an integer, got {self.shards!r}")
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.placement not in PLACEMENTS:
-            raise ConfigurationError(
-                f"unknown placement {self.placement!r}; one of {PLACEMENTS}"
-            )
-        seen: set[int] = set()
-        for override in self.overrides:
-            if override.shard >= self.shards:
-                raise ConfigurationError(
-                    f"override names shard {override.shard}, but only "
-                    f"{self.shards} shards are deployed"
-                )
-            if override.shard in seen:
-                raise ConfigurationError(
-                    f"duplicate overrides for shard {override.shard}"
-                )
-            seen.add(override.shard)
-
-    def override_for(self, shard: int) -> Optional[ShardOverride]:
-        for override in self.overrides:
-            if override.shard == shard:
-                return override
-        return None
-
-    def seed_for(self, shard: int, base_seed: int) -> int:
-        """The seed of one shard group: base + shard unless overridden."""
-        override = self.override_for(shard)
-        if override is not None and override.seed is not None:
-            return override.seed
-        return base_seed + shard
-
-    def protocol_for(self, shard: int, base_protocol: str) -> str:
-        override = self.override_for(shard)
-        if override is not None and override.protocol is not None:
-            return override.protocol
-        return base_protocol
-
-
-@dataclass(frozen=True, slots=True)
 class BatchingSpec:
     """The ``[batching]`` table: real command batching and pipelining.
 
@@ -317,8 +225,7 @@ class ProcessesSpec:
     """The ``[processes]`` table: multi-process deployment parameters.
 
     Consumed by the ``proc`` backend (:mod:`repro.launch`), which runs every
-    replica — and, composed with ``[sharding]``, every shard group's replicas
-    — as its own OS process over real TCP.  Inert on the sim and async
+    replica as its own OS process over real TCP.  Inert on the sim and async
     backends, so one spec file moves freely between all three.
 
     * ``host`` — the interface replicas bind and the supervisor listens on.
@@ -373,12 +280,8 @@ class ExperimentSpec:
     #: Record an operation history (invoke/ok/fail events plus per-replica
     #: apply orders) into the result, for :mod:`repro.checker`.
     record_history: bool = False
-    #: Partition the keyspace over independent protocol groups
-    #: (see :mod:`repro.shard`); ``None`` deploys a single group.
-    sharding: Optional[ShardingSpec] = None
     #: Real command batching / pipelining on both backends; ``None`` (or
-    #: ``max_batch = 1``) runs one protocol round per command.  Composes
-    #: with ``sharding``: every shard group batches independently.
+    #: ``max_batch = 1``) runs one protocol round per command.
     batching: Optional[BatchingSpec] = None
     #: Multi-process deployment parameters for the ``proc`` backend
     #: (:mod:`repro.launch`); ``None`` means its defaults.  Inert on the
@@ -446,22 +349,13 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"protocol {self.protocol!r} is leaderless; remove leader_site"
             )
-        wants_rejoin = any(fault.rejoin for fault in self.faults)
-        if wants_rejoin and not caps.supports_reconfiguration:
+        if not caps.supports_reconfiguration and any(
+            fault.rejoin for fault in self.faults
+        ):
             raise ConfigurationError(
                 f"protocol {self.protocol!r} does not support reconfiguration; "
                 "recover faults cannot use rejoin=true"
             )
-        if self.sharding is not None and wants_rejoin:
-            for override in self.sharding.overrides:
-                if override.protocol is not None and not protocol_capabilities(
-                    override.protocol
-                ).supports_reconfiguration:
-                    raise ConfigurationError(
-                        f"shard {override.shard} overrides the protocol to "
-                        f"{override.protocol!r}, which does not support "
-                        "reconfiguration; recover faults cannot use rejoin=true"
-                    )
 
         # Cross-references between sections and the site list.
         for site, _clock in self.clocks:
@@ -708,14 +602,11 @@ __all__ = [
     "APPS",
     "CLOCK_KINDS",
     "FAULT_KINDS",
-    "PLACEMENTS",
     "ClockSpec",
     "WorkloadSpec",
     "FaultSpec",
     "BatchingSpec",
     "CpuSpec",
     "ProcessesSpec",
-    "ShardOverride",
-    "ShardingSpec",
     "ExperimentSpec",
 ]

@@ -36,18 +36,13 @@ class SimKVClient:
         replica_id: ReplicaId,
         timeout: Micros = seconds_to_micros(30.0),
         history: Optional[OpHistory] = None,
-        name: Optional[str] = None,
-        seq: Optional["itertools.count"] = None,
     ) -> None:
         self.cluster = cluster
         self.replica_id = replica_id
         self.timeout = timeout
         self.history = history
-        # A shared name + seqno counter lets several per-cluster clients act
-        # as ONE logical client (repro.shard.ShardedKVClient), so recorded
-        # histories see a single sequential client spanning shards.
-        self._name = name or f"kv-client-{next(self._client_ids)}@r{replica_id}"
-        self._seq = seq if seq is not None else itertools.count(1)
+        self._name = f"kv-client-{next(self._client_ids)}@r{replica_id}"
+        self._seq = itertools.count(1)
         self._results: dict[CommandId, Any] = {}
         cluster.on_reply(self._on_reply)
 

@@ -17,11 +17,6 @@
 * :class:`~repro.launch.backend.ProcessBackend` — the ``proc`` entry in
   :data:`~repro.experiment.deployment.BACKENDS`, reducing the workers'
   payloads to the uniform :class:`~repro.experiment.result.ExperimentResult`.
-
-Composed with ``[sharding]``, every shard group's replicas get their own
-processes (``ShardedDeployment`` gathers one supervisor per group), which is
-the state-partitioning scaling path the paper proposes — here with real OS
-parallelism instead of one event loop.
 """
 
 from .backend import ProcessBackend

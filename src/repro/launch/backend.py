@@ -60,15 +60,9 @@ class ProcessBackend:
             )
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
-        return asyncio.run(self.run_in_loop(spec))
+        return asyncio.run(self._run(spec))
 
-    async def run_in_loop(self, spec: ExperimentSpec) -> ExperimentResult:
-        """Deploy one spec's processes inside the current event loop.
-
-        Several invocations can be gathered concurrently — each runs its own
-        supervisor and worker set — which is how sharded deployments put
-        every shard group in its own set of processes.
-        """
+    async def _run(self, spec: ExperimentSpec) -> ExperimentResult:
         self._check_supported(spec)
         loop = asyncio.get_running_loop()
         start_wall = loop.time()

@@ -89,77 +89,9 @@ def summarize_micros(samples_micros: Iterable[Micros]) -> LatencySummary:
     )
 
 
-def merge_summaries(summaries: Sequence[LatencySummary]) -> LatencySummary:
-    """Combine per-shard latency summaries into one aggregate summary.
-
-    Counts, means, minima and maxima merge exactly.  The percentiles of a
-    union of sample sets cannot be recovered from the parts' percentiles, so
-    they are approximated by the count-weighted average of the per-part
-    percentiles — exact when the parts are identically distributed, which is
-    what independent shards under the same workload produce.  Use
-    :func:`merge_cdfs` when the raw distributions are needed.
-    """
-    summaries = [s for s in summaries if s is not None]
-    if not summaries:
-        raise ValueError("cannot merge an empty set of summaries")
-    if len(summaries) == 1:
-        return summaries[0]
-    total = sum(s.count for s in summaries)
-
-    def weighted(attribute: str) -> float:
-        return sum(getattr(s, attribute) * s.count for s in summaries) / total
-
-    return LatencySummary(
-        count=total,
-        mean_ms=weighted("mean_ms"),
-        p50_ms=weighted("p50_ms"),
-        p95_ms=weighted("p95_ms"),
-        p99_ms=weighted("p99_ms"),
-        min_ms=min(s.min_ms for s in summaries),
-        max_ms=max(s.max_ms for s in summaries),
-    )
-
-
-def merge_cdfs(
-    cdfs: Sequence[Sequence[tuple[float, float]]],
-    counts: Sequence[int],
-) -> list[tuple[float, float]]:
-    """Merge empirical CDFs of sample sets with the given sample counts.
-
-    Each input CDF is the ``(value, cumulative fraction)`` list produced by
-    :func:`cdf_points` over ``counts[i]`` samples.  The merge is exact: it
-    reconstructs each part's sample multiset from the fraction steps,
-    reweights by the counts, and re-accumulates — the result is the CDF of
-    the union of the underlying samples.
-    """
-    if len(cdfs) != len(counts):
-        raise ValueError("need one sample count per CDF")
-    weighted_values: list[tuple[float, float]] = []  # (value, sample weight)
-    for cdf, count in zip(cdfs, counts):
-        previous = 0.0
-        for value, fraction in cdf:
-            weighted_values.append((float(value), (fraction - previous) * count))
-            previous = fraction
-    if not weighted_values:
-        return []
-    weighted_values.sort()
-    total = sum(weight for _value, weight in weighted_values)
-    merged: list[tuple[float, float]] = []
-    cumulative = 0.0
-    for value, weight in weighted_values:
-        cumulative += weight
-        if merged and merged[-1][0] == value:
-            merged[-1] = (value, cumulative / total)
-        else:
-            merged.append((value, cumulative / total))
-    return merged
-
-
 __all__ = [
     "percentile",
     "cdf_points",
     "LatencySummary",
     "summarize_micros",
-    "merge_summaries",
-    "merge_cdfs",
 ]

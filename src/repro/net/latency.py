@@ -11,7 +11,7 @@ by replica id or by site name, and feeds both the discrete-event simulator
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..config import ClusterSpec
 from ..errors import ConfigurationError

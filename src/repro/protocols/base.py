@@ -15,15 +15,15 @@ import itertools
 import logging
 from abc import ABC, abstractmethod
 from array import array
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Union
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Optional, Protocol, Union
 
 from ..clocks.base import Clock, MonotonicTimestampSource
 from ..config import ClusterSpec, ProtocolConfig
 from ..errors import ProtocolError
 from ..statemachine import StateMachine
 from ..storage.log import CommandLog
-from ..types import Command, CommandId, Micros, ReplicaId, Timestamp, majority
+from ..types import Command, CommandId, Micros, ReplicaId, majority
 from .records import CommandBatch
 
 _LOGGER = logging.getLogger(__name__)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from ..clocks.base import Clock
 from ..clocks.physical import DriftingClock, SkewedClock
@@ -58,10 +58,6 @@ class SimulatedCluster:
             (defaults to :class:`~repro.statemachine.AppendLogStateMachine`).
         log_factory: Builds each replica's stable log (defaults to
             :class:`~repro.storage.memory_log.InMemoryLog`).
-        env: Share an existing simulation environment instead of creating a
-            fresh one; several clusters on one environment interleave their
-            events in one virtual timeline (sharded deployments).  ``seed``
-            is ignored when an environment is supplied.
     """
 
     def __init__(
@@ -78,7 +74,6 @@ class SimulatedCluster:
         cpu_model: Optional[CpuModel] = None,
         state_machine_factory: Callable[[ReplicaId], StateMachine] = lambda _rid: AppendLogStateMachine(),
         log_factory: Callable[[ReplicaId], CommandLog] = lambda _rid: InMemoryLog(),
-        env: Optional[SimulationEnvironment] = None,
         batching: Optional[BatchingOptions] = None,
     ) -> None:
         if tuple(latency.sites) != tuple(spec.sites):
@@ -87,7 +82,7 @@ class SimulatedCluster:
         self.latency = latency
         self.protocol = protocol
         self.protocol_config = protocol_config or ProtocolConfig()
-        self.env = env if env is not None else SimulationEnvironment(seed=seed)
+        self.env = SimulationEnvironment(seed=seed)
         self.network = SimulatedNetwork(self.env, latency, network_options)
         self.cpu_model = cpu_model
         self._clock_offsets = dict(clock_offsets or {})

@@ -120,8 +120,7 @@ class LiveClients:
         rng = random.Random(spec.seed * 1_000_003 + rid * 1_009 + index)
         think_min = spec.workload.think_time_min_ms / 1_000.0 / self._time_scale
         think_max = spec.workload.think_time_max_ms / 1_000.0 / self._time_scale
-        # Scoped by the spec name so concurrent deployments in one loop
-        # (sharded runs) never produce colliding client ids.
+        # Unique within the run: the spec name, the site and the index.
         name = f"{spec.name}/{site}/client{index}"
         depth = spec.batching.pipeline_depth if spec.batching is not None else 1
         # Loop on the stop event rather than relying on cancellation:
@@ -145,8 +144,11 @@ class LiveClients:
                     done, in_flight = await asyncio.wait(
                         in_flight, return_when=asyncio.FIRST_COMPLETED
                     )
-                    for task in done:
-                        task.result()  # propagate failures like depth == 1
+                    # Propagate failures like depth == 1, after reading every
+                    # one: an exception never read is logged at collection.
+                    failed = [task for task in done if task.exception() is not None]
+                    if failed:
+                        failed[0].result()
             await _gather_raising(in_flight)
         finally:
             for task in in_flight:

@@ -12,7 +12,6 @@ from repro.experiment import (
     BatchingSpec,
     Deployment,
     ExperimentSpec,
-    ShardingSpec,
     WorkloadSpec,
     check_spec,
 )
@@ -199,33 +198,6 @@ class TestBackends:
         assert sim.linearizable, sim.report.describe()
         live = check_spec(spec, backend="async", time_scale=20, submit_timeout=5.0)
         assert live.linearizable, live.report.describe()
-
-    def test_batching_composes_with_sharding(self):
-        # Balanced (closed-loop) clients: the cross-shard client-order pass
-        # assumes each client awaits a commit before its next invocation,
-        # which window-based saturating clients intentionally violate.
-        spec = ExperimentSpec(
-            name="batch-shard",
-            protocol="mencius",
-            sites=("S0", "S1", "S2"),
-            latency="uniform",
-            one_way_ms=0.1,
-            workload=WorkloadSpec(
-                scenario="balanced",
-                clients_per_site=6,
-                think_time_max_ms=2.0,
-                app="kv",
-            ),
-            duration_s=0.3,
-            warmup_s=0.05,
-            sharding=ShardingSpec(shards=2),
-            batching=BatchingSpec(max_batch=8),
-        )
-        result = Deployment(spec).run()
-        assert result.shards is not None and len(result.shards) == 2
-        assert result.total_committed > 0
-        checked = check_spec(spec, backend="sim")
-        assert checked.linearizable, checked.report.describe()
 
     def test_async_backend_scales_the_window_like_every_other_delay(self):
         from repro.experiment.walltime import scaled_batching

@@ -8,9 +8,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
-from repro.experiment import BatchingSpec, ExperimentSpec, ShardingSpec, WorkloadSpec
+from repro.experiment import BatchingSpec, ExperimentSpec, WorkloadSpec
 from repro.protocols.registry import capability_rows, protocol_capabilities
-from repro.shard.deployment import shard_subspecs
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -110,18 +109,6 @@ class TestRoundTrips:
         path.write_text("\n".join(lines) + "\n")
         loaded = ExperimentSpec.from_file(path)
         assert loaded.batching == spec.batching
-
-    def test_sharded_subspecs_inherit_the_batching_table(self):
-        spec = _spec(
-            batching=BatchingSpec(max_batch=8, pipeline_depth=2),
-            sharding=ShardingSpec(shards=3),
-            workload=WorkloadSpec(
-                scenario="saturating", outstanding_per_site=12, app="null"
-            ),
-        )
-        subspecs = shard_subspecs(spec)
-        assert len(subspecs) == 3
-        assert all(sub.batching == spec.batching for sub in subspecs)
 
 
 class TestCliOverride:

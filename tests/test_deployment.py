@@ -177,21 +177,6 @@ class TestAsyncBackend:
         with pytest.raises(ConfigurationError, match="invalid options"):
             Deployment(SMALL, backend="async", warp_factor=9)
 
-    def test_run_in_loop_runs_on_the_callers_event_loop(self):
-        import asyncio
-
-        from repro.experiment.async_backend import AsyncBackend
-
-        async def inside():
-            loop = asyncio.get_running_loop()
-            result = await AsyncBackend(time_scale=20).run_in_loop(SMALL)
-            assert asyncio.get_running_loop() is loop
-            return result
-
-        result = asyncio.run(inside())
-        assert result.backend == "async"
-        assert all(site.committed > 0 for site in result.sites.values())
-
     def test_back_to_back_runs_each_get_a_fresh_loop(self):
         from repro.experiment.async_backend import AsyncBackend
 

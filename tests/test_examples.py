@@ -54,11 +54,6 @@ class TestExamples:
         output = run_example("live_asyncio_cluster.py", "--scale", "50")
         assert "identical state machines everywhere" in output
 
-    def test_sharded_store(self):
-        output = run_example("sharded_store.py", "--shards", "3", "--keys", "18")
-        assert "18 keys over 3 shards" in output
-        assert "every shard linearizable; cross-shard client order ok" in output
-
     @pytest.mark.slow
     def test_geo_replicated_store_quick(self):
         output = run_example(

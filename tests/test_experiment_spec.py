@@ -282,17 +282,17 @@ class TestValidation:
                 {"name": "x", "protocol": "paxos", "sites": ["CA"], "sched": 1}
             )
 
-    def test_runtime_table_is_an_unknown_key(self):
+    @pytest.mark.parametrize(
+        "key, table",
+        [("runtime", {"uvloop": True}), ("sharding", {"shards": 2})],
+        ids=["runtime", "sharding"],
+    )
+    def test_retired_table_is_an_unknown_key(self, key, table):
         with pytest.raises(
-            ConfigurationError, match=re.escape("unknown experiment spec keys: ['runtime']")
+            ConfigurationError, match=re.escape(f"unknown experiment spec keys: ['{key}']")
         ):
             ExperimentSpec.from_dict(
-                {
-                    "name": "x",
-                    "protocol": "clock-rsm",
-                    "sites": ["CA", "VA", "IR"],
-                    "runtime": {"uvloop": True},
-                }
+                {"name": "x", "protocol": "clock-rsm", "sites": ["CA", "VA", "IR"], key: table}
             )
 
     def test_negative_think_time_rejected(self):

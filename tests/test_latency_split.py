@@ -12,10 +12,8 @@ import asyncio
 
 from repro.config import BatchingOptions, ClusterSpec
 from repro.experiment import BatchingSpec, Deployment, ExperimentSpec, WorkloadSpec
-from repro.experiment.result import ExperimentResult, SiteResult
 from repro.kvstore.commands import encode_put
 from repro.runtime.local import LocalAsyncCluster
-from repro.shard.deployment import aggregate_results
 
 
 def run(coro):
@@ -130,52 +128,3 @@ class TestBackendWiring:
         spec = self._experiment(None)
         result = Deployment(spec, backend="sim").run()
         assert result.latency_split() is None
-
-
-class TestShardedAggregation:
-    def _result(self, name, queue_us, protocol_us, samples) -> ExperimentResult:
-        return ExperimentResult(
-            name=name,
-            protocol="clock-rsm",
-            backend="async",
-            duration_s=1.0,
-            sites={"S0": SiteResult(site="S0", replica_id=0, committed=int(samples))},
-            total_committed=int(samples),
-            throughput_kops=samples / 1000.0,
-            replica_metrics={
-                0: {
-                    "executed": samples,
-                    "queue_wait_mean_us": queue_us,
-                    "protocol_mean_us": protocol_us,
-                    "split_samples": samples,
-                }
-            },
-        )
-
-    def test_split_means_merge_sample_weighted(self):
-        spec = ExperimentSpec(
-            name="split-agg",
-            protocol="clock-rsm",
-            sites=("S0",),
-            latency="uniform",
-            one_way_ms=0.1,
-            workload=WorkloadSpec(),
-            duration_s=1.0,
-        )
-        shards = [
-            self._result("a", queue_us=100.0, protocol_us=1000.0, samples=100.0),
-            self._result("b", queue_us=300.0, protocol_us=3000.0, samples=300.0),
-        ]
-        merged = aggregate_results(spec, "async", shards)
-        metrics = merged.replica_metrics[0]
-        # Weighted means, not sums: (100*100 + 300*300) / 400 = 250.
-        assert metrics["queue_wait_mean_us"] == 250.0
-        assert metrics["protocol_mean_us"] == 2500.0
-        assert metrics["split_samples"] == 400.0
-        assert metrics["executed"] == 400.0
-        split = merged.latency_split()
-        assert split == {
-            "queue_wait_mean_us": 250.0,
-            "protocol_mean_us": 2500.0,
-            "samples": 400.0,
-        }

@@ -20,11 +20,9 @@ from repro.checker.history import OpHistory
 from repro.errors import ConfigurationError, LaunchError
 from repro.experiment import (
     CpuSpec,
-    Deployment,
     ExperimentSpec,
     FaultSpec,
     ProcessesSpec,
-    ShardingSpec,
     WorkloadSpec,
     check_spec,
     run_spec,
@@ -90,23 +88,6 @@ class TestProcessBackendRuns:
         run = check_spec(spec, backend="proc", time_scale=1.0, submit_timeout=10.0)
         assert run.linearizable
         assert run.result.backend == "proc"
-
-    def test_sharded_spec_runs_one_group_per_process_set(self):
-        spec = tiny(
-            name="proc-sharded",
-            sharding=ShardingSpec(shards=2),
-            workload=WorkloadSpec(
-                clients_per_site=2, think_time_min_ms=1.0, think_time_max_ms=3.0
-            ),
-        )
-        result = Deployment(spec, backend="proc", time_scale=1.0).run()
-        assert result.shards is not None and len(result.shards) == 2
-        assert result.total_committed == sum(
-            shard.total_committed for shard in result.shards
-        )
-        for shard in result.shards:
-            workers = shard.metadata["workers"]
-            assert all(w["exit"] == "clean" for w in workers.values())
 
 
 class TestHistoryTimeline:

@@ -7,6 +7,7 @@ in place of ``ReplicaServer.submit`` and observes what the clients do with it.
 from __future__ import annotations
 
 import asyncio
+import gc
 from collections import defaultdict
 
 import pytest
@@ -167,10 +168,14 @@ class TestMeasurement:
 
 class TestDeadClient:
     @pytest.mark.parametrize("depth", [1, 3])
-    def test_a_client_exception_is_raised_after_the_drain(self, depth):
+    def test_a_client_exception_is_raised_after_the_drain(self, depth, caplog):
         spec = make_spec(batching=BatchingSpec(max_batch=8, pipeline_depth=depth))
         with pytest.raises(RuntimeError, match="boom"):
             play(spec, Stub(outcome=RuntimeError("boom")))
+        # Every failed command is retrieved: none is left for the collector
+        # to log as "Task exception was never retrieved".
+        gc.collect()
+        assert "never retrieved" not in caplog.text
 
     def test_async_deployment_does_not_return_a_result_with_the_load_missing(self, monkeypatch):
         async def broken_submit(self, command, timeout=None):

@@ -1,12 +1,13 @@
 """Nothing in ``src/`` that no run can reach.
 
-Both checks read the source as syntax trees and import nothing:
+The checks read the source as syntax trees and import nothing:
 
 * every module is imported by another ``src/`` module — not merely
   re-exported by a package ``__init__`` — or is on :data:`ALLOWED` with the
   reason nothing imports it;
 * every :class:`~repro.config.ProtocolConfig` field is read somewhere outside
-  ``config.py``, so no knob is accepted and then ignored.
+  ``config.py``, so no knob is accepted and then ignored;
+* every name a module imports is used in it or exported by its ``__all__``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ PACKAGE = SRC / "repro"
 ALLOWED: dict[str, str] = {
     "repro.cli": "entry point: python -m repro.cli and the console script",
     "repro.launch.worker": "entry point: the proc backend spawns python -m repro.launch.worker",
-    "repro.shard.client": "scripting client: ShardedKVClient for scripts and examples",
     "repro.runtime.client": "scripting client: ReplicatedKVClient for scripts and examples",
+    "repro.kvstore.client": "scripting client: SimKVClient for scripts and examples",
 }
 
 
@@ -114,3 +115,58 @@ def test_every_protocol_config_field_is_read_outside_config():
         )
     unread = [name for name in fields if name not in read]
     assert unread == [], f"ProtocolConfig fields nothing reads: {unread}"
+
+
+def _bound_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement in *tree* binds, with its line."""
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name *tree* loads, string annotations and ``__all__`` included."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg) or isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used |= _used_names(ast.parse(part.value, mode="eval"))
+        is_all = isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        )
+        if is_all and isinstance(node.value, (ast.List, ast.Tuple)):
+            used.update(
+                element.value for element in node.value.elts
+                if isinstance(element, ast.Constant)
+            )
+    return used
+
+
+def test_every_imported_name_is_used_or_exported():
+    unused = []
+    for path, tree in _trees().items():
+        if path.name == "__init__.py":
+            continue
+        used = _used_names(tree)
+        unused += [
+            f"{path.relative_to(SRC)}:{line} {name}"
+            for name, line in sorted(_bound_names(tree).items())
+            if name not in used
+        ]
+    assert unused == [], f"imported names the module never uses: {unused}"
