@@ -137,12 +137,12 @@ def _used_names(tree: ast.Module) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
-        annotations = []
-        if isinstance(node, ast.arg) or isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
+        annotation = None
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        for annotation in filter(None, annotations):
+            annotation = node.returns
+        if annotation is not None:
             for part in ast.walk(annotation):
                 if isinstance(part, ast.Constant) and isinstance(part.value, str):
                     used |= _used_names(ast.parse(part.value, mode="eval"))
