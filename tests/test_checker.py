@@ -141,6 +141,32 @@ class TestWingGongSearch:
         assert run.report.method == "total-order"
         assert run.report.keys == 0
 
+    @pytest.mark.parametrize(
+        "backend,options",
+        [("sim", {}), ("async", {"time_scale": 50, "submit_timeout": 5.0})],
+    )
+    def test_check_spec_reports_one_verdict_per_run(self, backend, options):
+        from repro.checker.linearizability import CheckReport
+        from repro.experiment import ExperimentSpec, WorkloadSpec, check_spec
+
+        spec = ExperimentSpec(
+            name="one-group",
+            protocol="clock-rsm",
+            sites=("CA", "VA", "IR"),
+            workload=WorkloadSpec(clients_per_site=2, think_time_max_ms=30.0),
+            duration_s=0.6,
+            warmup_s=0.1,
+            seed=5,
+        )
+        run = check_spec(spec, backend=backend, **options)
+        assert isinstance(run.report, CheckReport)
+        assert run.linearizable, run.report.violation
+        assert run.report.completed > 0
+        assert run.describe() == f"one-group [{backend}] clock-rsm: {run.report.describe()}"
+        payload = run.to_dict()
+        assert payload["check"] == run.report.to_dict()
+        assert payload["result"]["name"] == "one-group"
+
 
 class TestTotalOrderPass:
     """Histories carrying apply orders take the O(n) pre-pass."""

@@ -53,6 +53,21 @@ class TestParser:
 
 
 class TestCommands:
+    def test_protocols_subcommand(self, capsys):
+        assert main(["protocols"]) == 0
+        output = capsys.readouterr().out
+        for protocol in ("clock-rsm", "paxos", "paxos-bcast", "mencius", "mencius-bcast"):
+            assert protocol in output
+        assert "reconfiguration" in output
+
+    def test_help_lists_registries(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        output = capsys.readouterr().out
+        assert "protocols: clock-rsm, mencius, mencius-bcast, paxos, paxos-bcast" in output
+        assert "workload scenarios: balanced, imbalanced, saturating" in output
+        assert "backends: async, proc, sim" in output
+
     def test_numerical_command_prints_figure7_and_table4(self, capsys):
         assert main(["numerical"]) == 0
         output = capsys.readouterr().out

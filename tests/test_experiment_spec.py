@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,11 @@ from repro.protocols.registry import (
     PROTOCOLS,
     available_protocols,
     protocol_capabilities,
+)
+
+
+SHIPPED_SPECS = sorted(
+    (Path(__file__).resolve().parent.parent / "examples" / "specs").rglob("*.toml")
 )
 
 
@@ -127,6 +133,16 @@ class TestRoundTrip:
                     no_nones(inner)
 
         no_nones(data)  # TOML has no null
+
+    @pytest.mark.parametrize(
+        "path", SHIPPED_SPECS, ids=[path.stem for path in SHIPPED_SPECS]
+    )
+    def test_shipped_spec_round_trips(self, path, tmp_path):
+        spec = ExperimentSpec.from_file(path)
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        copy = tmp_path / f"{path.stem}.json"
+        copy.write_text(spec.to_json())
+        assert ExperimentSpec.from_file(copy) == spec
 
     def test_missing_file_and_bad_extension(self, tmp_path):
         with pytest.raises(ConfigurationError, match="does not exist"):
@@ -269,6 +285,10 @@ class TestValidation:
     def test_partition_needs_peer(self):
         with pytest.raises(ConfigurationError, match="peer"):
             FaultSpec(kind="partition", at_s=1.0, site="CA")
+
+    def test_fault_kind_typo_lists_valid_kinds(self):
+        with pytest.raises(ConfigurationError, match="clock-jump"):
+            self.base(faults=(FaultSpec(kind="clockjump", at_s=1.0, site="CA"),))
 
     def test_unknown_scenario_and_app(self):
         with pytest.raises(ConfigurationError, match="scenario"):
