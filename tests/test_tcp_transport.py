@@ -23,7 +23,9 @@ from repro.errors import TransportError
 from repro.kvstore.commands import encode_put
 from repro.kvstore.kv import KVStateMachine
 from repro.net.message import Envelope, MessageRegistry, global_registry
-from repro.net.tcp import HELLO_BYTES, MAX_FRAME_BYTES, TcpTransport, encode_frame, encode_hello
+from repro.net.tcp import (
+    HELLO_BYTES, MAX_FRAME_BYTES, READ_BUFFER_BYTES, TcpTransport, encode_frame, encode_hello,
+)  # fmt: skip
 from repro.net.wire import encode
 from repro.runtime.server import ReplicaServer
 from repro.storage.memory_log import InMemoryLog
@@ -378,6 +380,12 @@ class TestStopEndsEverythingItStarted:
         assert reports == []  # nor anything reported while the loop closed
 
 
+def _framed(*values) -> bytes:
+    """A length prefix, then *values* as one registry value stream."""
+    body = global_registry.encode_many(values)
+    return struct.pack(">I", len(body)) + body
+
+
 class TestMalformedFrames:
     @pytest.mark.parametrize(
         "frame",
@@ -385,9 +393,18 @@ class TestMalformedFrames:
             struct.pack(">I", 5) + b"ZZZZZ",
             struct.pack(">I", MAX_FRAME_BYTES + 1),
             struct.pack(">I", 9) + encode(5),
+            _framed({"src": 0, "dst": 1, "message": ClockTime(1), "junk": 1}),
+            _framed({"src": 0, "dst": 1, "message": ClockTime(1), "batch": 1}),
+            _framed({"src": 0, "dst": 1, "batch": True}, ClockTime(1)),
+            _framed({"src": 0, "dst": 1, "message": 42}),
+            _framed({"src": 0, "dst": 1, "batch": 1}, "not a message"),
         ],
-        ids=["garbage-body", "oversize-prefix", "value-that-is-no-envelope"],
-    )
+        ids=[
+            "garbage-body", "oversize-prefix", "value-that-is-no-envelope",
+            "header-with-an-extra-key", "header-with-message-and-batch", "batch-count-that-is-a-bool",
+            "message-that-is-an-int", "batch-element-that-is-a-str",
+        ],
+    )  # fmt: skip
     def test_bad_frame_closes_only_the_offending_connection(self, frame, caplog):
         # Regression: a CodecError/TransportError from the frame reader ended
         # the handler task with "Unhandled exception in client_connected_cb".
@@ -427,6 +444,45 @@ class TestMalformedFrames:
         (warning,) = [r for r in caplog.records if r.name == "repro.net.tcp"]
         assert "malformed frame" in warning.getMessage()
         assert str(offender[0]) in warning.getMessage()  # names the peer
+
+
+class TestLargeFrames:
+    def test_a_frame_larger_than_the_read_buffer_arrives_intact(self):
+        # One batch frame of 64 PREPAREs, about 1 MiB: sixteen read buffers.
+        messages = [
+            Prepare(Command(CommandId("big", i), bytes([i]) * (16 * 1024)), Timestamp(i + 1, 0))
+            for i in range(64)
+        ]
+
+        async def scenario():
+            receiver = TcpTransport(1, "127.0.0.1:0", {})
+            received: list = []
+            done = asyncio.Event()
+            receiver.set_handler(
+                lambda env: (received.append(env.message), len(received) == 65 and done.set())
+            )
+            await receiver.start()
+            sender = TcpTransport(
+                0, "127.0.0.1:0", {1: receiver.bound_address},
+                batching=BatchingOptions(max_batch=64),
+            )  # fmt: skip
+            await sender.start()
+            try:
+                for message in messages:  # one tick: one write unit, one frame
+                    sender.send(Envelope(0, 1, message))
+                await asyncio.sleep(0.05)
+                sender.send(Envelope(0, 1, ClockTime(7)))  # a small frame behind it
+                await asyncio.wait_for(done.wait(), timeout=10)
+                (connection,) = receiver._connections
+                free = len(connection._parser.get_buffer())
+            finally:
+                await sender.stop()
+                await receiver.stop()
+            return received, free
+
+        received, free = run(scenario())
+        assert received == [*messages, ClockTime(7)]
+        assert free == READ_BUFFER_BYTES  # back at its base size, and empty
 
 
 class TestHello:

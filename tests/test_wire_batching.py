@@ -21,12 +21,15 @@ from repro.core.messages import ClockTime, Prepare, PrepareOk
 from repro.errors import TransportError
 from repro.net.message import Envelope, EnvelopeBatch, global_registry
 from repro.net.tcp import (
+    HELLO_BYTES,
     MAX_FRAME_BYTES,
+    READ_BUFFER_BYTES,
     FrameParser,
     TcpTransport,
     decode_frame_envelopes,
     encode_batch_frame,
     encode_frame,
+    encode_hello,
 )
 from repro.net.wire import decode_many, encode_many
 from repro.protocols.records import CommandBatch, make_unit, unit_commands
@@ -44,6 +47,27 @@ def _prepare(seqno: int) -> Prepare:
 
 def run(coro):
     return asyncio.run(coro)
+
+
+HELLO = encode_hello(global_registry)
+
+
+def _read(parser: FrameParser, data: bytes) -> None:
+    """Land *data* in *parser* as socket reads would: each read fills at
+    most the free tail ``get_buffer`` hands out, then ``buffer_updated``."""
+    while data:
+        free = parser.get_buffer()
+        count = min(len(free), len(data))
+        free[:count] = data[:count]
+        parser.buffer_updated(count)
+        data = data[count:]
+
+
+def _reader(received: list) -> FrameParser:
+    """A parser past its peer's hello, dispatching into *received*."""
+    parser = FrameParser(global_registry, received.append)
+    _read(parser, HELLO)
+    return parser
 
 
 class TestWireStream:
@@ -143,12 +167,10 @@ class TestFrameParserReassembly:
         frame = encode_batch_frame(
             EnvelopeBatch.of([Envelope(0, 1, m) for m in messages]), global_registry
         )
-        parser = FrameParser(global_registry)
-        envelopes = [
-            envelope
-            for start in range(0, len(frame), chunk)
-            for envelope in parser.feed(frame[start : start + chunk])
-        ]
+        envelopes: list = []
+        parser = _reader(envelopes)
+        for start in range(0, len(frame), chunk):
+            _read(parser, frame[start : start + chunk])
         assert [e.message for e in envelopes] == messages
 
     def test_mixed_single_and_batch_frames_on_one_stream(self):
@@ -159,7 +181,8 @@ class TestFrameParserReassembly:
             + encode_batch_frame(batch, global_registry)
             + encode_frame(singles[1], global_registry)
         )
-        received = list(FrameParser(global_registry).feed(stream))
+        received: list = []
+        _read(_reader(received), stream)
         seqnos = [e.message.command.command_id.seqno for e in received]
         assert seqnos == [0, 10, 11, 12, 1]
 
@@ -168,18 +191,90 @@ class TestFrameParserReassembly:
         first, second = (encode_frame(Envelope(0, 1, _prepare(i)), global_registry) for i in range(2))
         stream = first + second
         at = len(first) + cut  # inside the second frame's prefix
-        parser = FrameParser(global_registry)
-        head = list(parser.feed(stream[:at]))
-        tail = list(parser.feed(stream[at:]))
-        assert [e.message for e in head] == [_prepare(0)]
-        assert [e.message for e in tail] == [_prepare(1)]
+        received: list = []
+        parser = _reader(received)
+        _read(parser, stream[:at])
+        assert [e.message for e in received] == [_prepare(0)]
+        _read(parser, stream[at:])
+        assert [e.message for e in received] == [_prepare(0), _prepare(1)]
 
     def test_an_oversize_prefix_is_refused_before_its_body(self):
-        parser = FrameParser(global_registry)
+        parser = _reader([])
         prefix = struct.pack(">I", MAX_FRAME_BYTES + 1)
-        assert list(parser.feed(prefix[:3])) == []
+        _read(parser, prefix[:3])
         with pytest.raises(TransportError):
-            list(parser.feed(prefix[3:]))
+            _read(parser, prefix[3:])
+        # Refused before the buffer grew: it still holds its base size.
+        assert len(parser.get_buffer()) == READ_BUFFER_BYTES - 3
+
+
+class TestReadBuffer:
+    """The one buffer a connection reads into, and what leaves it."""
+
+    def test_a_frame_larger_than_the_buffer_grows_it_exactly_then_it_shrinks_back(self):
+        message = Prepare(Command(CommandId("big", 1), b"x" * 3 * READ_BUFFER_BYTES), Timestamp(1, 0))
+        frame = encode_frame(Envelope(0, 1, message), global_registry)
+        after = encode_frame(Envelope(0, 1, ClockTime(5)), global_registry)
+        received: list = []
+        parser = _reader(received)
+        _read(parser, frame[:10])
+        # The whole frame fits from here on, and nothing more.
+        assert len(parser.get_buffer()) == len(frame) - 10
+        _read(parser, frame[10:] + after[:2])
+        assert [e.message for e in received] == [message]
+        # Consumed: back to the base size, the next frame's start kept.
+        assert len(parser.get_buffer()) == READ_BUFFER_BYTES - 2
+        _read(parser, after[2:])
+        assert [e.message for e in received] == [message, ClockTime(5)]
+        assert len(parser.get_buffer()) == READ_BUFFER_BYTES
+
+    def test_an_incomplete_frame_moves_to_the_front_only_when_it_does_not_fit(self):
+        frame = encode_frame(Envelope(0, 1, _prepare(1)), global_registry)
+        received: list = []
+        parser = _reader(received)
+        _read(parser, frame + frame[:5])
+        # The rest of the frame fits behind what arrived: nothing moved.
+        assert len(parser.get_buffer()) == READ_BUFFER_BYTES - len(frame) - 5
+        parser = _reader(received)
+        stream = frame * (READ_BUFFER_BYTES // len(frame) + 1)
+        tail = READ_BUFFER_BYTES % len(frame)
+        assert 4 < tail  # the buffer ends inside a frame's body
+        _read(parser, stream[:READ_BUFFER_BYTES])
+        # The rest would run past the buffer's end: the tail moved to the front.
+        assert len(parser.get_buffer()) == READ_BUFFER_BYTES - tail
+        _read(parser, stream[READ_BUFFER_BYTES:])
+        assert len(received) == 1 + len(stream) // len(frame)
+        assert all(e.message == _prepare(1) for e in received)
+
+    def test_a_payload_outlives_the_reads_that_reuse_the_buffer(self):
+        def frame(seqno: int, fill: bytes) -> bytes:
+            message = Prepare(Command(CommandId("alias", seqno), fill * 200), Timestamp(seqno + 1, 0))
+            return encode_frame(Envelope(0, 1, message), global_registry)
+
+        received: list = []
+        parser = _reader(received)
+        _read(parser, frame(0, b"a"))
+        (first,) = received
+        command = first.message.command
+        payload, client = command.payload, command.command_id.client
+        assert type(payload) is bytes and type(client) is str
+        for seqno, fill in enumerate((b"b", b"c", b"d"), start=1):
+            _read(parser, frame(seqno, fill))  # lands where the first frame was
+        assert len(received) == 4 and received[3].message.command.payload == b"d" * 200
+        assert command.payload == payload == b"a" * 200
+        assert command.command_id.client == client == "alias"
+
+    def test_a_hello_split_across_reads_is_accepted(self):
+        stream = HELLO + encode_frame(Envelope(0, 1, _prepare(3)), global_registry)
+        received: list = []
+        parser = FrameParser(global_registry, received.append)
+        for start, stop in ((0, 3), (3, HELLO_BYTES - 1), (HELLO_BYTES - 1, HELLO_BYTES + 2)):
+            _read(parser, stream[start:stop])
+            assert not received
+        assert parser.greeted
+        _read(parser, stream[HELLO_BYTES + 2 :])
+        assert [e.message for e in received] == [_prepare(3)]
+        assert len(parser.get_buffer()) == READ_BUFFER_BYTES
 
 
 def _frames():
@@ -205,7 +300,8 @@ def test_any_split_of_a_frame_stream_yields_what_one_whole_feed_yields(frames, d
     — whole, one byte at a time, cut inside a length prefix or a body — the
     parser yields the same envelopes in the same order."""
     stream = b"".join(frames)
-    whole = list(FrameParser(global_registry).feed(stream))
+    whole: list = []
+    _read(_reader(whole), stream)
     assert len(whole) == sum(len(decode_frame_envelopes(f[4:], global_registry)) for f in frames)
     one_byte = data.draw(st.booleans(), label="one byte per feed")
     cuts = (
@@ -214,12 +310,10 @@ def test_any_split_of_a_frame_stream_yields_what_one_whole_feed_yields(frames, d
         else sorted(data.draw(st.sets(st.integers(1, len(stream) - 1), max_size=12), label="cuts"))
     )
     bounds = [0, *cuts, len(stream)]
-    parser = FrameParser(global_registry)
-    split = [
-        envelope
-        for start, stop in zip(bounds, bounds[1:])
-        for envelope in parser.feed(stream[start:stop])
-    ]
+    split: list = []
+    parser = _reader(split)
+    for start, stop in zip(bounds, bounds[1:]):
+        _read(parser, stream[start:stop])
     assert split == whole
 
 
