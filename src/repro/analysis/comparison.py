@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..net.latency import LatencyMatrix
 from ..types import micros_to_ms
 from .ec2 import EC2_SITES, ec2_latency_matrix
 from .latency_model import clock_rsm_balanced, paxos_bcast_latency
+
+
+#: The replica-group sizes Figure 7 and Table IV cover.
+GROUP_SIZES: tuple[int, ...] = (3, 5, 7)
 
 
 def enumerate_groups(sites: Sequence[str], size: int) -> list[tuple[str, ...]]:
@@ -89,12 +93,10 @@ def compare_group(
     )
 
 
-def compare_all_groups(
-    size: int, sites: Sequence[str] = EC2_SITES, matrix: Optional[LatencyMatrix] = None
-) -> list[GroupComparison]:
-    """Compare every placement of *size* replicas drawn from *sites*."""
-    full = matrix if matrix is not None else ec2_latency_matrix(sites)
-    return [compare_group(group, full) for group in enumerate_groups(sites, size)]
+def compare_all_groups(size: int) -> list[GroupComparison]:
+    """Compare every placement of *size* replicas drawn from the EC2 sites."""
+    full = ec2_latency_matrix()
+    return [compare_group(group, full) for group in enumerate_groups(EC2_SITES, size)]
 
 
 @dataclass(frozen=True)
@@ -109,15 +111,11 @@ class AverageLatencies:
     clock_rsm_highest: float
 
 
-def average_latency_by_group_size(
-    sizes: Iterable[int] = (3, 5, 7),
-    sites: Sequence[str] = EC2_SITES,
-    matrix: Optional[LatencyMatrix] = None,
-) -> list[AverageLatencies]:
+def average_latency_by_group_size() -> list[AverageLatencies]:
     """Figure 7: average 'all' and 'highest' latencies per group size."""
     results = []
-    for size in sizes:
-        groups = compare_all_groups(size, sites, matrix)
+    for size in GROUP_SIZES:
+        groups = compare_all_groups(size)
         count = len(groups)
         results.append(
             AverageLatencies(
@@ -146,9 +144,7 @@ class ReductionSummary:
     relative_reduction: float
 
 
-def aggregate_reduction(
-    size: int, sites: Sequence[str] = EC2_SITES, matrix: Optional[LatencyMatrix] = None
-) -> tuple[ReductionSummary, ReductionSummary]:
+def aggregate_reduction(size: int) -> tuple[ReductionSummary, ReductionSummary]:
     """Table IV: latency reduction of Clock-RSM over Paxos-bcast.
 
     Returns ``(wins, losses)``: the bucket of replicas where Clock-RSM has
@@ -158,7 +154,7 @@ def aggregate_reduction(
     is the bucket's mean absolute reduction divided by its mean Paxos-bcast
     latency.
     """
-    groups = compare_all_groups(size, sites, matrix)
+    groups = compare_all_groups(size)
     wins: list[tuple[float, float]] = []
     losses: list[tuple[float, float]] = []
     for group in groups:
@@ -186,6 +182,7 @@ def aggregate_reduction(
 
 
 __all__ = [
+    "GROUP_SIZES",
     "enumerate_groups",
     "best_paxos_bcast_leader",
     "GroupComparison",

@@ -40,27 +40,19 @@ EC2_RTT_MS: dict[tuple[str, str], float] = {
     ("AU", "BR"): 349.0,
 }
 
-#: Typical intra-data-center RTT reported by the paper (Section VI-B).
-EC2_LOCAL_RTT_MS = 0.6
-
 #: The replica placements used by the paper's EC2 experiments.
 THREE_REPLICA_SITES: tuple[str, ...] = ("CA", "VA", "IR")
 FIVE_REPLICA_SITES: tuple[str, ...] = ("CA", "VA", "IR", "JP", "SG")
 
 
-def ec2_latency_matrix(
-    sites: Optional[Sequence[str]] = None, include_local: bool = False
-) -> LatencyMatrix:
+def ec2_latency_matrix(sites: Optional[Sequence[str]] = None) -> LatencyMatrix:
     """Build the one-way latency matrix for *sites* (default: all seven).
 
-    ``include_local`` adds the ~0.6 ms intra-data-center RTT on the diagonal;
-    the analytical model ignores it (as the paper does), the simulator may
-    include it for realism.
+    The diagonal (a replica's delay to itself) is zero: the analytical model
+    ignores the intra-data-center RTT, as the paper does.
     """
     selected = tuple(sites) if sites is not None else EC2_SITES
-    full = LatencyMatrix.from_rtt_ms(
-        EC2_SITES, EC2_RTT_MS, local_rtt_ms=EC2_LOCAL_RTT_MS if include_local else 0.0
-    )
+    full = LatencyMatrix.from_rtt_ms(EC2_SITES, EC2_RTT_MS)
     if selected == EC2_SITES:
         return full
     return full.restricted_to(selected)
@@ -69,7 +61,6 @@ def ec2_latency_matrix(
 __all__ = [
     "EC2_SITES",
     "EC2_RTT_MS",
-    "EC2_LOCAL_RTT_MS",
     "THREE_REPLICA_SITES",
     "FIVE_REPLICA_SITES",
     "ec2_latency_matrix",

@@ -9,10 +9,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..analysis.comparison import (
+    GROUP_SIZES,
     aggregate_reduction,
     average_latency_by_group_size,
 )
-from ..analysis.ec2 import EC2_SITES, ec2_latency_matrix
+from ..analysis.ec2 import ec2_latency_matrix
 from ..analysis.latency_model import (
     clock_rsm_balanced,
     clock_rsm_imbalanced,
@@ -64,12 +65,10 @@ def table2_rows(
     return rows
 
 
-def figure7_data(
-    sizes: Sequence[int] = (3, 5, 7), sites: Sequence[str] = EC2_SITES
-) -> list[dict[str, float]]:
+def figure7_data() -> list[dict[str, float]]:
     """Figure 7: average 'all' / 'highest' latency per replica-group size."""
     rows = []
-    for entry in average_latency_by_group_size(sizes, sites):
+    for entry in average_latency_by_group_size():
         rows.append(
             {
                 "group_size": entry.group_size,
@@ -83,13 +82,11 @@ def figure7_data(
     return rows
 
 
-def table4_rows(
-    sizes: Sequence[int] = (3, 5, 7), sites: Sequence[str] = EC2_SITES
-) -> list[dict[str, float]]:
+def table4_rows() -> list[dict[str, float]]:
     """Table IV: latency reduction of Clock-RSM over Paxos-bcast per group size."""
     rows = []
-    for size in sizes:
-        wins, losses = aggregate_reduction(size, sites)
+    for size in GROUP_SIZES:
+        wins, losses = aggregate_reduction(size)
         rows.append(
             {
                 "group_size": size,

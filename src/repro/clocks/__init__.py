@@ -4,7 +4,7 @@ Clock-RSM assumes each replica has a loosely synchronized physical clock.
 This package provides:
 
 * :class:`~repro.clocks.base.Clock` — the minimal interface the protocols
-  consume (a monotonically non-decreasing :meth:`now`).
+  consume (one :meth:`now` reading in microseconds).
 * :class:`~repro.clocks.base.MonotonicTimestampSource` — the strictly
   monotonic per-replica timestamp generator used when assigning command
   timestamps and PREPAREOK clock readings (the protocol requires both to be
@@ -16,16 +16,13 @@ This package provides:
   the asyncio runtime.
 """
 
-from .base import Clock, ManualClock, MonotonicClock, MonotonicTimestampSource, TimeSource
-from .physical import DriftingClock, PerfectClock, SkewedClock, SystemClock
+from .base import Clock, MonotonicTimestampSource, TimeSource
+from .physical import DriftingClock, SkewedClock, SystemClock
 
 __all__ = [
     "Clock",
     "TimeSource",
-    "ManualClock",
-    "MonotonicClock",
     "MonotonicTimestampSource",
-    "PerfectClock",
     "SkewedClock",
     "DriftingClock",
     "SystemClock",

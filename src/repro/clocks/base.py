@@ -5,7 +5,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable
 
-from ..errors import ClockError
 from ..types import Micros, ReplicaId, Timestamp
 
 
@@ -27,58 +26,15 @@ class Clock(ABC):
     """The clock interface consumed by the replication protocols.
 
     A clock returns microsecond readings that are *loosely* synchronized with
-    other replicas' clocks.  Readings must be non-decreasing; Clock-RSM's
-    correctness does not depend on the synchronization precision, only on
-    monotonicity (which :class:`MonotonicClock` enforces for imperfect
-    sources).
+    other replicas' clocks.  Clock-RSM's correctness does not depend on the
+    synchronization precision, only on sending timestamps in increasing
+    order; :class:`MonotonicTimestampSource` guarantees that over any clock,
+    including one stepped backwards.
     """
 
     @abstractmethod
     def now(self) -> Micros:
         """Return the current clock reading in microseconds."""
-
-
-class ManualClock(Clock):
-    """A clock advanced explicitly by the caller (used heavily in tests)."""
-
-    def __init__(self, start: Micros = 0) -> None:
-        self._now = start
-
-    def now(self) -> Micros:
-        return self._now
-
-    def advance(self, delta: Micros) -> Micros:
-        """Advance the clock by *delta* microseconds and return the new time."""
-        if delta < 0:
-            raise ClockError(f"cannot advance a clock backwards (delta={delta})")
-        self._now += delta
-        return self._now
-
-    def set(self, value: Micros) -> None:
-        """Jump the clock to *value*; must not move backwards."""
-        if value < self._now:
-            raise ClockError(f"cannot move clock backwards from {self._now} to {value}")
-        self._now = value
-
-
-class MonotonicClock(Clock):
-    """Wraps another clock and guarantees non-decreasing readings.
-
-    The paper obtains monotonically increasing timestamps from
-    ``clock_gettime``; NTP adjustments may step a raw clock backwards, so the
-    runtime wraps raw clocks in this class.
-    """
-
-    def __init__(self, inner: Clock) -> None:
-        self._inner = inner
-        self._last: Micros = 0
-
-    def now(self) -> Micros:
-        reading = self._inner.now()
-        if reading < self._last:
-            reading = self._last
-        self._last = reading
-        return reading
 
 
 class MonotonicTimestampSource:
@@ -105,10 +61,6 @@ class MonotonicTimestampSource:
     def replica_id(self) -> ReplicaId:
         return self._replica_id
 
-    def last_issued(self) -> Micros:
-        """The microsecond component of the most recently issued timestamp."""
-        return self._last_micros
-
     def next(self) -> Timestamp:
         """Return a fresh timestamp strictly greater than any issued before."""
         reading = self._clock.now()
@@ -134,8 +86,6 @@ ClockFactory = Callable[[ReplicaId], Clock]
 __all__ = [
     "TimeSource",
     "Clock",
-    "ManualClock",
-    "MonotonicClock",
     "MonotonicTimestampSource",
     "ClockFactory",
 ]

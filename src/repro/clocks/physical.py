@@ -1,4 +1,4 @@
-"""Physical clock models: perfect, skewed, drifting, and system clocks."""
+"""Physical clock models: skewed, drifting, and system clocks."""
 
 from __future__ import annotations
 
@@ -7,16 +7,6 @@ import time
 from ..errors import ClockError
 from ..types import Micros
 from .base import Clock, TimeSource
-
-
-class PerfectClock(Clock):
-    """A clock that reads true time exactly (zero skew, zero drift)."""
-
-    def __init__(self, source: TimeSource) -> None:
-        self._source = source
-
-    def now(self) -> Micros:
-        return self._source.true_now()
 
 
 class SkewedClock(Clock):
@@ -29,10 +19,6 @@ class SkewedClock(Clock):
     def __init__(self, source: TimeSource, skew: Micros = 0) -> None:
         self._source = source
         self._skew = skew
-
-    @property
-    def skew(self) -> Micros:
-        return self._skew
 
     def adjust(self, delta: Micros) -> None:
         """Slew the clock by *delta* microseconds."""
@@ -54,10 +40,6 @@ class DriftingClock(Clock):
         self._source = source
         self._skew = skew
         self._drift_ppm = drift_ppm
-
-    @property
-    def skew(self) -> Micros:
-        return self._skew
 
     @property
     def drift_ppm(self) -> float:
@@ -99,4 +81,4 @@ class SystemClock(Clock, TimeSource):
     true_now = now
 
 
-__all__ = ["PerfectClock", "SkewedClock", "DriftingClock", "SystemClock"]
+__all__ = ["SkewedClock", "DriftingClock", "SystemClock"]

@@ -94,14 +94,12 @@ class PaxosInstance:
     def __init__(self, instance: int, replica_id: ReplicaId, cluster_size: int) -> None:
         self.instance = instance
         self.replica_id = replica_id
-        self.cluster_size = cluster_size
         self.quorum = majority(cluster_size)
         # Acceptor state.
         self._promised_ballot = -1
         self._accepted_ballot = -1
         self._accepted_value: Any = None
         # Proposer state.
-        self._round = 0
         self._my_ballot: Optional[int] = None
         self._proposal: Any = None
         self._p1b_values: dict[ReplicaId, tuple[int, Any]] = {}
@@ -115,26 +113,21 @@ class PaxosInstance:
     def propose(self, value: Any) -> list[Outgoing]:
         """Start proposing *value*; returns the messages to send.
 
-        Replica 0's round-0 ballot may skip phase 1 (no smaller ballot can
-        exist), every other proposer runs the full two-phase synod.
+        A proposer's ballot is its replica id: there is one round, and a
+        proposer that loses learns the winner's decision.  Replica 0's ballot
+        may skip phase 1 (no smaller ballot can exist), every other proposer
+        runs the full two-phase synod.
         """
         if self.decided:
             return []
         self._proposal = value
-        self._my_ballot = self._round * self.cluster_size + self.replica_id
+        self._my_ballot = self.replica_id
         self._p1b_values = {}
         self._p2b_acks = set()
         if self._my_ballot == 0:
             # The lowest possible ballot: phase 1 cannot learn anything.
             return self._start_phase2(self._proposal)
         return [Outgoing(None, PaxosP1a(self.instance, self._my_ballot))]
-
-    def retry(self) -> list[Outgoing]:
-        """Advance to the next round (after a timeout) and re-propose."""
-        if self.decided or self._proposal is None:
-            return []
-        self._round += 1
-        return self.propose(self._proposal)
 
     def _start_phase2(self, value: Any) -> list[Outgoing]:
         assert self._my_ballot is not None
@@ -239,12 +232,6 @@ class InstanceManager:
         if not isinstance(message, PaxosMessage):
             return [], None
         return self.instance(message.instance).on_message(src, message)
-
-    def decision(self, number: int) -> Optional[Any]:
-        inst = self._instances.get(number)
-        if inst is not None and inst.decided:
-            return inst.decided_value
-        return None
 
 
 __all__ = [

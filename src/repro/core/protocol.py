@@ -38,7 +38,7 @@ from ..protocols.base import (
     Timer,
 )
 from ..protocols.records import CommandUnit
-from ..types import ReplicaId, Timestamp, ZERO_TS, is_noop
+from ..types import ReplicaId, Timestamp, ZERO_TS
 from .messages import (
     ClockTime,
     CommitRecord,
@@ -292,7 +292,7 @@ class ClockRsmReplica(Replica):
             state.remove_pending(entry.ts)
             self.log.append(CommitRecord(entry.ts))
             for command, output in self.execute_unit(entry.command):
-                if entry.origin == self.replica_id and not is_noop(command):
+                if entry.origin == self.replica_id:
                     actions.append(ClientReply(command.command_id, output))
             self.last_committed_ts = entry.ts
 

@@ -22,6 +22,7 @@ import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..config import validate_active_config
 from ..consensus.single_paxos import ConsensusDecision, InstanceManager, Outgoing, PaxosMessage
 from ..net.message import register_message
 from ..protocols.base import Action, Send, Timer
@@ -97,18 +98,15 @@ class ReconfigurationManager:
     # ------------------------------------------------------------------
 
     def trigger(self, new_config: tuple[ReplicaId, ...]) -> list[Action]:
-        """Start a reconfiguration towards *new_config* (Alg. 3, lines 1-6)."""
+        """Start a reconfiguration towards *new_config* (Alg. 3, lines 1-6).
+
+        Raises :class:`~repro.errors.ConfigurationError` unless *new_config*
+        is a majority of distinct replicas of the specification.
+        """
         replica = self._replica
-        unknown = [r for r in new_config if r not in replica.spec.replica_ids]
-        if unknown:
-            raise ValueError(f"replicas {unknown} are not part of the specification")
-        if len(new_config) < majority(replica.spec.size):
-            raise ValueError(
-                "the new configuration must contain a majority of the specification"
-            )
+        self._desired_config = validate_active_config(replica.spec, new_config)
         epoch = max(replica.epoch, self._epoch_floor) + 1
         cut = replica.last_committed_ts
-        self._desired_config = tuple(sorted(new_config))
         self._collections[epoch] = _SuspendCollection(
             epoch=epoch, new_config=self._desired_config, cut=cut, replies={}
         )

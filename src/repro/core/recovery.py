@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import LogCorruptionError
-from ..storage.log import CommandLog
+from ..storage.memory_log import InMemoryLog
 from ..types import Timestamp, ZERO_TS
 from .messages import CommitRecord, PrepareRecord
 
@@ -39,7 +39,7 @@ class RecoveredState:
     highest_ts: Timestamp
 
 
-def replay_log(log: CommandLog) -> RecoveredState:
+def replay_log(log: InMemoryLog) -> RecoveredState:
     """Replay *log* and return the recovered execution state."""
     pending: dict[Timestamp, PrepareRecord] = {}
     executed: list[PrepareRecord] = []

@@ -95,13 +95,6 @@ class ClockRsmState:
     def has_pending(self, ts: Timestamp) -> bool:
         return (ts.micros, ts.replica) in self._pending
 
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def pending_commands(self) -> list[PendingCommand]:
-        """All pending commands in timestamp order (for reconfiguration)."""
-        return [self._pending[key] for key in sorted(self._pending)]
-
     def min_pending(self) -> Optional[PendingCommand]:
         """The pending command with the smallest timestamp, if any."""
         while self._pending_heap:
@@ -145,9 +138,6 @@ class ClockRsmState:
 
     def ack_count(self, ts: Timestamp) -> int:
         return len(self._acks.get((ts.micros, ts.replica), ()))
-
-    def ackers(self, ts: Timestamp) -> frozenset[ReplicaId]:
-        return frozenset(self._acks.get((ts.micros, ts.replica), ()))
 
     # -- LatestTV ---------------------------------------------------------------
 

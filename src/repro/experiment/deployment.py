@@ -72,16 +72,10 @@ def run_spec(
 
 
 def run_comparison(
-    spec: ExperimentSpec,
-    protocols: Sequence[str],
-    backend: str = "sim",
-    **options: Any,
+    spec: ExperimentSpec, protocols: Sequence[str]
 ) -> dict[str, ExperimentResult]:
-    """Run the same experiment once per protocol (the paper's figures)."""
-    return {
-        protocol: run_spec(spec.with_protocol(protocol), backend, **options)
-        for protocol in protocols
-    }
+    """Run the same experiment once per protocol on ``sim`` (the paper's figures)."""
+    return {protocol: run_spec(spec.with_protocol(protocol)) for protocol in protocols}
 
 
 __all__ = ["BACKENDS", "Deployment", "run_spec", "run_comparison"]

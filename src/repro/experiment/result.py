@@ -72,21 +72,11 @@ class ExperimentResult:
     def p95_ms(self, site: str) -> float:
         return self.summary(site).p95_ms
 
-    def measured_sites(self) -> list[str]:
-        """Sites with at least one latency sample."""
-        return [site for site, r in self.sites.items() if r.summary is not None]
-
     def average_over_sites(self) -> float:
         values = [r.summary.mean_ms for r in self.sites.values() if r.summary is not None]
         if not values:
             raise ValueError(f"experiment {self.name!r} recorded no latency samples")
         return sum(values) / len(values)
-
-    def highest_over_sites(self) -> float:
-        values = [r.summary.mean_ms for r in self.sites.values() if r.summary is not None]
-        if not values:
-            raise ValueError(f"experiment {self.name!r} recorded no latency samples")
-        return max(values)
 
     def latency_split(self) -> Optional[dict[str, float]]:
         """The queue-wait vs protocol-time split, averaged over replicas.

@@ -417,12 +417,6 @@ class ExperimentSpec:
             wait_for_clock=self.wait_for_clock,
         )
 
-    def clock_for_site(self, site: str) -> ClockSpec:
-        for name, clock in self.clocks:
-            if name == site:
-                return clock
-        return ClockSpec()
-
     def clock_offsets(self) -> dict[ReplicaId, Micros]:
         spec = self.cluster_spec()
         return {
@@ -439,7 +433,7 @@ class ExperimentSpec:
             if clock.drift_ppm
         }
 
-    def with_protocol(self, protocol: str, name: Optional[str] = None) -> "ExperimentSpec":
+    def with_protocol(self, protocol: str) -> "ExperimentSpec":
         """A copy of this spec for a different protocol (comparison runs).
 
         The leader site is dropped when the target protocol is leaderless and
@@ -448,9 +442,7 @@ class ExperimentSpec:
         """
         caps = protocol_capabilities(protocol)
         leader = (self.leader_site or self.sites[0]) if caps.leader_based else None
-        return replace(
-            self, protocol=protocol, leader_site=leader, name=name or self.name
-        )
+        return replace(self, protocol=protocol, leader_site=leader)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -475,9 +467,6 @@ class ExperimentSpec:
             # e.g. duration_s = "2" in a TOML file: the key is known but the
             # value's type breaks validation arithmetic.
             raise ConfigurationError(f"invalid experiment spec value: {exc}") from exc
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentSpec":

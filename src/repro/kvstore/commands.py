@@ -106,11 +106,9 @@ def decode_op(payload: bytes) -> KvOp:
     return KvOp(op, key, value if op == PUT else None)
 
 
-def random_update(
-    rng: random.Random, key_space: int = 1000, value_size: int = 64, key_prefix: str = "key"
-) -> bytes:
-    """A PUT to a uniformly random key, as the paper's clients issue."""
-    key = f"{key_prefix}-{rng.randrange(key_space)}"
+def random_update(rng: random.Random, value_size: int = 64) -> bytes:
+    """A PUT to one of 1000 keys, chosen uniformly, as the paper's clients issue."""
+    key = f"key-{rng.randrange(1000)}"
     return encode_put(key, bytes(value_size))
 
 

@@ -88,9 +88,9 @@ async def expect(
 
 
 async def connect_with_retry(
-    host: str, port: int, timeout: float, backoff_s: float = 0.05
+    host: str, port: int, timeout: float
 ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Open a connection, retrying with linear backoff until *timeout*."""
+    """Open a connection, retrying with linear backoff (50 ms steps) until *timeout*."""
     loop = asyncio.get_running_loop()
     deadline = loop.time() + timeout
     attempt = 0
@@ -99,7 +99,7 @@ async def connect_with_retry(
             return await asyncio.open_connection(host, port)
         except OSError as exc:
             attempt += 1
-            delay = backoff_s * attempt
+            delay = 0.05 * attempt
             if loop.time() + delay >= deadline:
                 raise LaunchError(
                     f"could not reach the supervisor at {host}:{port} "

@@ -49,11 +49,6 @@ class LatencyCollector:
 
     # -- results ----------------------------------------------------------------
 
-    @property
-    def outstanding(self) -> int:
-        """Commands submitted but not yet committed."""
-        return len(self._submit_times)
-
     def count(self, replica_id: Optional[ReplicaId] = None) -> int:
         if replica_id is None:
             return sum(len(v) for v in self._latencies.values())
@@ -67,9 +62,6 @@ class LatencyCollector:
 
     def summary(self, replica_id: ReplicaId) -> LatencySummary:
         return summarize_micros(self.latencies_micros(replica_id))
-
-    def summaries(self) -> dict[ReplicaId, LatencySummary]:
-        return {rid: summarize_micros(values) for rid, values in self._latencies.items() if values}
 
     def cdf_ms(self, replica_id: ReplicaId) -> list[tuple[float, float]]:
         """Empirical latency CDF at a replica, values in milliseconds."""

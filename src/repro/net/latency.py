@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..config import ClusterSpec
 from ..errors import ConfigurationError
 from ..types import Micros, ReplicaId, ms_to_micros
 
@@ -54,21 +53,18 @@ class LatencyMatrix:
         cls,
         sites: Sequence[str],
         rtt_ms: Mapping[tuple[str, str], float],
-        local_rtt_ms: float = 0.0,
     ) -> "LatencyMatrix":
         """Build a matrix from pairwise RTTs in milliseconds.
 
         ``rtt_ms`` needs each unordered pair exactly once (either direction).
-        One-way delay is RTT / 2, as the paper assumes symmetric links.
+        One-way delay is RTT / 2, as the paper assumes symmetric links; a
+        replica's delay to itself is zero.
         """
         n = len(sites)
         index = {site: i for i, site in enumerate(sites)}
         if len(index) != n:
             raise ConfigurationError(f"duplicate sites: {sites}")
         grid: list[list[Micros]] = [[0] * n for _ in range(n)]
-        local_one_way = ms_to_micros(local_rtt_ms / 2.0)
-        for i in range(n):
-            grid[i][i] = local_one_way
         for (a, b), rtt in rtt_ms.items():
             if a not in index or b not in index:
                 continue
@@ -85,12 +81,10 @@ class LatencyMatrix:
         return cls(tuple(sites), tuple(tuple(row) for row in grid))
 
     @classmethod
-    def uniform(cls, sites: Sequence[str], one_way: Micros, local: Micros = 0) -> "LatencyMatrix":
-        """A matrix where every inter-site delay equals *one_way*."""
+    def uniform(cls, sites: Sequence[str], one_way: Micros) -> "LatencyMatrix":
+        """A matrix where every inter-site delay equals *one_way* (0 within a site)."""
         n = len(sites)
-        grid = tuple(
-            tuple(local if i == j else one_way for j in range(n)) for i in range(n)
-        )
+        grid = tuple(tuple(0 if i == j else one_way for j in range(n)) for i in range(n))
         return cls(tuple(sites), grid)
 
     # -- accessors ---------------------------------------------------------
@@ -109,16 +103,6 @@ class LatencyMatrix:
         """One-way delay between two replicas, by replica id."""
         return self.one_way[src][dst]
 
-    def delay_between_sites(self, a: str, b: str) -> Micros:
-        return self.one_way[self.site_index(a)][self.site_index(b)]
-
-    def rtt(self, src: ReplicaId, dst: ReplicaId) -> Micros:
-        return 2 * self.delay(src, dst)
-
-    def row(self, src: ReplicaId) -> tuple[Micros, ...]:
-        """One-way delays from *src* to every replica (including itself)."""
-        return self.one_way[src]
-
     def restricted_to(self, sites: Sequence[str]) -> "LatencyMatrix":
         """A sub-matrix covering only *sites*, in the given order."""
         indices = [self.site_index(s) for s in sites]
@@ -126,10 +110,6 @@ class LatencyMatrix:
             tuple(self.one_way[i][j] for j in indices) for i in indices
         )
         return LatencyMatrix(tuple(sites), grid)
-
-    def for_spec(self, spec: ClusterSpec) -> "LatencyMatrix":
-        """Reorder/restrict the matrix to match a cluster spec's sites."""
-        return self.restricted_to(spec.sites)
 
     def max_delay_from(self, src: ReplicaId) -> Micros:
         return max(self.one_way[src])

@@ -170,9 +170,6 @@ class Envelope:
     message: Any
     size_hint: int = 0
 
-    def with_size(self, size: int) -> "Envelope":
-        return Envelope(self.src, self.dst, self.message, size)
-
 
 @dataclass(frozen=True, slots=True)
 class EnvelopeBatch:
@@ -208,10 +205,6 @@ class EnvelopeBatch:
                     f"({src}->{dst}) and ({envelope.src}->{envelope.dst})"
                 )
         return cls(src, dst, tuple(e.message for e in envelopes))
-
-    def envelopes(self) -> list[Envelope]:
-        """Unbundle back into per-message envelopes, in batch order."""
-        return [Envelope(self.src, self.dst, message) for message in self.messages]
 
     def __len__(self) -> int:
         return len(self.messages)

@@ -68,7 +68,6 @@ class InMemoryNetwork:
         self._auto_deliver = auto_deliver
         self._transports: dict[ReplicaId, "InMemoryTransport"] = {}
         self._queues: dict[tuple[ReplicaId, ReplicaId], deque[Envelope]] = {}
-        self._dropped: list[Envelope] = []
         self._partitions: set[frozenset[ReplicaId]] = set()
 
     # -- wiring ------------------------------------------------------------
@@ -98,16 +97,10 @@ class InMemoryNetwork:
     def is_partitioned(self, a: ReplicaId, b: ReplicaId) -> bool:
         return frozenset((a, b)) in self._partitions
 
-    @property
-    def dropped(self) -> list[Envelope]:
-        """Envelopes dropped due to partitions (for assertions in tests)."""
-        return list(self._dropped)
-
     # -- delivery ------------------------------------------------------------
 
     def submit(self, envelope: Envelope) -> None:
         if self.is_partitioned(envelope.src, envelope.dst):
-            self._dropped.append(envelope)
             return
         if envelope.dst not in self._transports:
             raise TransportError(f"unknown destination replica {envelope.dst}")
@@ -115,9 +108,6 @@ class InMemoryNetwork:
         self._queues.setdefault(key, deque()).append(envelope)
         if self._auto_deliver:
             self.deliver_all()
-
-    def pending_count(self) -> int:
-        return sum(len(q) for q in self._queues.values())
 
     def deliver_one(self) -> bool:
         """Deliver the oldest queued envelope; return False if none queued."""

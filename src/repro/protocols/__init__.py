@@ -25,7 +25,6 @@ from .base import (
     ClientReply,
     ProtocolName,
     Replica,
-    ReplicaObserver,
     Send,
     SetTimer,
     Timer,
@@ -44,7 +43,6 @@ __all__ = [
     "SetTimer",
     "Timer",
     "Replica",
-    "ReplicaObserver",
     "ProtocolName",
     "MultiPaxosReplica",
     "PaxosBcastReplica",

@@ -16,13 +16,13 @@ import logging
 from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Protocol, Union
+from typing import Any, Iterable, Iterator, Optional, Union
 
 from ..clocks.base import Clock, MonotonicTimestampSource
 from ..config import ClusterSpec, ProtocolConfig
 from ..errors import ProtocolError
 from ..statemachine import StateMachine
-from ..storage.log import CommandLog
+from ..storage.memory_log import InMemoryLog
 from ..types import Command, CommandId, Micros, ReplicaId, majority
 from .records import CommandBatch
 
@@ -91,15 +91,6 @@ class SetTimer:
 
 
 Action = Union[Send, Broadcast, ClientReply, SetTimer]
-
-
-class ReplicaObserver(Protocol):
-    """Optional hook invoked when a replica executes a committed command."""
-
-    def on_execute(
-        self, replica_id: ReplicaId, command: Command, output: Any
-    ) -> None:  # pragma: no cover - protocol definition
-        ...
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +174,9 @@ class Replica(ABC):
         spec: ClusterSpec,
         *,
         clock: Clock,
-        log: CommandLog,
+        log: InMemoryLog,
         state_machine: StateMachine,
         config: Optional[ProtocolConfig] = None,
-        observer: Optional[ReplicaObserver] = None,
         recover: bool = False,
     ) -> None:
         # ``recover`` asks the replica to rebuild soft state from its stable
@@ -202,7 +192,6 @@ class Replica(ABC):
         self.log = log
         self.state_machine = state_machine
         self.config = config or ProtocolConfig()
-        self.observer = observer
         self.active_config = spec.replica_ids
         #: Strictly monotonic timestamp source for this replica.
         self.ts_source = MonotonicTimestampSource(clock, replica_id)
@@ -237,9 +226,6 @@ class Replica(ABC):
     @property
     def executed_count(self) -> int:
         return len(self.execution_order)
-
-    def is_active(self, replica_id: ReplicaId) -> bool:
-        return replica_id in self.active_config
 
     # -- driver-facing API ----------------------------------------------------
 
@@ -277,34 +263,20 @@ class Replica(ABC):
         """Execute a committed unit (command or batch), constituent by
         constituent, returning ``(command, output)`` pairs in batch order.
 
-        The execution order (and therefore the stable log replay, the
-        consistency checker's apply orders, and observers) sees individual
-        commands: a batch is an agreement-layer envelope, never an execution
-        unit of its own.
+        The execution order (and therefore the stable log replay and the
+        consistency checker's apply orders) sees individual commands: a batch
+        is an agreement-layer envelope, never an execution unit of its own.
         """
         commands = unit.commands if type(unit) is CommandBatch else (unit,)
         apply = self.state_machine.apply
         executed = [(command, apply(command)) for command in commands]
         self.execution_order.add(commands)
-        if self.observer is not None:
-            for command, output in executed:
-                self.observer.on_execute(self.replica_id, command, output)
         return executed
 
     def broadcast_targets(self, include_self: bool) -> Iterable[ReplicaId]:
         if include_self:
             return self.active_config
         return self.others
-
-    def describe(self) -> dict[str, Any]:
-        """A small status snapshot used by logging and debugging tools."""
-        return {
-            "protocol": self.protocol_name,
-            "replica_id": self.replica_id,
-            "site": self.spec.replica(self.replica_id).site,
-            "active_config": list(self.active_config),
-            "executed": self.executed_count,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         site = self.spec.replica(self.replica_id).site
@@ -326,5 +298,4 @@ __all__ = [
     "Action",
     "ExecutionOrder",
     "Replica",
-    "ReplicaObserver",
 ]

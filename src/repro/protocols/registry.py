@@ -172,7 +172,7 @@ def create_replica(
     """Instantiate a replica of protocol *name*.
 
     Keyword arguments are forwarded to the replica constructor (``clock``,
-    ``log``, ``state_machine``, ``config``, ``observer``, ...).
+    ``log``, ``state_machine``, ``config`` and ``recover``).
     """
     cls = protocol_class(name)
     return cls(replica_id, spec, **kwargs)

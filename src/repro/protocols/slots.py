@@ -57,7 +57,6 @@ class SlotLedger:
         self._slots: dict[int, SlotState] = {}
         #: The next slot index to execute (all smaller slots are executed).
         self.execute_frontier = 0
-        self._highest = -1
 
     # -- accessors ----------------------------------------------------------
 
@@ -69,21 +68,11 @@ class SlotLedger:
                 state.decided = True
                 return state
             self._slots[slot] = state
-            if slot > self._highest:
-                self._highest = slot
         return state
 
     def peek(self, slot: int) -> Optional[SlotState]:
         """The state of a slot not yet executed, if any message mentioned it."""
         return self._slots.get(slot)
-
-    def known_slots(self) -> list[int]:
-        """Slots mentioned so far and not yet executed, ascending."""
-        return sorted(self._slots)
-
-    def highest_known_slot(self) -> int:
-        """The highest slot any message mentioned, executed or not (-1: none)."""
-        return self._highest
 
     # -- state transitions ----------------------------------------------------
 
@@ -100,22 +89,11 @@ class SlotLedger:
             state.acks.add(replica)
         return len(state.acks)
 
-    def mark_decided(self, slot: int) -> SlotState:
-        state = self.get(slot)
-        state.decided = True
-        return state
-
     def mark_skipped(self, slot: int) -> SlotState:
         state = self.get(slot)
         state.skipped = True
         state.decided = True
         return state
-
-    def is_decided(self, slot: int) -> bool:
-        if slot < self.execute_frontier:
-            return True
-        state = self._slots.get(slot)
-        return state is not None and state.decided
 
     # -- execution ----------------------------------------------------------------
 
@@ -141,8 +119,6 @@ class SlotLedger:
             if (state is None or not state.decided) and implicit_skip is not None:
                 if implicit_skip(slot):
                     slots.pop(slot, None)
-                    if slot > self._highest:
-                        self._highest = slot
                     self.execute_frontier += 1
                     continue
             break

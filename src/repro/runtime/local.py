@@ -154,9 +154,9 @@ class LocalAsyncCluster:
     def server_at(self, site: str) -> ReplicaServer:
         return self.servers[self.spec.by_site(site).replica_id]
 
-    async def submit(self, replica_id: ReplicaId, payload: bytes, client: str = "local") -> Any:
+    async def submit(self, replica_id: ReplicaId, payload: bytes) -> Any:
         """Submit a raw command payload to a replica and await its result."""
-        command = Command(CommandId(client, next_command_uid()), payload)
+        command = Command(CommandId("local", next_command_uid()), payload)
         return await self.servers[replica_id].submit(command)
 
 

@@ -24,7 +24,6 @@ from ..net.message import MessageRegistry, global_registry
 from ..net.tcp import TcpTransport
 from ..protocols.registry import create_replica
 from ..statemachine import StateMachine
-from ..storage.log import CommandLog
 from ..storage.memory_log import InMemoryLog
 from ..types import Command, CommandId, ReplicaId, check_seqno
 from .driver import AsyncReplicaDriver
@@ -43,7 +42,7 @@ class ReplicaServer:
         state_machine: StateMachine,
         *,
         transport,
-        log: Optional[CommandLog] = None,
+        log: Optional[InMemoryLog] = None,
         protocol_config: Optional[ProtocolConfig] = None,
         registry: Optional[MessageRegistry] = None,
         clock: Optional[Clock] = None,

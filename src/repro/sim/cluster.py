@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -16,7 +15,6 @@ from ..protocols.base import Replica
 from ..protocols.records import make_unit, unit_commands
 from ..protocols.registry import create_replica
 from ..statemachine import AppendLogStateMachine, StateMachine
-from ..storage.log import CommandLog
 from ..storage.memory_log import InMemoryLog
 from ..types import Command, CommandId, Micros, ReplicaId, check_seqno
 from .environment import SimulationEnvironment
@@ -56,8 +54,6 @@ class SimulatedCluster:
         cpu_model: Enables the CPU/batching cost model (throughput runs).
         state_machine_factory: Builds each replica's state machine
             (defaults to :class:`~repro.statemachine.AppendLogStateMachine`).
-        log_factory: Builds each replica's stable log (defaults to
-            :class:`~repro.storage.memory_log.InMemoryLog`).
     """
 
     def __init__(
@@ -73,7 +69,6 @@ class SimulatedCluster:
         clock_drift_ppm: Optional[dict[ReplicaId, float]] = None,
         cpu_model: Optional[CpuModel] = None,
         state_machine_factory: Callable[[ReplicaId], StateMachine] = lambda _rid: AppendLogStateMachine(),
-        log_factory: Callable[[ReplicaId], CommandLog] = lambda _rid: InMemoryLog(),
         batching: Optional[BatchingOptions] = None,
     ) -> None:
         if tuple(latency.sites) != tuple(spec.sites):
@@ -88,22 +83,20 @@ class SimulatedCluster:
         self._clock_offsets = dict(clock_offsets or {})
         self._clock_drift = dict(clock_drift_ppm or {})
         self._state_machine_factory = state_machine_factory
-        self._log_factory = log_factory
         self._reply_callbacks: list[ReplyCallback] = []
         self._submit_callbacks: list[SubmitCallback] = []
         self.replies: list[ReplyEvent] = []
-        self._command_seq = itertools.count(1)
         #: Opportunistic command batching at the submission path: one
         #: accumulator per replica on the simulation clock (``None``: off).
         self.batching = batching if batching is not None and batching.enabled else None
         self._accumulators: dict[ReplicaId, BatchAccumulator[Command]] = {}
 
-        self.logs: dict[ReplicaId, CommandLog] = {}
+        self.logs: dict[ReplicaId, InMemoryLog] = {}
         self.clocks: dict[ReplicaId, Clock] = {}
         self.nodes: dict[ReplicaId, SimulatedNode] = {}
         for replica_spec in spec.replicas:
             rid = replica_spec.replica_id
-            self.logs[rid] = log_factory(rid)
+            self.logs[rid] = InMemoryLog()
             self.clocks[rid] = self._build_clock(rid)
             replica = self._build_replica(rid)
             node = SimulatedNode(
@@ -131,8 +124,8 @@ class SimulatedCluster:
         drift = self._clock_drift.get(replica_id, 0.0)
         if drift:
             return DriftingClock(self.env, skew=offset, drift_ppm=drift)
-        # A zero-skew SkewedClock reads identically to a PerfectClock but
-        # stays adjustable, so clock-jump faults can step any replica's clock.
+        # A zero-skew SkewedClock reads true time but stays adjustable, so
+        # clock-jump faults can step any replica's clock.
         return SkewedClock(self.env, skew=offset)
 
     def _build_replica(self, replica_id: ReplicaId, recover: bool = False) -> Replica:
@@ -204,12 +197,6 @@ class SimulatedCluster:
         for callback in self._reply_callbacks:
             callback(event)
 
-    def make_command(self, payload: bytes, client: str = "client") -> Command:
-        """Create a command with a unique id, stamped with the current time."""
-        return Command(
-            CommandId(client, next(self._command_seq)), payload, created_at=self.env.now
-        )
-
     def submit(self, replica_id: ReplicaId, command: Command) -> Command:
         """Submit *command* to *replica_id* at the current simulation time.
 
@@ -237,21 +224,6 @@ class SimulatedCluster:
         else:
             accumulator.add(command)
         return command
-
-    def submit_payload(self, replica_id: ReplicaId, payload: bytes, client: str = "client") -> Command:
-        return self.submit(replica_id, self.make_command(payload, client))
-
-    def submit_at(self, time: Micros, replica_id: ReplicaId, command: Command) -> None:
-        """Schedule a command submission at an absolute simulation time.
-
-        Bypasses the batching accumulator: the command (or pre-built unit)
-        reaches the protocol directly, which is what fault-scenario tests
-        scripting exact arrival times want.
-        """
-        self.start()
-        self.env.schedule_at(
-            time, lambda: self.nodes[replica_id].submit_client_request(command)
-        )
 
     # ------------------------------------------------------------------
     # Fault injection

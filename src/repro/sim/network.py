@@ -229,11 +229,6 @@ class SimulatedNetwork:
 
     # -- sending -------------------------------------------------------------------
 
-    def one_way_delay(self, src: ReplicaId, dst: ReplicaId) -> Micros:
-        """Sample the one-way delay for one message (base + jitter)."""
-        channel = self._channels.get((src, dst)) or self._open_channel(src, dst)
-        return channel.sample_delay(self._env.random)
-
     def _handle_blocked(self, record: InFlight) -> bool:
         """Drop or park *record* if its channel is blocked; True if handled.
 

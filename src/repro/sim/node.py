@@ -112,7 +112,6 @@ class SimulatedNode:
         replica: Replica,
         reply_handler: Optional[ReplyHandler] = None,
         cpu_model: Optional[CpuModel] = None,
-        message_size: Callable[[Any], int] = default_message_size,
     ) -> None:
         self.env = env
         self.network = network
@@ -120,7 +119,6 @@ class SimulatedNode:
         self.replica_id = replica.replica_id
         self.reply_handler = reply_handler
         self.cpu_model = cpu_model
-        self.message_size = message_size
         self.crashed = False
         # CPU-model state.
         self._inbox: deque[tuple[str, Any, Micros]] = deque()
@@ -221,11 +219,11 @@ class SimulatedNode:
                 if action.dst == me:
                     self._deliver_to_self(message, send_time)
                 else:
-                    size = sizes[index] if sizes is not None else self.message_size(message)
+                    size = sizes[index] if sizes is not None else default_message_size(message)
                     self.network.send(InFlight(me, action.dst, message, size), send_time)
             elif kind is Broadcast:
                 message = action.message
-                size = sizes[index] if sizes is not None else self.message_size(message)
+                size = sizes[index] if sizes is not None else default_message_size(message)
                 send = self.network.send
                 for dst in self.replica.broadcast_targets(include_self=False):
                     self.messages_sent += 1
@@ -251,7 +249,7 @@ class SimulatedNode:
         else:
             arrival = send_time if send_time is not None else self.env.now
             if size is None:
-                size = self.message_size(message)
+                size = default_message_size(message)
             record = InFlight(self.replica_id, self.replica_id, message, size)
             self._enqueue("msg", record, arrival)
 
@@ -318,11 +316,11 @@ class SimulatedNode:
             kind = type(action)
             if kind is Send:
                 if action.dst != me:
-                    sizes[index] = size = self.message_size(action.message)
+                    sizes[index] = size = default_message_size(action.message)
                     send_groups.add((action.dst, type(action.message)))
                     send_bytes += size
             elif kind is Broadcast:
-                sizes[index] = size = self.message_size(action.message)
+                sizes[index] = size = default_message_size(action.message)
                 for dst in self.replica.broadcast_targets(action.include_self):
                     if dst != me:
                         send_groups.add((dst, type(action.message)))

@@ -49,8 +49,8 @@ class EventScheduler:
     heap orders entries by comparing two integers in C and never looks at the
     event.  :meth:`push` queues a ready-made event under the next ``seq``.
     :class:`~repro.sim.environment.SimulationEnvironment` runs its loop
-    directly on this heap; :meth:`peek_time` / :meth:`pop` /
-    :meth:`run_event` are the same steps one at a time.
+    directly on this heap; :meth:`peek_time` / :meth:`pop` are the same
+    steps one at a time.
     """
 
     def __init__(self) -> None:
@@ -89,10 +89,6 @@ class EventScheduler:
             if not event.cancelled:
                 return event
         return None
-
-    def run_event(self, event: ScheduledEvent) -> None:
-        self.executed_count += 1
-        event.callback()
 
 
 class Timer(Protocol):

@@ -83,27 +83,8 @@ class AppendLogStateMachine(StateMachine):
         self.history = list(decode(snapshot))
 
 
-class CounterStateMachine(StateMachine):
-    """Interprets payloads as signed integer deltas applied to a counter."""
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def apply(self, command: Command) -> Any:
-        if command.payload:
-            self.value += int.from_bytes(command.payload, "big", signed=True)
-        return self.value
-
-    def snapshot(self) -> bytes:
-        return self.value.to_bytes(16, "big", signed=True)
-
-    def restore(self, snapshot: bytes) -> None:
-        self.value = int.from_bytes(snapshot, "big", signed=True)
-
-
 __all__ = [
     "StateMachine",
     "NullStateMachine",
     "AppendLogStateMachine",
-    "CounterStateMachine",
 ]

@@ -1,18 +1,17 @@
 """Stable storage: the command log.
 
-Every replica appends protocol records to a :class:`~repro.storage.log.CommandLog`
-before acknowledging them, exactly as the paper requires ("append ... to Log"
-before sending PREPAREOK).  Every backend logs to
-:class:`~repro.storage.memory_log.InMemoryLog`, as the paper does for its
+Every replica appends protocol records to its
+:class:`~repro.storage.memory_log.InMemoryLog` before acknowledging them,
+exactly as the paper requires ("append ... to Log" before sending
+PREPAREOK).  Every backend logs in memory, as the paper does for its
 throughput runs to keep the disk out of the measurement; the log survives a
 simulated crash, and recovery replays it.
 """
 
-from .log import CommandLog, LogRecord
+from .log import LogRecord
 from .memory_log import InMemoryLog
 
 __all__ = [
-    "CommandLog",
     "LogRecord",
     "InMemoryLog",
 ]

@@ -72,10 +72,6 @@ class Timestamp:
     micros: Micros
     replica: ReplicaId
 
-    def advanced_by(self, delta: Micros) -> "Timestamp":
-        """Return a copy shifted ``delta`` microseconds into the future."""
-        return Timestamp(self.micros + delta, self.replica)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.micros}@r{self.replica}"
 
@@ -147,23 +143,6 @@ def check_seqno(command_id: CommandId) -> None:
 
 
 # ---------------------------------------------------------------------------
-# No-op command (used by Mencius skips and leader-change gap filling)
-# ---------------------------------------------------------------------------
-
-NOOP_CLIENT: ClientId = "__noop__"
-
-
-def make_noop(seqno: int) -> Command:
-    """Create a no-op command (e.g. a Mencius ``skip``)."""
-    return Command(CommandId(NOOP_CLIENT, seqno), b"")
-
-
-def is_noop(command: Command) -> bool:
-    """Return ``True`` if *command* is a no-op created by :func:`make_noop`."""
-    return command.command_id.client == NOOP_CLIENT
-
-
-# ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
 
@@ -202,9 +181,6 @@ __all__ = [
     "Command",
     "CommandResult",
     "check_seqno",
-    "NOOP_CLIENT",
-    "make_noop",
-    "is_noop",
     "majority",
     "next_command_uid",
     "freeze",

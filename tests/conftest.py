@@ -25,11 +25,10 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.analysis.ec2 import ec2_latency_matrix  # noqa: E402
-from repro.clocks.base import ManualClock  # noqa: E402
 from repro.config import ClusterSpec  # noqa: E402
 from repro.net.latency import LatencyMatrix  # noqa: E402
 
-from tests.helpers import ALL_PROTOCOLS  # noqa: E402
+from tests.helpers import ALL_PROTOCOLS, ManualClock  # noqa: E402
 
 
 def pytest_configure(config) -> None:

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
+import weakref
+from typing import Iterable, Iterator
+
 from repro.analysis.ec2 import ec2_latency_matrix
+from repro.clocks.base import Clock
 from repro.config import ClusterSpec, ProtocolConfig
+from repro.errors import ClockError
 from repro.kvstore.kv import KVStateMachine
 from repro.net.latency import LatencyMatrix
 from repro.net.tcp import TcpTransport
 from repro.runtime.server import ReplicaServer
 from repro.sim.cluster import SimulatedCluster
 from repro.statemachine import AppendLogStateMachine
-from repro.types import Command, CommandId
+from repro.storage.log import LogRecord
+from repro.storage.memory_log import InMemoryLog
+from repro.types import Command, CommandId, Micros, ReplicaId
 
 ALL_PROTOCOLS = ("clock-rsm", "paxos", "paxos-bcast", "mencius", "mencius-bcast")
 
@@ -18,6 +26,65 @@ ALL_PROTOCOLS = ("clock-rsm", "paxos", "paxos-bcast", "mencius", "mencius-bcast"
 def make_command(seq: int, payload: bytes = b"x", client: str = "test-client") -> Command:
     """A small helper for building commands in unit tests."""
     return Command(CommandId(client, seq), payload)
+
+
+class ManualClock(Clock):
+    """A clock that moves only when the test moves it."""
+
+    def __init__(self, start: Micros = 0) -> None:
+        self._now = start
+
+    def now(self) -> Micros:
+        return self._now
+
+    def advance(self, delta: Micros) -> Micros:
+        """Advance the clock by *delta* microseconds and return the new time."""
+        if delta < 0:
+            raise ClockError(f"cannot advance a clock backwards (delta={delta})")
+        self._now += delta
+        return self._now
+
+    def set(self, value: Micros) -> None:
+        """Jump the clock to *value*; must not move backwards."""
+        if value < self._now:
+            raise ClockError(f"cannot move clock backwards from {self._now} to {value}")
+        self._now = value
+
+
+def log_of(records: Iterable[LogRecord]) -> InMemoryLog:
+    """An :class:`InMemoryLog` holding *records*, in order."""
+    log = InMemoryLog()
+    for record in records:
+        log.append(record)
+    return log
+
+
+_SEQNOS: "weakref.WeakKeyDictionary[SimulatedCluster, Iterator[int]]" = weakref.WeakKeyDictionary()
+
+
+def sim_command(cluster: SimulatedCluster, payload: bytes, client: str = "client") -> Command:
+    """A command whose seqno is unique within *cluster* (1, 2, ...), stamped
+    with the cluster's current simulation time."""
+    seqnos = _SEQNOS.setdefault(cluster, itertools.count(1))
+    return Command(CommandId(client, next(seqnos)), payload, created_at=cluster.env.now)
+
+
+def submit_payload(
+    cluster: SimulatedCluster, replica_id: ReplicaId, payload: bytes, client: str = "client"
+) -> Command:
+    """Submit *payload* to *replica_id* now, as a fresh :func:`sim_command`."""
+    return cluster.submit(replica_id, sim_command(cluster, payload, client))
+
+
+def submit_at(cluster: SimulatedCluster, time: Micros, replica_id: ReplicaId, command) -> None:
+    """Schedule *command* (or a pre-built unit) to reach *replica_id* at the
+    absolute simulation time *time*.
+
+    Bypasses the batching accumulator: the command reaches the protocol
+    directly, which is what tests scripting exact arrival times want.
+    """
+    cluster.start()
+    cluster.env.schedule_at(time, lambda: cluster.nodes[replica_id].submit_client_request(command))
 
 
 def make_cluster(

@@ -19,7 +19,7 @@ from repro.protocols.records import AcceptRecord, CommandBatch, make_unit, unit_
 from repro.sim.cluster import SimulatedCluster
 from repro.types import Command, CommandId, ms_to_micros
 
-from tests.helpers import ALL_PROTOCOLS
+from tests.helpers import ALL_PROTOCOLS, submit_payload
 
 SITES = ["CA", "VA", "IR"]
 
@@ -119,7 +119,7 @@ class TestSimAccumulation:
         cluster = _cluster("mencius", BatchingOptions(max_batch=16, window_us=0))
         cluster.start()
         for i in range(5):
-            cluster.submit_payload(0, b"x", client="c")
+            submit_payload(cluster, 0, b"x", client="c")
         # Proposed, not yet acknowledged: the slot is in the ledger, and the
         # ledger's introspection counts commands, not slots.
         cluster.run_for(ms_to_micros(0.5))
@@ -133,7 +133,7 @@ class TestSimAccumulation:
         cluster = _cluster("mencius", BatchingOptions(max_batch=4, window_us=0))
         cluster.start()
         for _ in range(6):
-            cluster.submit_payload(0, b"x", client="c")
+            submit_payload(cluster, 0, b"x", client="c")
         cluster.run_for(ms_to_micros(50))
         sizes = sorted(
             len(u) for u in _logged_units(cluster) if isinstance(u, CommandBatch)
@@ -144,10 +144,10 @@ class TestSimAccumulation:
         window = ms_to_micros(2.0)
         cluster = _cluster("mencius", BatchingOptions(max_batch=64, window_us=window))
         cluster.start()
-        cluster.submit_payload(0, b"x", client="c")
+        submit_payload(cluster, 0, b"x", client="c")
         # A second command arrives inside the window and joins the batch.
         cluster.env.schedule(
-            window // 2, lambda: cluster.submit_payload(0, b"y", client="c")
+            window // 2, lambda: submit_payload(cluster, 0, b"y", client="c")
         )
         cluster.run_for(ms_to_micros(60))
         batches = [u for u in _logged_units(cluster) if isinstance(u, CommandBatch)]
@@ -160,15 +160,15 @@ class TestSimAccumulation:
         window = ms_to_micros(10.0)
         cluster = _cluster("mencius", BatchingOptions(max_batch=2, window_us=window))
         cluster.start()
-        cluster.submit_payload(0, b"a", client="c")
-        cluster.submit_payload(0, b"b", client="c")  # size flush at t=0
+        submit_payload(cluster, 0, b"a", client="c")
+        submit_payload(cluster, 0, b"b", client="c")  # size flush at t=0
         # Third and fourth commands arrive around where the stale timer
         # (armed at t=0 for t=10 ms) would fire; they must stay together.
         cluster.env.schedule(
-            ms_to_micros(9.5), lambda: cluster.submit_payload(0, b"x", client="c")
+            ms_to_micros(9.5), lambda: submit_payload(cluster, 0, b"x", client="c")
         )
         cluster.env.schedule(
-            ms_to_micros(10.5), lambda: cluster.submit_payload(0, b"y", client="c")
+            ms_to_micros(10.5), lambda: submit_payload(cluster, 0, b"y", client="c")
         )
         cluster.run_for(ms_to_micros(100))
         sizes = sorted(
@@ -183,7 +183,7 @@ class TestSimAccumulation:
             cluster = _cluster("clock-rsm", batching)
             cluster.start()
             for i in range(4):
-                cluster.submit_payload(0, b"z%d" % i, client="c")
+                submit_payload(cluster, 0, b"z%d" % i, client="c")
             cluster.run_for(ms_to_micros(50))
             seeds.append([str(cid) for cid in cluster.execution_orders()[0]])
         assert seeds[0] == seeds[1]

@@ -85,7 +85,7 @@ class TestDriverAccumulation:
             async with cluster:
                 outputs = await asyncio.gather(
                     *(
-                        cluster.submit(0, encode_put(f"k{i}", b"v"), client="c")
+                        cluster.submit(0, encode_put(f"k{i}", b"v"))
                         for i in range(8)
                     )
                 )
@@ -115,7 +115,7 @@ class TestDriverAccumulation:
                 # A single command never fills max_batch; only the window
                 # timer can flush it.
                 output = await asyncio.wait_for(
-                    cluster.submit(0, encode_put("k", b"v"), client="c"), timeout=5
+                    cluster.submit(0, encode_put("k", b"v")), timeout=5
                 )
                 assert output is None
             return True

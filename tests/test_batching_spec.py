@@ -84,7 +84,7 @@ class TestRoundTrips:
     def test_dict_and_json_round_trip(self):
         spec = _spec(batching=BatchingSpec(max_batch=16, window_us=250, pipeline_depth=4))
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
-        assert ExperimentSpec.from_dict(json.loads(spec.to_json())) == spec
+        assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_omitted_table_round_trips_as_none(self):
         spec = _spec()
@@ -120,7 +120,7 @@ class TestCliOverride:
             batching=batching,
         )
         path = tmp_path / "spec.json"
-        path.write_text(spec.to_json())
+        path.write_text(json.dumps(spec.to_dict()))
         return str(path)
 
     def test_run_batch_override(self, tmp_path, capsys):

@@ -19,10 +19,9 @@ class TestExperimentResult:
             warmup_s=0.5,
         )
         result = Deployment(spec, backend="sim").run()
-        assert result.measured_sites() == ["CA", "VA", "IR"]
         assert all(result.summary(site).count > 0 for site in spec.sites)
         assert result.average_over_sites() > 0
-        assert result.highest_over_sites() >= result.average_over_sites()
+        assert max(map(result.mean_ms, spec.sites)) >= result.average_over_sites()
 
 
 class TestReporting:
@@ -52,5 +51,5 @@ class TestReporting:
 class TestNumericalBench:
     def test_table2_figure7_table4_are_consistent(self):
         assert len(table2_rows(["CA", "VA", "IR"], "VA")) == 3
-        assert len(figure7_data(sizes=(3,))) == 1
-        assert len(table4_rows(sizes=(3, 5))) == 4
+        assert len(figure7_data()) == 3
+        assert len(table4_rows()) == 6

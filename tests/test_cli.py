@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,7 +46,7 @@ class TestParser:
             seed=6,
         )
         path = tmp_path / "cli_check.json"
-        path.write_text(spec.to_json())
+        path.write_text(json.dumps(spec.to_dict()))
         assert main(["check", str(path)]) == 0
         output = capsys.readouterr().out
         assert "linearizable" in output
@@ -100,7 +101,7 @@ class TestCommands:
             workload=replace(spec.workload, clients_per_site=2),
         )
         path = tmp_path / "fig6_small.json"
-        path.write_text(small.to_json())
+        path.write_text(json.dumps(small.to_dict()))
         assert main(["run", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("fig6_cdf_sg: paxos-bcast on the sim backend")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.types import seconds_to_micros
 
-from tests.helpers import make_cluster
+from tests.helpers import make_cluster, sim_command, submit_at
 
 # A randomized schedule: a list of (origin, submit-offset µs) pairs.
 schedules = st.lists(
@@ -48,8 +48,8 @@ def run_schedule(schedule, skews, seed, jitter=0.0):
     cluster.start()
     commands = []
     for index, (origin, offset) in enumerate(schedule):
-        command = cluster.make_command(bytes([index]), client=f"client-{origin}")
-        cluster.submit_at(offset, origin, command)
+        command = sim_command(cluster, bytes([index]), client=f"client-{origin}")
+        submit_at(cluster, offset, origin, command)
         commands.append((origin, command))
     cluster.run_for(seconds_to_micros(3.0))
     return cluster, commands
@@ -97,7 +97,7 @@ def test_sequential_client_commands_respect_real_time_order(seed):
     # replica, only after the previous one committed.
     for index in range(5):
         origin = rng.randrange(3)
-        command = cluster.make_command(bytes([index]), client="sequential-client")
+        command = sim_command(cluster, bytes([index]), client="sequential-client")
         issued.append(command.command_id)
         cluster.submit(origin, command)
         before = len(cluster.replies)

@@ -6,7 +6,7 @@ import logging
 
 import pytest
 
-from repro.clocks.base import ManualClock
+from tests.helpers import ManualClock
 from repro.config import ClusterSpec, ProtocolConfig
 from repro.consensus.single_paxos import PaxosP1a, PaxosP1b
 from repro.core.messages import (
@@ -92,7 +92,7 @@ class TestPrepareHandling:
         prepare = Prepare(command(), Timestamp(5_000, 0))
         actions = replica.on_message(0, prepare)
         # Logged before acknowledging.
-        assert isinstance(log.snapshot()[0], PrepareRecord)
+        assert isinstance(next(log.records()), PrepareRecord)
         oks = [a for a in only(actions, Broadcast) if isinstance(a.message, PrepareOk)]
         assert len(oks) == 1
         assert oks[0].message.ts == Timestamp(5_000, 0)
@@ -146,14 +146,14 @@ class TestPrepareHandling:
             ):
                 assert replica.on_message(0, message) == [], message
         assert len(log) == 0
-        assert replica.state.pending_count() == 0
+        assert replica.state.min_pending() is None
         assert replica.state.latest_tv == {0: 0, 1: 0, 2: 0}
         assert replica.state.ack_count(ts) == 0
         # The same three in the replica's own epoch do reach it.
         replica.on_message(0, Prepare(command(), ts, epoch=2))
         replica.on_message(0, PrepareOk(ts, 7_000, epoch=2))
         replica.on_message(2, ClockTime(8_000, epoch=2))
-        assert len(log) == 1 and replica.state.pending_count() == 1
+        assert len(log) == 1 and replica.state.has_pending(ts)
         assert replica.state.latest_tv == {0: 7_000, 1: 0, 2: 8_000}
         assert replica.state.ack_count(ts) == 1
 
@@ -257,7 +257,7 @@ class TestCommitRule:
         oks = self._deliver_prepare_everywhere(replicas, prepare)
         origin.on_message(1, oks[1])
         origin.on_message(2, oks[2])
-        assert origin.executed_count == 1 and origin.state.pending_count() == 0
+        assert origin.executed_count == 1 and origin.state.min_pending() is None
         # The origin's own loopback PREPAREOK is the last to arrive: its clock
         # reading still counts, but it must not re-create the ack set the
         # commit just freed (nothing would ever free it again).

@@ -9,7 +9,7 @@ from repro.experiment.spec import ExperimentSpec, FaultSpec, WorkloadSpec
 from repro.kvstore.client import SimKVClient
 from repro.types import seconds_to_micros
 
-from tests.helpers import make_cluster
+from tests.helpers import make_cluster, sim_command, submit_at
 
 
 class TestTotalOrderAndAgreement:
@@ -19,10 +19,9 @@ class TestTotalOrderAndAgreement:
         # Each replica submits several commands at staggered, overlapping times.
         for round_index in range(6):
             for replica_id in cluster.spec.replica_ids:
-                command = cluster.make_command(
-                    f"r{replica_id}-round{round_index}".encode(), client=f"client-{replica_id}"
-                )
-                cluster.submit_at(1_000 * round_index + replica_id * 137, replica_id, command)
+                payload = f"r{replica_id}-round{round_index}".encode()
+                command = sim_command(cluster, payload, client=f"client-{replica_id}")
+                submit_at(cluster, 1_000 * round_index + replica_id * 137, replica_id, command)
         cluster.run_for(seconds_to_micros(4.0))
         # Every command committed at its origin...
         assert len(cluster.replies) == 18
@@ -41,7 +40,8 @@ class TestTotalOrderAndAgreement:
         cluster.start()
         for i in range(10):
             origin = i % 5
-            cluster.submit_at(i * 20_000, origin, cluster.make_command(bytes([i]), client=f"c{origin}"))
+            command = sim_command(cluster, bytes([i]), client=f"c{origin}")
+            submit_at(cluster, i * 20_000, origin, command)
         cluster.run_for(seconds_to_micros(5.0))
         assert len(cluster.replies) == 10
         cluster.assert_consistent_order()
@@ -59,7 +59,7 @@ class TestTotalOrderAndAgreement:
     def test_replies_only_come_from_the_origin_replica(self, any_protocol):
         cluster = make_cluster(any_protocol, leader=0, seed=7)
         cluster.start()
-        cluster.submit(1, cluster.make_command(b"hello", client="only-client"))
+        cluster.submit(1, sim_command(cluster, b"hello", client="only-client"))
         cluster.run_for(seconds_to_micros(2.0))
         assert len(cluster.replies) == 1
         assert cluster.replies[0].replica_id == 1
@@ -71,7 +71,8 @@ class TestDeterminism:
             cluster = make_cluster("clock-rsm", sites=("CA", "VA", "IR", "JP", "SG"), seed=seed)
             cluster.start()
             for i in range(12):
-                cluster.submit_at(i * 11_000, i % 5, cluster.make_command(bytes([i]), client=f"c{i % 5}"))
+                command = sim_command(cluster, bytes([i]), client=f"c{i % 5}")
+                submit_at(cluster, i * 11_000, i % 5, command)
             cluster.run_for(seconds_to_micros(3.0))
             return [(e.command_id, e.time) for e in cluster.replies]
 
@@ -92,9 +93,8 @@ class TestClockSkew:
         )
         cluster.start()
         for i in range(15):
-            cluster.submit_at(
-                i * 9_000, i % 5, cluster.make_command(bytes([i]), client=f"c{i % 5}")
-            )
+            command = sim_command(cluster, bytes([i]), client=f"c{i % 5}")
+            submit_at(cluster, i * 9_000, i % 5, command)
         cluster.run_for(seconds_to_micros(5.0))
         assert len(cluster.replies) == 15
         cluster.assert_consistent_order()
@@ -106,8 +106,8 @@ class TestClockSkew:
         ahead = {0: 200_000}  # 200 ms ahead
         cluster = make_cluster("clock-rsm", sites=("CA", "VA", "IR"), seed=2, clock_offsets=ahead)
         cluster.start()
-        cluster.submit_at(1_000, 0, cluster.make_command(b"skewed", client="c0"))
-        cluster.submit_at(2_000, 1, cluster.make_command(b"normal", client="c1"))
+        submit_at(cluster, 1_000, 0, sim_command(cluster, b"skewed", client="c0"))
+        submit_at(cluster, 2_000, 1, sim_command(cluster, b"normal", client="c1"))
         cluster.run_for(seconds_to_micros(3.0))
         assert len(cluster.replies) == 2
         cluster.assert_consistent_order()
@@ -123,7 +123,7 @@ class TestCrashTolerance:
         cluster = make_cluster(any_protocol, sites=("CA", "VA", "IR"), leader=0, seed=4)
         cluster.start()
         cluster.crash(2)
-        cluster.submit_at(10_000, 0, cluster.make_command(b"after-crash", client="c0"))
+        submit_at(cluster, 10_000, 0, sim_command(cluster, b"after-crash", client="c0"))
         cluster.run_for(seconds_to_micros(2.0))
         assert len(cluster.replies) == 1
 
@@ -131,7 +131,7 @@ class TestCrashTolerance:
         cluster = make_cluster("paxos-bcast", leader=0, seed=4)
         cluster.start()
         cluster.crash(2)
-        cluster.submit_at(10_000, 0, cluster.make_command(b"x", client="c0"))
+        submit_at(cluster, 10_000, 0, sim_command(cluster, b"x", client="c0"))
         cluster.run_for(seconds_to_micros(2.0))
         assert cluster.replica(2).executed_count == 0
         assert cluster.replica(1).executed_count == 1
@@ -170,7 +170,7 @@ class TestSoftStateStaysBounded:
         in_flight = self.CLIENTS_PER_SITE * len(sites)
         for replica in run.cluster.replicas():
             state = replica.state
-            assert len(state._acks) <= state.pending_count() + in_flight, (
+            assert len(state._acks) <= len(state._pending) + in_flight, (
                 f"replica {replica.replica_id}: {len(state._acks)} ack sets for "
-                f"{state.pending_count()} pending commands"
+                f"{len(state._pending)} pending commands"
             )

@@ -88,12 +88,6 @@ class TestSinglePaxos:
         assert len(p2a) == 1
         assert p2a[0].message.value == "theirs"
 
-    def test_retry_advances_the_ballot(self):
-        proposer = PaxosInstance(0, 2, 5)
-        first = proposer.propose("v")[0].message
-        retry = proposer.retry()[0].message
-        assert retry.ballot > first.ballot
-
     def test_learn_decides_directly(self):
         learner = PaxosInstance(0, 4, 5)
         _, decision = learner.on_message(0, PaxosLearn(0, "decided"))
@@ -127,9 +121,9 @@ class TestInstanceManager:
         second = run(2, 1, "epoch-2")
         assert set(first.values()) == {"epoch-1"}
         assert set(second.values()) == {"epoch-2"}
-        assert managers[2].decision(1) == "epoch-1"
-        assert managers[2].decision(2) == "epoch-2"
-        assert managers[2].decision(3) is None
+        assert managers[2].instance(1).decided_value == "epoch-1"
+        assert managers[2].instance(2).decided_value == "epoch-2"
+        assert not managers[2].instance(3).decided
 
     def test_non_consensus_messages_are_ignored(self):
         manager = InstanceManager(0, 3)

@@ -7,6 +7,7 @@ shipped sample spec files execute through the ``repro run`` CLI.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -222,7 +223,7 @@ class TestRunCli:
             workload=replace(spec.workload, clients_per_site=3),
         )
         path = tmp_path / "fig1_quick.json"
-        path.write_text(quick.to_json())
+        path.write_text(json.dumps(quick.to_dict()))
         assert main(["run", str(path)]) == 0
         output = capsys.readouterr().out
         assert "clock-rsm on the sim backend" in output
@@ -241,14 +242,14 @@ class TestRunCli:
             workload=replace(spec.workload, clients_per_site=2),
         )
         path = tmp_path / "fig1_async.json"
-        path.write_text(quick.to_json())
+        path.write_text(json.dumps(quick.to_dict()))
         assert main(["run", str(path), "--backend", "async", "--time-scale", "10"]) == 0
         output = capsys.readouterr().out
         assert "clock-rsm on the async backend" in output
 
     def test_skewed_clocks_spec_parses_and_runs_briefly(self, capsys, tmp_path):
         spec = ExperimentSpec.from_file(SPECS_DIR / "skewed_clocks.toml")
-        assert spec.clock_for_site("VA").offset_ms == 40.0
+        assert dict(spec.clocks)["VA"].offset_ms == 40.0
         from dataclasses import replace
 
         quick = replace(
@@ -258,7 +259,7 @@ class TestRunCli:
             workload=replace(spec.workload, clients_per_site=2),
         )
         path = tmp_path / "skew_quick.json"
-        path.write_text(quick.to_json())
+        path.write_text(json.dumps(quick.to_dict()))
         assert main(["run", str(path)]) == 0
         assert "skewed-clocks" in capsys.readouterr().out
 
@@ -271,10 +272,8 @@ class TestRunCli:
             cdf_sites=(),
         )
         path = tmp_path / "small.json"
-        path.write_text(quick.to_json())
+        path.write_text(json.dumps(quick.to_dict()))
         assert main(["run", str(path), "--json"]) == 0
-        import json
-
         data = json.loads(capsys.readouterr().out)
         assert data["protocol"] == "clock-rsm"
         assert data["total_committed"] > 0

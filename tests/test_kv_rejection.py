@@ -21,7 +21,13 @@ from repro.kvstore.kv import KVStateMachine
 from repro.net.wire import decode, encode
 from repro.types import Command, CommandId
 
-from tests.helpers import make_cluster, make_command, start_on_bound_ports, tcp_servers
+from tests.helpers import (
+    make_cluster,
+    make_command,
+    start_on_bound_ports,
+    submit_payload,
+    tcp_servers,
+)
 
 GARBAGE = b"\x00garbage"
 #: good, garbage, good — the third must see the first's write.
@@ -55,7 +61,7 @@ class TestSimCluster:
     def test_good_garbage_good(self, any_protocol, batching):
         cluster = make_cluster(any_protocol, use_kv=True, batching=batching)
         recorder = HistoryRecorder(cluster)
-        commands = [cluster.submit_payload(0, payload) for payload in SCENARIO]
+        commands = [submit_payload(cluster, 0, payload) for payload in SCENARIO]
         cluster.run_for(2_000_000)
 
         outputs = {reply.command_id: reply.output for reply in cluster.replies}

@@ -39,7 +39,7 @@ class TestDriverSplit:
             cluster = LocalAsyncCluster("clock-rsm", _spec())
             async with cluster:
                 for i in range(4):
-                    await cluster.submit(0, encode_put(f"k{i}", b"v"), client="c")
+                    await cluster.submit(0, encode_put(f"k{i}", b"v"))
                 split = cluster.servers[0].driver.latency_split()
                 assert split is not None
                 assert split["samples"] == 4
@@ -61,7 +61,7 @@ class TestDriverSplit:
             )
             async with cluster:
                 await asyncio.wait_for(
-                    cluster.submit(0, encode_put("k", b"v"), client="c"), timeout=5
+                    cluster.submit(0, encode_put("k", b"v")), timeout=5
                 )
                 split = cluster.servers[0].driver.latency_split()
                 assert split is not None and split["samples"] == 1
@@ -80,7 +80,7 @@ class TestDriverSplit:
             async with cluster:
                 await asyncio.gather(
                     *(
-                        cluster.submit(0, encode_put(f"k{i}", b"v"), client="c")
+                        cluster.submit(0, encode_put(f"k{i}", b"v"))
                         for i in range(8)
                     )
                 )

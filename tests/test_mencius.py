@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.clocks.base import ManualClock
+from tests.helpers import ManualClock
 from repro.config import ClusterSpec, ProtocolConfig
 from repro.protocols.base import Broadcast, ClientReply, Send
 from repro.protocols.mencius import (

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.messages import ClockTime, CommitRecord, Prepare, PrepareOk, PrepareRecord
 from repro.errors import CodecError
-from repro.net.message import Envelope, MessageRegistry, global_registry
+from repro.net.message import MessageRegistry, global_registry
 from repro.net.wire import encode
 from repro.protocols.multipaxos import CommitSlot, Forward, Phase2a, Phase2b
 from repro.protocols.mencius import MenciusAck, MenciusCommit, SkipAnnounce, Suggest
@@ -222,11 +222,3 @@ class TestTypeIds:
 
         assert digest_of(Ints) == digest_of(Ints)
         assert len({digest_of(Ints), digest_of(Strings), digest_of(Renamed)}) == 3
-
-
-class TestEnvelope:
-    def test_with_size(self):
-        envelope = Envelope(0, 1, Phase2b(3))
-        assert envelope.size_hint == 0
-        assert envelope.with_size(128).size_hint == 128
-        assert envelope.with_size(128).message == Phase2b(3)

@@ -99,17 +99,10 @@ class TestLatencyCollector:
         collector.record_commit(CommandId("ghost", 1), time=5)
         assert collector.count() == 0
 
-    def test_outstanding_tracking(self):
-        collector = LatencyCollector()
-        collector.record_submit(CommandId("a", 1), 0, time=0)
-        assert collector.outstanding == 1
-        collector.record_commit(CommandId("a", 1), time=10)
-        assert collector.outstanding == 0
-
-    def test_all_latencies_and_summaries(self):
+    def test_all_latencies_and_per_replica_counts(self):
         collector = LatencyCollector()
         for seq in range(10):
             collector.record_submit(CommandId("a", seq), seq % 2, time=0)
             collector.record_commit(CommandId("a", seq), time=(seq + 1) * 1_000)
         assert len(collector.all_latencies_micros()) == 10
-        assert set(collector.summaries()) == {0, 1}
+        assert collector.count(0) == collector.count(1) == 5

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.sim.failures import FailureSchedule
 from repro.types import seconds_to_micros
 
-from tests.helpers import make_cluster
+from tests.helpers import make_cluster, sim_command, submit_at
 
 
 def submit_series(cluster, count, start, spacing=15_000, origins=None):
@@ -16,8 +17,8 @@ def submit_series(cluster, count, start, spacing=15_000, origins=None):
     commands = []
     for i in range(count):
         origin = origins[i % len(origins)]
-        command = cluster.make_command(f"cmd-{start}-{i}".encode(), client=f"client-{origin}")
-        cluster.submit_at(start + i * spacing, origin, command)
+        command = sim_command(cluster, f"cmd-{start}-{i}".encode(), client=f"client-{origin}")
+        submit_at(cluster, start + i * spacing, origin, command)
         commands.append(command)
     return commands
 
@@ -125,10 +126,13 @@ class TestReconfiguration:
         cluster = make_cluster("clock-rsm", sites=("CA", "VA", "IR", "JP", "SG"), seed=25)
         cluster.start()
         replica = cluster.replica(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             replica.reconfig.trigger((0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             replica.reconfig.trigger((0, 1, 9))
+        # One replica named three times is not a majority of five.
+        with pytest.raises(ConfigurationError):
+            replica.reconfig.trigger((0, 0, 0))
 
     def test_reconfiguration_requires_clock_rsm(self):
         cluster = make_cluster("paxos", sites=("CA", "VA", "IR"), seed=26)

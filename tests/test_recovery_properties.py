@@ -15,8 +15,9 @@ from repro.core.messages import CommitRecord, PrepareRecord
 from repro.core.recovery import replay_log
 from repro.kvstore.commands import encode_put
 from repro.kvstore.kv import KVStateMachine
-from repro.storage.memory_log import InMemoryLog
 from repro.types import Command, CommandId, Timestamp, ZERO_TS
+
+from tests.helpers import log_of
 
 
 @st.composite
@@ -63,7 +64,7 @@ def log_interleavings(draw):
 @given(data=log_interleavings())
 def test_replay_is_idempotent(data):
     records, _committed = data
-    log = InMemoryLog(records)
+    log = log_of(records)
     first = replay_log(log)
     second = replay_log(log)
     assert first == second
@@ -74,7 +75,7 @@ def test_replay_is_idempotent(data):
 @given(data=log_interleavings())
 def test_replay_executes_exactly_the_committed_prefix_in_ts_order(data):
     records, committed = data
-    recovered = replay_log(InMemoryLog(records))
+    recovered = replay_log(log_of(records))
     assert tuple(r.ts for r in recovered.executed) == committed
     # Orphans are the uncommitted prepares, in timestamp order.
     prepared = {r.ts for r in records if isinstance(r, PrepareRecord)}
@@ -106,7 +107,7 @@ def test_replay_agrees_with_the_live_state_machine(data):
             entry = pending.pop(record.ts)
             applied_live.append(live.apply(entry.command))
 
-    recovered = replay_log(InMemoryLog(records))
+    recovered = replay_log(log_of(records))
     replayed = KVStateMachine()
     applied_replay = [replayed.apply(r.command) for r in recovered.executed]
 

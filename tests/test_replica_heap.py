@@ -33,9 +33,9 @@ from repro.runtime.driver import AsyncReplicaDriver
 from repro.runtime.local import LocalAsyncCluster
 from repro.sim.cluster import SimulatedCluster
 from repro.storage.memory_log import InMemoryLog
-from repro.types import Command, CommandId, Timestamp, make_noop, ms_to_micros
+from repro.types import Command, CommandId, Timestamp, ms_to_micros
 
-from tests.helpers import ALL_PROTOCOLS
+from tests.helpers import ALL_PROTOCOLS, log_of, submit_payload
 
 SITES = ["CA", "VA", "IR"]
 
@@ -79,7 +79,7 @@ def test_sim_replica_heap_does_not_grow_with_executed_commands(protocol, batched
             # one batch of four batched.
             for rid in range(len(SITES)):
                 for _ in range(4):
-                    cluster.submit_payload(rid, b"x", client=f"c{rid}")
+                    submit_payload(cluster, rid, b"x", client=f"c{rid}")
             submitted += 4 * len(SITES)
             cluster.run_for(ms_to_micros(1.0))
         cluster.run_for(ms_to_micros(20.0))  # drain: nothing left in flight
@@ -100,7 +100,7 @@ def test_live_replica_heap_does_not_grow_with_executed_commands():
             for target in (1_000, 3_000):
                 while submitted < target:
                     await asyncio.gather(
-                        *(cluster.submit(rid, b"x", client=f"c{rid}")
+                        *(cluster.submit(rid, b"x")
                           for rid in range(len(SITES)) for _ in range(20))
                     )
                     submitted += 20 * len(SITES)
@@ -123,14 +123,11 @@ def test_live_replica_heap_does_not_grow_with_executed_commands():
 
 _clients = st.sampled_from(["c", "client-1", "é", ""])
 _seqnos = st.integers(min_value=-(2**63), max_value=2**63 - 1)
-_commands = st.one_of(
-    st.builds(
-        Command,
-        st.builds(CommandId, _clients, _seqnos),
-        st.binary(max_size=16),
-        st.integers(min_value=0, max_value=2**62),
-    ),
-    st.builds(make_noop, _seqnos),
+_commands = st.builds(
+    Command,
+    st.builds(CommandId, _clients, _seqnos),
+    st.binary(max_size=16),
+    st.integers(min_value=0, max_value=2**62),
 )
 _units = st.one_of(
     _commands,
@@ -154,8 +151,6 @@ def test_every_record_survives_append_and_records(records):
     for record in records:
         log.append(record)
     assert list(log.records()) == records
-    assert log.snapshot() == records
-    assert InMemoryLog(records).snapshot() == records
     # Types matter where equality alone would not show them: a one-command
     # batch stays a batch, a bare command stays bare.
     for logged, record in zip(log.records(), records):
@@ -165,33 +160,29 @@ def test_every_record_survives_append_and_records(records):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(_records, max_size=8), st.lists(_records, max_size=4))
-def test_the_log_keeps_the_same_records_across_handover_and_rewrite(records, replacement):
-    log = InMemoryLog()
-    log.append_all(records)
-    assert list(log.records()) == records
+@given(st.lists(_records, max_size=8))
+def test_the_log_keeps_the_same_records_across_handover(records):
+    log = log_of(records)
     # A recovering replica is handed what the crashed one logged.
-    handed_over = InMemoryLog(log.records())
+    handed_over = log_of(log.records())
     assert list(handed_over.records()) == records
-    handed_over.rewrite(replacement)
-    assert handed_over.snapshot() == replacement
-    assert InMemoryLog(handed_over.records()).snapshot() == replacement
-    assert log.snapshot() == records
+    assert list(log.records()) == records
 
 
 def test_nothing_the_log_holds_is_tracked_once_the_collector_has_seen_it():
     command = Command(CommandId("c", 1), b"p", created_at=7)
-    batch = CommandBatch((command, make_noop(2)))
+    batch = CommandBatch((command, Command(CommandId("c", 2), b"")))
     log = InMemoryLog()
     empty = tracked_reachable(log)
     for slot in range(100):
-        log.append_all([
+        for record in (
             PrepareRecord(batch, Timestamp(slot, 0)),
             CommitRecord(Timestamp(slot, 0)),
             AcceptRecord(slot, command),
             DecideRecord(slot),
             SkipRecord(slot),
-        ])
+        ):
+            log.append(record)
     assert tracked_reachable(log) == empty
 
 
@@ -202,18 +193,16 @@ def test_a_record_without_a_packed_layout_is_refused():
     assert len(log) == 0
 
 
-def test_remove_if_and_rewrite_rebuild_equal_records():
+def test_remove_if_rebuilds_equal_records():
     command = Command(CommandId("c", 1), b"p", created_at=7)
     records = [
         PrepareRecord(command, Timestamp(10, 0)),
         PrepareRecord(CommandBatch((command,)), Timestamp(20, 1)),
         CommitRecord(Timestamp(10, 0)),
     ]
-    log = InMemoryLog(records)
+    log = log_of(records)
     assert log.remove_if(lambda r: isinstance(r, CommitRecord)) == 1
-    assert log.snapshot() == records[:2]
-    log.rewrite(records[1:])
-    assert log.snapshot() == records[1:]
+    assert list(log.records()) == records[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.experiment.spec import (
 from repro.sim.network import NetworkOptions
 from repro.types import Command, CommandId
 
-from tests.helpers import ALL_PROTOCOLS, make_cluster
+from tests.helpers import ALL_PROTOCOLS, make_cluster, submit_at
 
 GEO5 = ("CA", "VA", "IR", "JP", "SG")
 
@@ -123,8 +123,7 @@ def _run_lossy():
         ),
     )
     for index in range(400):
-        cluster.submit_at(
-            2_000 * index, index % 5, Command(CommandId("canary", index), b"x" * 16)
+        submit_at(cluster, 2_000 * index, index % 5, Command(CommandId("canary", index), b"x" * 16)
         )
     cluster.env.schedule_at(200_000, lambda: cluster.partition(0, 3))
     cluster.env.schedule_at(500_000, lambda: cluster.heal(0, 3))

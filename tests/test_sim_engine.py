@@ -312,16 +312,22 @@ def test_randrange_makes_the_draws_randint_made():
     assert a.random() == b.random() == c.random()  # the streams are still aligned
 
 
+def _one_way_delay(network: SimulatedNetwork, src: int, dst: int) -> int:
+    """Sample the delay of one message on the (src, dst) channel (base + jitter)."""
+    channel = network._channels.get((src, dst)) or network._open_channel(src, dst)
+    return channel.sample_delay(network._env.random)
+
+
 def test_one_way_delay_draws_base_plus_uniform_jitter():
     matrix = LatencyMatrix.uniform(["A", "B"], one_way=10_000)
     env = SimulationEnvironment(seed=5)
     network = SimulatedNetwork(env, matrix, NetworkOptions(jitter_fraction=0.1, jitter_floor=3))
     twin = random.Random(5)
     for _ in range(200):
-        assert network.one_way_delay(0, 1) == 10_000 + twin.randint(0, 1_003)
+        assert _one_way_delay(network, 0, 1) == 10_000 + twin.randint(0, 1_003)
     # The local link has base 0: only the floor jitters it, both ends of the
     # range inclusive (an off-by-one span would never draw the 3).
-    local = [network.one_way_delay(0, 0) for _ in range(200)]
+    local = [_one_way_delay(network, 0, 0) for _ in range(200)]
     assert local == [twin.randint(0, 3) for _ in range(200)]
     assert set(local) == {0, 1, 2, 3}
 
@@ -332,7 +338,7 @@ def test_no_jitter_consumes_no_randomness():
     network = SimulatedNetwork(env, matrix)
     network.attach(1, lambda envelope, time: None)
     for _ in range(10):
-        assert network.one_way_delay(0, 1) == 10_000
+        assert _one_way_delay(network, 0, 1) == 10_000
         network.send(Envelope(0, 1, "m"))
     assert env.random.random() == random.Random(5).random()
 

@@ -14,7 +14,7 @@ from repro.sim.failures import (
 from repro.sim.node import CpuModel
 from repro.types import seconds_to_micros
 
-from tests.helpers import make_cluster
+from tests.helpers import make_cluster, sim_command, submit_at
 
 
 class TestFailureSchedule:
@@ -32,7 +32,7 @@ class TestFailureSchedule:
     def test_scheduled_crash_takes_effect_at_the_right_time(self):
         cluster = make_cluster("paxos-bcast", leader=0, seed=31)
         FailureSchedule().crash(100_000, 2).install(cluster)
-        cluster.submit_at(10_000, 0, cluster.make_command(b"before", client="c"))
+        submit_at(cluster, 10_000, 0, sim_command(cluster, b"before", client="c"))
         cluster.run_for(90_000)
         assert not cluster.nodes[2].crashed
         cluster.run_for(20_000)
@@ -49,7 +49,7 @@ class TestFailureSchedule:
     def test_crash_then_recover_preserves_the_log(self):
         cluster = make_cluster("clock-rsm", seed=33)
         cluster.start()
-        cluster.submit_at(5_000, 0, cluster.make_command(b"durable", client="c0"))
+        submit_at(cluster, 5_000, 0, sim_command(cluster, b"durable", client="c0"))
         cluster.run_for(seconds_to_micros(1.0))
         executed_before = cluster.replica(1).executed_count
         assert executed_before == 1
@@ -67,7 +67,7 @@ class TestFailureSchedule:
         cluster.start()
         cluster.partition(0, 2)
         cluster.partition(1, 2)  # replica 2 is fully isolated
-        cluster.submit_at(10_000, 0, cluster.make_command(b"majority", client="c"))
+        submit_at(cluster, 10_000, 0, sim_command(cluster, b"majority", client="c"))
         cluster.run_for(seconds_to_micros(1.0))
         assert len(cluster.replies) == 1
         assert cluster.replica(2).executed_count == 0
@@ -115,7 +115,7 @@ class TestRecoveredReplicaStartsClean:
         )
         for index in range(200):
             # 200 requests x 2 ms of client CPU: node 0 is busy until ~410 ms.
-            cluster.submit_at(10_000, 0, cluster.make_command(b"x", client=f"c{index}"))
+            submit_at(cluster, 10_000, 0, sim_command(cluster, b"x", client=f"c{index}"))
         cluster.run_for(11_000)
         cluster.crash(0)
         cluster.run_for(5_000)
@@ -129,7 +129,7 @@ class TestRecoveredReplicaStartsClean:
 
         recovered.on_client_request = timed
         submitted_at = cluster.env.now
-        cluster.submit(0, cluster.make_command(b"after", client="late"))
+        cluster.submit(0, sim_command(cluster, b"after", client="late"))
         cluster.run_for(seconds_to_micros(1.0))
         # The successor's CPU is idle: its first input runs at once, not
         # after the ~394 ms of work its predecessor lost.

@@ -8,7 +8,7 @@ from repro.core.messages import Prepare, PrepareOk
 from repro.sim.node import CpuModel, MESSAGE_HEADER_BYTES, default_message_size
 from repro.types import Command, CommandId, Timestamp, seconds_to_micros
 
-from tests.helpers import make_cluster
+from tests.helpers import make_cluster, sim_command, submit_at
 
 
 class TestMessageSizeEstimate:
@@ -53,8 +53,7 @@ class TestCpuSimulation:
         )
         cluster.start()
         for i in range(command_count):
-            cluster.submit_at(
-                i * 500, i % 3, cluster.make_command(b"p" * 64, client=f"c{i % 3}")
+            submit_at(cluster, i * 500, i % 3, sim_command(cluster, b"p" * 64, client=f"c{i % 3}")
             )
         cluster.run_for(seconds_to_micros(3.0))
         return cluster

@@ -13,6 +13,10 @@ def _cmd(i: int) -> Command:
     return Command(CommandId("c", i), b"")
 
 
+def _decide(ledger: SlotLedger, slot: int) -> None:
+    ledger.get(slot).decided = True
+
+
 class TestSlotLedger:
     def test_record_command_and_acks(self):
         ledger = SlotLedger(range(3))
@@ -39,10 +43,10 @@ class TestSlotLedger:
         ledger = SlotLedger(range(3))
         for slot in (0, 1, 2):
             ledger.record_command(slot, _cmd(slot))
-        ledger.mark_decided(1)
-        ledger.mark_decided(2)
+        _decide(ledger, 1)
+        _decide(ledger, 2)
         assert list(ledger.pop_executable()) == []  # slot 0 not decided yet
-        ledger.mark_decided(0)
+        _decide(ledger, 0)
         executed = [s.slot for s in ledger.pop_executable()]
         assert executed == [0, 1, 2]
         assert ledger.execute_frontier == 3
@@ -51,7 +55,7 @@ class TestSlotLedger:
         ledger = SlotLedger(range(3))
         ledger.mark_skipped(0)
         ledger.record_command(1, _cmd(1))
-        ledger.mark_decided(1)
+        _decide(ledger, 1)
         executed = list(ledger.pop_executable())
         assert [s.slot for s in executed] == [0, 1]
         assert executed[0].skipped is True
@@ -59,18 +63,17 @@ class TestSlotLedger:
     def test_implicit_skip_callback(self):
         ledger = SlotLedger(range(3))
         ledger.record_command(2, _cmd(2))
-        ledger.mark_decided(2)
+        _decide(ledger, 2)
         executed = [s.slot for s in ledger.pop_executable(lambda slot: slot < 2)]
         assert executed == [2]
         assert ledger.execute_frontier == 3
         # Implicitly skipped slots are passed like executed ones: forgotten.
         assert ledger.peek(0) is None and ledger.peek(1) is None
-        assert ledger.is_decided(0) and ledger.is_decided(1)
-        assert ledger.highest_known_slot() == 2
+        assert ledger.get(0).decided and ledger.get(1).decided
 
     def test_decided_slot_without_command_blocks_execution(self):
         ledger = SlotLedger(range(3))
-        ledger.mark_decided(0)  # e.g. a Phase2b arrived before the Phase2a
+        _decide(ledger, 0)  # e.g. a Phase2b arrived before the Phase2a
         assert list(ledger.pop_executable()) == []
         ledger.record_command(0, _cmd(0))
         assert [s.slot for s in ledger.pop_executable()] == [0]
@@ -78,16 +81,14 @@ class TestSlotLedger:
     def test_slots_never_execute_twice(self):
         ledger = SlotLedger(range(3))
         ledger.record_command(0, _cmd(0))
-        ledger.mark_decided(0)
+        _decide(ledger, 0)
         assert [s.slot for s in ledger.pop_executable()] == [0]
         assert list(ledger.pop_executable()) == []
 
-    def test_describe_and_known_slots(self):
+    def test_describe(self):
         ledger = SlotLedger(range(3))
         ledger.record_command(4, _cmd(4))
         ledger.record_command(1, _cmd(1))
-        assert ledger.known_slots() == [1, 4]
-        assert ledger.highest_known_slot() == 4
         info = ledger.describe()
         assert info["known_slots"] == 2
         assert info["undecided"] == 2
@@ -97,46 +98,34 @@ class TestSlotLedger:
         for slot in range(4):
             ledger.record_command(slot, _cmd(slot))
             ledger.add_ack(slot, 0)
-            ledger.mark_decided(slot)
+            _decide(ledger, slot)
         ledger.record_command(5, _cmd(5))
         assert [s.slot for s in ledger.pop_executable()] == [0, 1, 2, 3]
-        assert ledger.known_slots() == [5]
+        assert ledger.peek(5) is not None
         assert ledger.describe()["known_slots"] == 1
 
     def test_a_message_below_the_frontier_does_not_recreate_its_slot(self):
         ledger = SlotLedger(range(3))
         ledger.record_command(0, _cmd(0))
-        ledger.mark_decided(0)
+        _decide(ledger, 0)
         list(ledger.pop_executable())
         # A late ack, a repeated accept, a repeated decision, a skip.
         ledger.add_ack(0, 2)
         state = ledger.record_command(0, _cmd(9))
         assert state.decided
         assert ledger.get(0).decided
-        ledger.mark_decided(0)
+        _decide(ledger, 0)
         ledger.mark_skipped(0)
-        assert ledger.known_slots() == []
-        assert ledger.is_decided(0)
+        assert ledger.describe()["known_slots"] == 0
+        assert ledger.get(0).decided
         assert list(ledger.pop_executable()) == []
-
-    def test_highest_known_slot_survives_forgetting(self):
-        ledger = SlotLedger(range(3))
-        assert ledger.highest_known_slot() == -1
-        for slot in (0, 1, 2):
-            ledger.record_command(slot, _cmd(slot))
-            ledger.mark_decided(slot)
-        list(ledger.pop_executable())
-        assert ledger.known_slots() == []
-        assert ledger.highest_known_slot() == 2
-        ledger.add_ack(1, 0)  # below the frontier: not a new slot
-        assert ledger.highest_known_slot() == 2
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=30, unique=True))
     def test_execution_order_is_always_contiguous_prefix(self, decided_slots):
         ledger = SlotLedger(range(3))
         for slot in decided_slots:
             ledger.record_command(slot, _cmd(slot))
-            ledger.mark_decided(slot)
+            _decide(ledger, slot)
         executed = [s.slot for s in ledger.pop_executable()]
         # Execution covers exactly the contiguous prefix 0..k of decided slots.
         expected = []

@@ -16,7 +16,7 @@ from repro.kvstore.commands import (
     random_update,
 )
 from repro.kvstore.kv import KVStateMachine
-from repro.statemachine import AppendLogStateMachine, CounterStateMachine, NullStateMachine
+from repro.statemachine import AppendLogStateMachine, NullStateMachine
 from repro.types import Command, CommandId
 
 
@@ -55,21 +55,6 @@ class TestAppendLogStateMachine:
         assert other.history == [b"one", b"two"]
 
 
-class TestCounterStateMachine:
-    def test_signed_deltas(self):
-        machine = CounterStateMachine()
-        assert machine.apply(cmd((5).to_bytes(8, "big", signed=True))) == 5
-        assert machine.apply(cmd((-3).to_bytes(8, "big", signed=True))) == 2
-        assert machine.apply(cmd(b"")) == 2  # empty payload leaves the counter
-
-    def test_snapshot_restore(self):
-        machine = CounterStateMachine()
-        machine.apply(cmd((42).to_bytes(4, "big", signed=True)))
-        other = CounterStateMachine()
-        other.restore(machine.snapshot())
-        assert other.value == 42
-
-
 class TestKvCommands:
     def test_put_round_trip(self):
         op = decode_op(encode_put("user:1", b"alice"))
@@ -96,7 +81,7 @@ class TestKvCommands:
     def test_random_update_is_a_valid_put(self):
         import random
 
-        op = decode_op(random_update(random.Random(3), key_space=10, value_size=16))
+        op = decode_op(random_update(random.Random(3), value_size=16))
         assert op.op == "put"
         assert len(op.value) == 16
         assert op.key.startswith("key-")

@@ -32,7 +32,7 @@ class TestInMemoryNetwork:
         t0.set_handler(handler)
         t0.send(Envelope(0, 0, "self"))
         assert [e.message for e in received] == ["self"]
-        assert network.pending_count() == 0
+        assert network.deliver_one() is False  # nothing was queued
 
     def test_deferred_delivery(self):
         network = InMemoryNetwork(auto_deliver=False)
@@ -43,7 +43,6 @@ class TestInMemoryNetwork:
         t0.send(Envelope(0, 1, "a"))
         t0.send(Envelope(0, 1, "b"))
         assert received == []
-        assert network.pending_count() == 2
         assert network.deliver_one() is True
         assert [e.message for e in received] == ["a"]
         network.deliver_all()
@@ -69,7 +68,6 @@ class TestInMemoryNetwork:
         network.partition(0, 1)
         t0.send(Envelope(0, 1, "lost"))
         assert received == []
-        assert len(network.dropped) == 1
         network.heal(0, 1)
         t0.send(Envelope(0, 1, "found"))
         assert [e.message for e in received] == ["found"]

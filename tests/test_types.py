@@ -11,9 +11,7 @@ from repro.types import (
     CommandId,
     Timestamp,
     ZERO_TS,
-    is_noop,
     majority,
-    make_noop,
     micros_to_ms,
     micros_to_seconds,
     ms_to_micros,
@@ -37,10 +35,6 @@ class TestTimestamp:
     def test_zero_ts_is_smaller_than_any_real_timestamp(self):
         assert ZERO_TS < Timestamp(0, 0)
         assert ZERO_TS < Timestamp(1, 0)
-
-    def test_advanced_by(self):
-        ts = Timestamp(100, 2)
-        assert ts.advanced_by(50) == Timestamp(150, 2)
 
     def test_hashable_and_usable_as_dict_key(self):
         d = {Timestamp(1, 0): "a", Timestamp(1, 1): "b"}
@@ -112,10 +106,3 @@ class TestCommands:
     def test_command_id_is_hashable(self):
         assert {CommandId("c", 1): 1}[CommandId("c", 1)] == 1
 
-    def test_noop_round_trip(self):
-        noop = make_noop(7)
-        assert is_noop(noop)
-        assert noop.payload == b""
-
-    def test_regular_command_is_not_noop(self):
-        assert not is_noop(Command(CommandId("client", 1), b"data"))

@@ -35,7 +35,7 @@ class TestClosedLoopClients:
         generator.start()
         cluster.run_for(seconds_to_micros(1.0))
         # Outstanding commands never exceed the number of clients.
-        assert collector.outstanding <= 5
+        assert generator.submitted - generator.completed <= 5
         assert generator.submitted > 5  # clients cycled several times
         assert generator.completed >= generator.submitted - 5
 
@@ -56,7 +56,7 @@ class TestClosedLoopClients:
             0,
             clients=2,
             think_time_max=1_000,
-            payload_factory=lambda rng: random_update(rng, key_space=5, value_size=16),
+            payload_factory=lambda rng: random_update(rng, value_size=16),
         )
         generator.start()
         cluster.run_for(100_000)
@@ -82,7 +82,7 @@ class TestSaturatingClients:
         generator = SaturatingClients(cluster, 0, payload_size=32, window=8, collector=collector)
         generator.start()
         cluster.run_for(300_000)
-        assert collector.outstanding <= 8
+        assert generator.submitted - generator.completed <= 8
         assert generator.completed > 8
 
     def test_multiple_replicas_saturate_independently(self):
@@ -134,7 +134,7 @@ class TestBuildWorkload:
         handle = build_workload(cluster, WorkloadSpec(clients_per_site=3, think_time_max_ms=20.0))
         cluster.run_for(seconds_to_micros(2.0))
         handle.stop()
-        assert set(handle.collector.summaries()) == set(cluster.spec.replica_ids)
+        assert all(handle.collector.count(rid) for rid in cluster.spec.replica_ids)
 
     def test_imbalanced_workload_measures_only_the_origin(self):
         cluster = make_cluster("clock-rsm", seed=8)
@@ -144,7 +144,7 @@ class TestBuildWorkload:
         handle = build_workload(cluster, spec)
         cluster.run_for(seconds_to_micros(2.0))
         handle.stop()
-        assert set(handle.collector.summaries()) == {2}
+        assert [rid for rid in cluster.spec.replica_ids if handle.collector.count(rid)] == [2]
 
     def test_saturating_workload_keeps_a_window_per_site(self):
         cluster = make_cluster("clock-rsm", uniform_one_way=2_000, seed=5)
@@ -154,7 +154,7 @@ class TestBuildWorkload:
         assert all(isinstance(g, SaturatingClients) for g in handle.generators)
         assert [g.window for g in handle.generators] == [6, 6, 6]
         cluster.run_for(300_000)
-        assert handle.collector.outstanding <= 18
+        assert sum(g.submitted - g.completed for g in handle.generators) <= 18
         assert all(g.completed > 6 for g in handle.generators)
 
     def test_closed_loop_pools_take_the_spec_values(self):
