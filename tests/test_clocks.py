@@ -99,6 +99,13 @@ class TestPhysicalClocks:
         assert ahead.now() == 1_250
         assert behind.now() == 750
 
+    def test_a_zero_skew_clock_reads_environment_time(self):
+        env = SimulationEnvironment()
+        clock = SkewedClock(env, skew=0)
+        env.schedule(1_234, lambda: None)
+        env.run_until_idle()
+        assert clock.now() == env.true_now() == 1_234
+
     def test_skewed_clock_adjust(self):
         env = SimulationEnvironment()
         clock = SkewedClock(env, skew=100)

@@ -43,3 +43,29 @@ def test_count_tree_reports_each_file(tmp_path):
     (tmp_path / "pkg" / "a.py").write_text("x = 1\n\n# c\ny = 2\n")
     (tmp_path / "b.py").write_text('"""Only a docstring."""\n')
     assert code_lines.count_tree(tmp_path) == {Path("b.py"): 0, Path("pkg/a.py"): 2}
+
+
+def test_a_string_after_the_first_statement_counts_as_code():
+    # Only a scope's first statement is its docstring.
+    assert code_lines.code_lines('x = 1\n"""An attribute note."""\n') == 2
+
+
+def test_an_async_function_docstring_does_not_count():
+    source = 'async def f():\n    """Docstring."""\n    return 1\n'
+    assert code_lines.code_lines(source) == 2
+
+
+def test_main_prints_the_total_and_the_largest_files(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "b.py").write_text("z = 3\n")
+    code_lines.main([str(tmp_path), "--top", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"3 code lines in 2 files under {tmp_path}"
+    assert lines[1:] == ["     2  a.py"]
+
+
+def test_the_default_root_is_the_repository_src(capsys):
+    code_lines.main(["--top", "0"])
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.endswith(f"files under {_TOOL.parents[1] / 'src'}")
+    assert int(line.split()[0]) > 0

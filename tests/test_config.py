@@ -117,6 +117,12 @@ class TestValidateActiveConfig:
         with pytest.raises(ConfigurationError):
             validate_active_config(spec, [0, 1])
 
+    def test_a_repeated_replica_counts_once(self):
+        spec = ClusterSpec.from_sites(["a", "b", "c", "d", "e"])
+        assert validate_active_config(spec, [2, 0, 2, 1]) == (0, 1, 2)
+        with pytest.raises(ConfigurationError):
+            validate_active_config(spec, [0, 0, 0])
+
     def test_unknown_replica_rejected(self):
         spec = ClusterSpec.from_sites(["a", "b", "c"])
         with pytest.raises(ConfigurationError):

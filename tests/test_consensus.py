@@ -79,7 +79,7 @@ class TestSinglePaxos:
     def test_phase1b_adopts_previously_accepted_value(self):
         proposer = PaxosInstance(0, 1, 3)
         proposer.propose("mine")
-        ballot = 1  # round-0 ballot of replica 1 (round * N + replica_id)
+        ballot = 1  # a proposer's ballot is its replica id
         # Two phase-1b replies; one reports an already accepted value.
         out, _ = proposer.on_message(0, PaxosP1b(0, ballot, accepted_ballot=-1, accepted_value=None))
         assert out == []
@@ -87,6 +87,13 @@ class TestSinglePaxos:
         p2a = [o for o in out if isinstance(o.message, PaxosP2a)]
         assert len(p2a) == 1
         assert p2a[0].message.value == "theirs"
+
+    def test_a_proposer_ballot_is_its_replica_id(self):
+        messages = [PaxosInstance(0, r, 5).propose("v")[0].message for r in range(5)]
+        # Replica 0 holds the smallest ballot and goes straight to phase 2.
+        assert isinstance(messages[0], PaxosP2a)
+        assert all(isinstance(m, PaxosP1a) for m in messages[1:])
+        assert [m.ballot for m in messages] == [0, 1, 2, 3, 4]
 
     def test_learn_decides_directly(self):
         learner = PaxosInstance(0, 4, 5)

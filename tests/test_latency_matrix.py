@@ -19,6 +19,12 @@ class TestLatencyMatrixConstruction:
         assert matrix.delay(1, 0) == ms_to_micros(50.0)
         assert matrix.delay(0, 0) == 0
 
+    def test_from_rtt_ms_ignores_pairs_of_other_sites(self):
+        rtts = {("A", "B"): 100.0, ("A", "Z"): 4.0, ("Y", "Z"): 8.0}
+        matrix = LatencyMatrix.from_rtt_ms(["B", "A"], rtts)
+        assert matrix.sites == ("B", "A")
+        assert matrix.delay(0, 1) == ms_to_micros(50.0)
+
     def test_missing_pair_rejected(self):
         with pytest.raises(ConfigurationError):
             LatencyMatrix.from_rtt_ms(["A", "B", "C"], {("A", "B"): 10.0})
@@ -86,6 +92,10 @@ class TestEc2Data:
         assert _between(matrix, "CA", "VA") == ms_to_micros(41.5)
         assert _between(matrix, "IR", "JP") == ms_to_micros(140.0)
         assert _between(matrix, "SG", "BR") == ms_to_micros(184.5)
+
+    def test_a_site_is_no_distance_from_itself(self):
+        matrix = ec2_latency_matrix()
+        assert [matrix.delay(i, i) for i in range(len(EC2_SITES))] == [0] * len(EC2_SITES)
 
     def test_subset_selection(self):
         matrix = ec2_latency_matrix(["CA", "VA", "IR"])

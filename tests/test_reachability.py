@@ -426,3 +426,66 @@ def test_an_allowlist_entry_goes_stale_when_its_name_goes_or_gains_a_caller(tmp_
     }
     stale = stale_allowlist_entries(root, allowlist)
     assert stale == ["Store.from_perf", "Store.renamed", "exported"]
+
+
+def test_a_use_from_benchmarks_does_not_count(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": "class Store:\n    def benched(self): ...\n",
+        "benchmarks/test_figures.py": "from repro.mod import Store\nStore().benched()\n",
+        "perf/run.py": "from repro.mod import Store\nStore()\n",
+    })
+    assert unused_names(root) == ["Store.benched"]
+
+
+def test_a_property_is_a_name_like_a_method(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "class Box:\n"
+            "    @property\n"
+            "    def size(self): ...\n"
+            "    @size.setter\n"
+            "    def size(self, value): ...\n"
+            "    @property\n"
+            "    def width(self): ...\n"
+        ),
+        "tests/test_box.py": "from repro.mod import Box\nBox().size = Box().width\n",
+        "perf/run.py": "from repro.mod import Box\nprint(Box().width)\n",
+    })
+    assert unused_names(root) == ["Box.size"]
+
+
+def test_a_subclass_of_a_local_asyncio_protocol_keeps_the_callback_rule(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/conn.py": (
+            "import asyncio\n"
+            "\n"
+            "class _Base(asyncio.Protocol):\n"
+            "    def connection_made(self, transport): ...\n"
+            "\n"
+            "class _Peer(_Base):\n"
+            "    def data_received(self, data): ...\n"
+            "    def flush(self): ...\n"
+            "\n"
+            "_Peer()\n"
+        ),
+    })
+    assert unused_names(root) == ["_Peer.flush"]
+
+
+def test_getattr_by_name_and_an_aliased_import_count_as_uses(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/mod.py": (
+            "class Store:\n"
+            "    def looked_up(self): ...\n"
+            "    def never(self): ...\n"
+            "\n"
+            "def helper(): ...\n"
+        ),
+        "src/repro/user.py": (
+            "from .mod import Store, helper as run_helper\n"
+            "\n"
+            'getattr(Store(), "looked_up")()\n'
+            "run_helper()\n"
+        ),
+    })
+    assert unused_names(root) == ["Store.never"]

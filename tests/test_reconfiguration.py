@@ -134,6 +134,16 @@ class TestReconfiguration:
         with pytest.raises(ConfigurationError):
             replica.reconfig.trigger((0, 0, 0))
 
+    def test_a_repeated_replica_is_named_once_in_the_new_configuration(self):
+        cluster = make_cluster("clock-rsm", sites=("CA", "VA", "IR", "JP", "SG"), seed=27)
+        cluster.start()
+        cluster.crash(3)
+        cluster.crash(4)
+        FailureSchedule().reconfigure(10_000, 0, (2, 0, 1, 1)).install(cluster)
+        cluster.run_for(seconds_to_micros(1.5))
+        assert cluster.replica(0).active_config == (0, 1, 2)
+        assert cluster.replica(2).active_config == (0, 1, 2)
+
     def test_reconfiguration_requires_clock_rsm(self):
         cluster = make_cluster("paxos", sites=("CA", "VA", "IR"), seed=26)
         cluster.start()

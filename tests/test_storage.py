@@ -55,6 +55,46 @@ class TestInMemoryLog:
         assert log.remove_if(lambda r: r.ts.micros > 1_000) == 0
         assert [r.ts.micros for r in log.records()] == [0, 10, 20, 30]
 
+    def test_an_empty_log_replays_nothing(self):
+        log = InMemoryLog()
+        assert len(log) == 0
+        assert list(log.records()) == []
+        assert log.remove_if(lambda r: True) == 0
+
+    def test_remove_if_hands_the_predicate_the_records_as_appended(self):
+        records = [_prepare(0), CommitRecord(Timestamp(0, 0)), _prepare(1)]
+        seen = []
+        log_of(records).remove_if(lambda r: seen.append(r) or False)
+        assert seen == records
+
+    def test_a_raising_predicate_leaves_the_log_unchanged(self):
+        log = log_of(_prepare(i) for i in range(4))
+
+        def predicate(record):
+            if record.ts.micros == 20:
+                raise RuntimeError("predicate failed")
+            return True
+
+        with pytest.raises(RuntimeError):
+            log.remove_if(predicate)
+        assert [r.ts.micros for r in log.records()] == [0, 10, 20, 30]
+
+    def test_append_may_be_wrapped_per_instance(self):
+        # The benchmark's tracer wraps one replica's ``log.append`` in place.
+        log, other = InMemoryLog(), InMemoryLog()
+        appended = []
+        inner = log.append
+
+        def traced(record):
+            appended.append(record)
+            return inner(record)
+
+        log.append = traced
+        assert log.append(_prepare(0)) == 0
+        assert other.append(_prepare(1)) == 0
+        assert appended == [_prepare(0)]
+        assert list(log.records()) == [_prepare(0)]
+
     def test_a_replica_handed_the_log_replays_the_same_records(self):
         # How the simulator models a crash that keeps stable storage intact.
         log = log_of([_prepare(0), CommitRecord(Timestamp(0, 0)), _prepare(1)])
@@ -63,6 +103,13 @@ class TestInMemoryLog:
 
 
 class TestPackedLayouts:
+    def test_an_unpackable_append_keeps_the_old_contents(self):
+        log = log_of([_prepare(0)])
+        with pytest.raises(StorageError, match="no packed log layout"):
+            log.append(("prepare", 0, 0))
+        assert list(log.records()) == [_prepare(0)]
+        assert log.append(_prepare(1)) == 1
+
     def test_a_taken_tag_is_refused(self):
         with pytest.raises(StorageError, match="already taken"):
 

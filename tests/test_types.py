@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import ClientError
 from repro.types import (
     Command,
     CommandId,
     Timestamp,
     ZERO_TS,
+    check_seqno,
     majority,
     micros_to_ms,
     micros_to_seconds,
@@ -106,3 +108,9 @@ class TestCommands:
     def test_command_id_is_hashable(self):
         assert {CommandId("c", 1): 1}[CommandId("c", 1)] == 1
 
+    def test_check_seqno_accepts_exactly_the_signed_64_bit_range(self):
+        for seqno in (-(2**63), 0, 2**63 - 1):
+            check_seqno(CommandId("c", seqno))
+        for seqno in (-(2**63) - 1, 2**63):
+            with pytest.raises(ClientError):
+                check_seqno(CommandId("c", seqno))
