@@ -150,29 +150,21 @@ def mencius_bcast_balanced_bounds(matrix: LatencyMatrix, origin: int) -> tuple[M
 # ---------------------------------------------------------------------------
 
 
-def protocol_latency(
-    protocol: str,
-    matrix: LatencyMatrix,
-    origin: int,
-    *,
-    leader: int = 0,
-    balanced: bool = True,
-) -> Micros:
+def protocol_latency(protocol: str, matrix: LatencyMatrix, origin: int) -> Micros:
     """Expected commit latency of *protocol* at *origin* (Table II).
 
-    For Mencius-bcast under balanced workloads the midpoint of the paper's
-    [q, q + max] interval is returned as the expectation (the delayed-commit
-    penalty is uniformly distributed between zero and one one-way delay).
+    The workload is balanced, and the Paxos leader is replica 0. For
+    Mencius-bcast the midpoint of the paper's [q, q + max] interval is
+    returned as the expectation (the delayed-commit penalty is uniformly
+    distributed between zero and one one-way delay).
     """
     if protocol == "clock-rsm":
-        return clock_rsm_balanced(matrix, origin) if balanced else clock_rsm_imbalanced(matrix, origin)
+        return clock_rsm_balanced(matrix, origin)
     if protocol == "paxos":
-        return paxos_latency(matrix, origin, leader)
+        return paxos_latency(matrix, origin, 0)
     if protocol == "paxos-bcast":
-        return paxos_bcast_latency(matrix, origin, leader)
+        return paxos_bcast_latency(matrix, origin, 0)
     if protocol in ("mencius", "mencius-bcast"):
-        if not balanced:
-            return mencius_bcast_imbalanced(matrix, origin)
         low, high = mencius_bcast_balanced_bounds(matrix, origin)
         return (low + high) // 2
     raise ValueError(f"unknown protocol {protocol!r}")

@@ -199,14 +199,5 @@ class ClockRsmState:
             return entry
         return None
 
-    def describe(self) -> dict[str, object]:
-        """Debug snapshot of the soft state."""
-        return {
-            "pending": len(self._pending),
-            "latest_tv": dict(self.latest_tv),
-            "min_latest": self.min_latest() if self.latest_tv else None,
-            "quorum_size": self.quorum_size,
-        }
-
 
 __all__ = ["ClockRsmState", "PendingCommand", "CommitStatus"]

@@ -110,7 +110,6 @@ async def run_worker(supervisor: str, replica_id: int, token: str) -> None:
             {},
             batching=batching,
             connect_retries=40,
-            connect_backoff_s=0.05,
         )
         await transport.start()
         await send_json(writer, {"type": "bound", "address": transport.bound_address})

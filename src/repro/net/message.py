@@ -52,23 +52,20 @@ class MessageRegistry:
         self._encoder = WireEncoder(plans=self._plans)
         self._decoder = WireDecoder(plans=self._ids)
 
-    def register(self, cls: Type[T], name: Optional[str] = None) -> Type[T]:
-        """Register *cls* under *name* (defaults to the class name).
+    def register(self, cls: Type[T]) -> Type[T]:
+        """Register *cls* under its class name.
 
-        A class has one name: registering it again under the same name does
-        nothing, under another raises :class:`~repro.errors.CodecError`, as
-        does a class the codec cannot plan (:meth:`ObjectPlan.compile`).
-        Every registration renumbers the table and drops the generated code,
-        which the next use regenerates against the new table.
+        Registering it again does nothing. Another class of the same name
+        raises :class:`~repro.errors.CodecError`, as does a class the codec
+        cannot plan (:meth:`ObjectPlan.compile`). Every registration
+        renumbers the table and drops the generated code, which the next use
+        regenerates against the new table.
         """
         if not dataclasses.is_dataclass(cls):
             raise CodecError(f"only dataclasses can be registered, got {cls!r}")
-        key = name or cls.__name__
-        known = self._plans.get(cls)
-        if known is not None:
-            if known.name != key:
-                raise CodecError(f"{cls!r} is already registered as {known.name!r}, not {key!r}")
+        if cls in self._plans:
             return cls
+        key = cls.__name__
         for existing in self._plans.values():
             if existing.name == key:
                 raise CodecError(f"message name {key!r} already registered to {existing.cls!r}")

@@ -69,6 +69,10 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: a larger frame comes from the heap.
 READ_BUFFER_BYTES = 64 * 1024
 
+#: Seconds a failed connect waits before its next attempt, times the
+#: attempt's number (a process-mode worker's 40 retries span about 41 s).
+CONNECT_BACKOFF_S = 0.05
+
 _HELLO_MAGIC = b"RSMw"
 #: Bytes in a hello: the magic, then the 16-byte message-table digest.
 HELLO_BYTES = len(_HELLO_MAGIC) + 16
@@ -350,7 +354,6 @@ class TcpTransport(Transport):
         registry: Optional[MessageRegistry] = None,
         batching: Optional[BatchingOptions] = None,
         connect_retries: int = 0,
-        connect_backoff_s: float = 0.05,
     ) -> None:
         super().__init__(local_id)
         self._listen_host, self._listen_port = _split_address(listen_address)
@@ -358,7 +361,6 @@ class TcpTransport(Transport):
         self._registry = registry or global_registry
         self._batching = batching if batching is not None and batching.enabled else None
         self._connect_retries = connect_retries
-        self._connect_backoff_s = connect_backoff_s
         self._server: Optional[asyncio.AbstractServer] = None
         #: connected peers' write paths
         self._peers: dict[ReplicaId, asyncio.Transport] = {}
@@ -511,7 +513,7 @@ class TcpTransport(Transport):
                     if attempt >= self._connect_retries or self._stopped:
                         raise
                     attempt += 1
-                    await asyncio.sleep(self._connect_backoff_s * attempt)
+                    await asyncio.sleep(CONNECT_BACKOFF_S * attempt)
         except (OSError, TransportError) as exc:
             dropped = self._waiting.pop(dst, [])
             _LOGGER.warning(

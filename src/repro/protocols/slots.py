@@ -33,13 +33,6 @@ class SlotState:
     def has_command(self) -> bool:
         return self.command is not None or self.skipped
 
-    @property
-    def command_count(self) -> int:
-        """How many client commands this slot carries (0 for skips)."""
-        if self.command is None:
-            return 0
-        return len(getattr(self.command, "commands", (self.command,)))
-
 
 class SlotLedger:
     """Tracks slot states and yields slots ready for in-order execution.
@@ -122,15 +115,6 @@ class SlotLedger:
                     self.execute_frontier += 1
                     continue
             break
-
-    def describe(self) -> dict[str, object]:
-        return {
-            "known_slots": len(self._slots),
-            "execute_frontier": self.execute_frontier,
-            "undecided": sum(1 for s in self._slots.values() if not s.decided),
-            # With batching, commands ≥ slots: the gap is the batch fill.
-            "commands": sum(s.command_count for s in self._slots.values()),
-        }
 
 
 __all__ = ["SlotState", "SlotLedger"]

@@ -120,10 +120,10 @@ class TestSimAccumulation:
         cluster.start()
         for i in range(5):
             submit_payload(cluster, 0, b"x", client="c")
-        # Proposed, not yet acknowledged: the slot is in the ledger, and the
-        # ledger's introspection counts commands, not slots.
+        # Proposed, not yet acknowledged: one slot holds all five commands.
         cluster.run_for(ms_to_micros(0.5))
-        assert cluster.replica(0).ledger.describe()["commands"] == 5
+        slots = cluster.replica(0).ledger._slots
+        assert [len(state.command) for state in slots.values()] == [5]
         cluster.run_for(ms_to_micros(50))
         batches = [u for u in _logged_units(cluster) if isinstance(u, CommandBatch)]
         assert [len(b) for b in batches] == [5]

@@ -270,15 +270,14 @@ class TestKVClientHistoryHook:
 
     def test_scripted_session_checks_out(self, any_protocol):
         cluster = make_cluster(any_protocol, use_kv=True)
-        history = OpHistory()
-        client = SimKVClient(cluster, replica_id=0, history=history)
+        recorder = HistoryRecorder(cluster)
+        client = SimKVClient(cluster, replica_id=0)
         assert client.put("user:1", b"ada") is None
         assert client.get("user:1") == b"ada"
         assert client.put("user:1", b"grace") == b"ada"
         assert client.delete("user:1") is True
         assert client.get("user:1") is None
-        history.record_apply_orders(cluster.execution_orders())
-        report = check_history(history)
+        report = check_history(recorder.finish())
         assert report.linearizable
         assert report.completed == 5
 

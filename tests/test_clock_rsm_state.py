@@ -56,6 +56,7 @@ class TestAcks:
         assert state.record_ack(ts, 1) == 2
         assert state.record_ack(ts, 1) == 2  # duplicate PREPAREOK
         assert state.ack_count(ts) == 2
+        assert state._acks[(ts.micros, ts.replica)] == {0, 1}
 
     def test_an_ack_from_outside_the_configuration_counts_for_nothing(self):
         state = _state()
@@ -63,7 +64,7 @@ class TestAcks:
         assert state.record_ack(ts, 0) == 1
         assert state.record_ack(ts, 7) == 1
         assert state.record_ack(ts, -1) == 1
-        assert state.ack_count(ts) == 1
+        assert state._acks[(ts.micros, ts.replica)] == {0}
 
     def test_acks_may_arrive_before_prepare(self):
         state = _state()
@@ -153,11 +154,10 @@ class TestCommitRule:
         state.observe_clock(4, 100)
         assert state.commit_status(ts) == CommitStatus.COMMITTABLE
 
-    def test_describe_contains_key_fields(self):
+    def test_a_fresh_state_has_nothing_pending_and_a_majority_quorum(self):
         state = _state()
-        snapshot = state.describe()
-        assert snapshot["pending"] == 0
-        assert snapshot["quorum_size"] == 2
+        assert not state._pending
+        assert state.quorum_size == 2
 
 
 class TestCommitRuleProperties:

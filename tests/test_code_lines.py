@@ -55,17 +55,13 @@ def test_an_async_function_docstring_does_not_count():
     assert code_lines.code_lines(source) == 2
 
 
-def test_main_prints_the_total_and_the_largest_files(tmp_path, capsys):
-    (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
-    (tmp_path / "b.py").write_text("z = 3\n")
-    code_lines.main([str(tmp_path), "--top", "1"])
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == f"3 code lines in 2 files under {tmp_path}"
-    assert lines[1:] == ["     2  a.py"]
-
-
-def test_the_default_root_is_the_repository_src(capsys):
-    code_lines.main(["--top", "0"])
-    (line,) = capsys.readouterr().out.splitlines()
-    assert line.endswith(f"files under {_TOOL.parents[1] / 'src'}")
-    assert int(line.split()[0]) > 0
+def test_main_prints_the_src_total_and_its_ten_largest_files(capsys):
+    code_lines.main()
+    header, *rows = capsys.readouterr().out.splitlines()
+    counts = code_lines.count_tree(_TOOL.parents[1] / "src")
+    assert header == (
+        f"{sum(counts.values())} code lines in {len(counts)} files"
+        f" under {_TOOL.parents[1] / 'src'}"
+    )
+    largest = sorted(counts.items(), key=lambda item: -item[1])[:10]
+    assert rows == [f"{lines:6d}  {path}" for path, lines in largest]

@@ -127,12 +127,12 @@ class TestProtocolLatencyDispatch:
     def test_dispatch_matches_specific_functions(self):
         matrix = ec2_latency_matrix(["CA", "VA", "IR"])
         assert protocol_latency("clock-rsm", matrix, 0) == clock_rsm_balanced(matrix, 0)
-        assert protocol_latency("clock-rsm", matrix, 0, balanced=False) == clock_rsm_imbalanced(matrix, 0)
-        assert protocol_latency("paxos", matrix, 2, leader=1) == paxos_latency(matrix, 2, 1)
-        assert protocol_latency("paxos-bcast", matrix, 2, leader=1) == paxos_bcast_latency(matrix, 2, 1)
+        # Paxos's leader is replica 0.
+        assert protocol_latency("paxos", matrix, 2) == paxos_latency(matrix, 2, 0)
+        assert protocol_latency("paxos-bcast", matrix, 2) == paxos_bcast_latency(matrix, 2, 0)
         low, high = mencius_bcast_balanced_bounds(matrix, 1)
+        assert protocol_latency("mencius", matrix, 1) == (low + high) // 2
         assert protocol_latency("mencius-bcast", matrix, 1) == (low + high) // 2
-        assert protocol_latency("mencius-bcast", matrix, 1, balanced=False) == mencius_bcast_imbalanced(matrix, 1)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import pytest
 
@@ -100,17 +100,16 @@ class TestCustomRegistry:
     def test_conflicting_registration_rejected(self):
         registry = MessageRegistry()
 
-        @dataclass(frozen=True)
-        class A:
-            x: int
+        def same():
+            @dataclass(frozen=True)
+            class Same:
+                x: int
 
-        @dataclass(frozen=True)
-        class B:
-            x: int
+            return Same
 
-        registry.register(A, name="same")
-        with pytest.raises(CodecError):
-            registry.register(B, name="same")
+        registry.register(same())
+        with pytest.raises(CodecError, match="'Same' already registered"):
+            registry.register(same())
 
     def test_non_dataclass_rejected(self):
         registry = MessageRegistry()
@@ -124,7 +123,7 @@ class TestCustomRegistry:
         class Record:
             x: int = 0
 
-        registry.register(Record, name="Record")
+        registry.register(Record)
         data = registry.encode(Record(5))
         assert data == b"O\x00\x00" + (5).to_bytes(8, "big")
         assert registry.decode(data) == Record(5)
@@ -143,9 +142,7 @@ class TestCustomRegistry:
             nonce: int
 
         registry.register(Ping)
-        registry.register(Ping)  # again under the same name: nothing happens
-        with pytest.raises(CodecError, match="already registered as 'Ping'"):
-            registry.register(Ping, name="Pong")
+        registry.register(Ping)  # again: nothing happens
         assert list(registry.names()) == ["Ping"]
         assert registry.is_registered(Ping)
 
@@ -160,9 +157,9 @@ class TestCustomRegistry:
         class B:
             x: int
 
-        registry.register(B, name="second")
-        registry.register(A, name="first")
-        assert list(registry.names()) == ["second", "first"]
+        registry.register(B)
+        registry.register(A)
+        assert list(registry.names()) == ["B", "A"]
         assert not registry.is_registered(int)
 
 
@@ -203,22 +200,10 @@ class TestTypeIds:
         assert [line.split()[0] for line in forward["table"]] == [str(i) for i in range(len(forward["table"]))]
 
     def test_the_digest_covers_every_field_form(self):
-        def digest_of(cls):
+        def digest_of(name, form):
             registry = MessageRegistry()
-            registry.register(cls, "Same")
+            registry.register(make_dataclass("Same", [(name, form)], frozen=True))
             return registry.digest()
 
-        @dataclass(frozen=True)
-        class Ints:
-            x: int
-
-        @dataclass(frozen=True)
-        class Strings:
-            x: str
-
-        @dataclass(frozen=True)
-        class Renamed:
-            y: int
-
-        assert digest_of(Ints) == digest_of(Ints)
-        assert len({digest_of(Ints), digest_of(Strings), digest_of(Renamed)}) == 3
+        assert digest_of("x", int) == digest_of("x", int)
+        assert len({digest_of("x", int), digest_of("x", str), digest_of("y", int)}) == 3

@@ -85,13 +85,12 @@ class TestSlotLedger:
         assert [s.slot for s in ledger.pop_executable()] == [0]
         assert list(ledger.pop_executable()) == []
 
-    def test_describe(self):
+    def test_slots_known_out_of_order_stay_undecided(self):
         ledger = SlotLedger(range(3))
         ledger.record_command(4, _cmd(4))
         ledger.record_command(1, _cmd(1))
-        info = ledger.describe()
-        assert info["known_slots"] == 2
-        assert info["undecided"] == 2
+        assert sorted(ledger._slots) == [1, 4]
+        assert not any(state.decided for state in ledger._slots.values())
 
     def test_executed_slots_are_forgotten(self):
         ledger = SlotLedger(range(3))
@@ -102,7 +101,7 @@ class TestSlotLedger:
         ledger.record_command(5, _cmd(5))
         assert [s.slot for s in ledger.pop_executable()] == [0, 1, 2, 3]
         assert ledger.peek(5) is not None
-        assert ledger.describe()["known_slots"] == 1
+        assert len(ledger._slots) == 1
 
     def test_a_message_below_the_frontier_does_not_recreate_its_slot(self):
         ledger = SlotLedger(range(3))
@@ -116,7 +115,7 @@ class TestSlotLedger:
         assert ledger.get(0).decided
         _decide(ledger, 0)
         ledger.mark_skipped(0)
-        assert ledger.describe()["known_slots"] == 0
+        assert not ledger._slots
         assert ledger.get(0).decided
         assert list(ledger.pop_executable()) == []
 

@@ -23,6 +23,7 @@ from repro.errors import TransportError
 from repro.kvstore.commands import encode_put
 from repro.kvstore.kv import KVStateMachine
 from repro.net.message import Envelope, MessageRegistry, global_registry
+from repro.net import tcp
 from repro.net.tcp import (
     HELLO_BYTES, MAX_FRAME_BYTES, READ_BUFFER_BYTES, TcpTransport, encode_frame, encode_hello,
 )  # fmt: skip
@@ -101,9 +102,7 @@ class TestConnectBeforeListen:
         async def scenario():
             port = _free_port()
             addresses = {1: f"127.0.0.1:{port}"}
-            sender = TcpTransport(
-                0, "127.0.0.1:0", addresses, connect_retries=30, connect_backoff_s=0.02
-            )
+            sender = TcpTransport(0, "127.0.0.1:0", addresses, connect_retries=30)
             await sender.start()
             sender.send(Envelope(0, 1, _prepare(0)))  # nobody is listening yet
 
@@ -207,16 +206,18 @@ class TestDuplicateConnectionRace:
 
 
 class TestFifoThroughConnectionSetup:
-    def test_sends_before_during_and_right_after_the_connect_arrive_in_send_order(self):
+    def test_sends_before_during_and_right_after_the_connect_arrive_in_send_order(
+        self, monkeypatch
+    ):
         # Clock-RSM's stability rule needs each channel in send order.  The
         # dangerous instants are the connect's: frames that waited for the
         # connection must leave before any send issued once it exists.
+        # A short backoff keeps the retried connect close to the receiver's start.
+        monkeypatch.setattr(tcp, "CONNECT_BACKOFF_S", 0.005)
+
         async def scenario():
             port = _free_port()
-            sender = TcpTransport(
-                0, "127.0.0.1:0", {1: f"127.0.0.1:{port}"},
-                connect_retries=200, connect_backoff_s=0.005,
-            )  # fmt: skip
+            sender = TcpTransport(0, "127.0.0.1:0", {1: f"127.0.0.1:{port}"}, connect_retries=200)
             receiver = TcpTransport(1, f"127.0.0.1:{port}", {})
             received: list = []
             receiver.set_handler(lambda env: received.append(env.message.command.command_id.seqno))

@@ -610,28 +610,32 @@ class TestLateRegistration:
 
     def test_a_registration_renumbers_and_changes_the_digest(self):
         registry = MessageRegistry()
-        registry.register(_Leafless, "b")
+        registry.register(_Leafless)
         before, digest = registry.encode(_Leafless()), registry.digest()
-        assert before == b"O\x00\x00" and registry.table() == ["0 b()"]
-        registry.register(_Leaf, "a")  # sorts first: the earlier class moves to id 1
+        assert before == b"O\x00\x00" and registry.table() == ["0 _Leafless()"]
+        registry.register(_Leaf)  # sorts first: the earlier class moves to id 1
         assert registry.encode(_Leafless()) == b"O\x00\x01"
-        assert registry.table() == ["0 a(text:str,number:int)", "1 b()"]
+        assert registry.table() == ["0 _Leaf(text:str,number:int)", "1 _Leafless()"]
         assert registry.digest() != digest and len(registry.digest()) == 16
 
-    def test_a_second_name_for_a_class_is_refused(self):
-        @dataclass(frozen=True)
-        class Thing:
-            x: int
+    def test_a_second_class_of_the_same_name_is_refused(self):
+        def thing():
+            @dataclass(frozen=True)
+            class Thing:
+                x: int
 
+            return Thing
+
+        first, second = thing(), thing()
         registry = MessageRegistry()
-        registry.register(Thing, "old")
-        old = registry.encode(Thing(1))
-        with pytest.raises(CodecError, match="already registered as 'old', not 'new'"):
-            registry.register(Thing, "new")
-        assert list(registry.names()) == ["old"]
-        assert registry.table() == ["0 old(x:int)"]
-        assert registry.encode(Thing(1)) == old
-        assert registry.decode(old) == Thing(1)
+        registry.register(first)
+        data = registry.encode(first(1))
+        with pytest.raises(CodecError, match="'Thing' already registered"):
+            registry.register(second)
+        assert list(registry.names()) == ["Thing"]
+        assert registry.table() == ["0 Thing(x:int)"]
+        assert registry.encode(first(1)) == data
+        assert registry.decode(data) == first(1)
 
     def test_registering_again_under_the_same_name_does_nothing(self):
         @dataclass(frozen=True)
@@ -643,7 +647,6 @@ class TestLateRegistration:
         plan = registry._plans[Thing]
         data = registry.encode(Thing(1))
         assert registry.register(Thing) is Thing
-        assert registry.register(Thing, "Thing") is Thing
         assert registry._plans[Thing] is plan and list(registry.names()) == ["Thing"]
         assert registry.encode(Thing(1)) == data
 
@@ -710,8 +713,8 @@ _GENERATED_CLASSES = {
 
 def _registry_and_reference(classes=_GENERATED_CLASSES, max_depth: int = MAX_DEPTH):
     registry = MessageRegistry()
-    for name, cls in classes.items():
-        registry.register(cls, name)
+    for cls in classes.values():
+        registry.register(cls)
     return registry, WireReference(classes, max_depth)
 
 
@@ -745,16 +748,16 @@ class TestGeneratedOnFirstUse:
         assert holder.read.__name__ == holder.write.__name__ == "stub"  # not its turn yet
         assert registry.decode(data) == _Leaf("a", 1)
 
-    def test_a_refused_second_name_leaves_code_that_inlined_the_first_alone(self):
+    def test_a_refused_registration_leaves_the_generated_code_alone(self):
         registry = MessageRegistry()
-        registry.register(_Leaf, "old")
+        registry.register(_Leaf)
         registry.register(_Leafless)
         registry.register(_Holder)
         value = _Holder(_Leaf("a", 1), _Leafless(), b"b", (_Leaf("c", 2),))
-        before = registry.encode(value)  # generated with "old" inlined
+        before = registry.encode(value)  # generated with _Leaf inlined
         with pytest.raises(CodecError):
-            registry.register(_Leaf, "new")
-        reference = WireReference({"old": _Leaf, "_Leafless": _Leafless, "_Holder": _Holder})
+            registry.register(dataclass(frozen=True)(type("_Leaf", (), {})))
+        reference = WireReference({"_Leaf": _Leaf, "_Leafless": _Leafless, "_Holder": _Holder})
         assert registry.encode(value) == reference.encode(value) == before
         assert registry.decode(before) == reference.decode(before) == value
 

@@ -4,18 +4,19 @@ A line counts when it holds a token of code. Blank lines, lines that hold
 only a comment, and the lines of a module, class or function docstring do
 not count. Standard library only (``tokenize`` and ``ast``).
 
-Usage: ``python tools/code_lines.py [ROOT] [--top N]``. ROOT defaults to
-the repository's ``src/``; the report gives the total and the ``N``
-largest files (default 10).
+Usage: ``python tools/code_lines.py``. The report gives the total for the
+repository's ``src/`` and its ten largest files.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import tokenize
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+TOP = 10
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -61,15 +62,10 @@ def count_tree(root: Path) -> dict[Path, int]:
     }
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    default_root = Path(__file__).resolve().parents[1] / "src"
-    parser.add_argument("root", nargs="?", type=Path, default=default_root)
-    parser.add_argument("--top", type=int, default=10, help="largest files to list")
-    args = parser.parse_args(argv)
-    counts = count_tree(args.root)
-    print(f"{sum(counts.values())} code lines in {len(counts)} files under {args.root}")
-    for path, lines in sorted(counts.items(), key=lambda item: -item[1])[: args.top]:
+def main() -> None:
+    counts = count_tree(SRC)
+    print(f"{sum(counts.values())} code lines in {len(counts)} files under {SRC}")
+    for path, lines in sorted(counts.items(), key=lambda item: -item[1])[:TOP]:
         print(f"{lines:6d}  {path}")
 
 
