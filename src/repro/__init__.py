@@ -25,21 +25,64 @@ Quickstart::
     print(client.get("greeting"))
 """
 
-from .config import ClusterSpec, ProtocolConfig, ReplicaSpec
-from .core.protocol import ClockRsmReplica
-from .errors import ReproError
-from .experiment import Deployment, ExperimentResult, ExperimentSpec
-from .net.latency import LatencyMatrix
-from .protocols import (
-    MenciusBcastReplica,
-    MenciusReplica,
-    MultiPaxosReplica,
-    PaxosBcastReplica,
-    create_replica,
+import importlib
+from typing import Any, Callable
+
+
+def _lazy(
+    namespace: dict[str, Any], exports: dict[str, tuple[str, ...]]
+) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a lazy package namespace.
+
+    *exports* maps a submodule (relative to the package, like ``".config"``)
+    to the public names it defines.  A name is imported from its submodule on
+    first access and then bound in *namespace*, so the hook runs once per
+    name; any other name is tried as a submodule (``repro.sim`` after
+    ``import repro``).  Importing the package therefore imports none of its
+    submodules, and a process loads only what it touches.
+    """
+    package = namespace["__name__"]
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = where.get(name)
+        if module is not None:
+            value = getattr(importlib.import_module(module, package), name)
+        else:
+            try:
+                value = importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":
+                    raise
+                raise AttributeError(
+                    f"module {package!r} has no attribute {name!r}"
+                ) from None
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(where))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".config": ("ClusterSpec", "ProtocolConfig", "ReplicaSpec"),
+        ".core.protocol": ("ClockRsmReplica",),
+        ".errors": ("ReproError",),
+        ".experiment": ("Deployment", "ExperimentResult", "ExperimentSpec"),
+        ".net.latency": ("LatencyMatrix",),
+        ".protocols": (
+            "MenciusBcastReplica", "MenciusReplica", "MultiPaxosReplica",
+            "PaxosBcastReplica", "create_replica",
+        ),
+        ".sim.cluster": ("SimulatedCluster",),
+        ".statemachine": ("StateMachine",),
+        ".types": ("Command", "CommandId", "Timestamp"),
+    },
 )
-from .sim.cluster import SimulatedCluster
-from .statemachine import StateMachine
-from .types import Command, CommandId, Timestamp
 
 __version__ = "1.0.0"
 

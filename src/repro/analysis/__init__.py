@@ -8,26 +8,23 @@
   3/5/7-replica EC2 placement (Figure 7 and Table IV).
 """
 
-from .comparison import (
-    GroupComparison,
-    ReductionSummary,
-    aggregate_reduction,
-    average_latency_by_group_size,
-    compare_group,
-    enumerate_groups,
-)
-from .ec2 import EC2_RTT_MS, EC2_SITES, ec2_latency_matrix
-from .latency_model import (
-    clock_rsm_balanced,
-    clock_rsm_imbalanced,
-    clock_rsm_light_imbalanced,
-    max_delay,
-    median_delay,
-    mencius_bcast_balanced_bounds,
-    mencius_bcast_imbalanced,
-    paxos_bcast_latency,
-    paxos_latency,
-    protocol_latency,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".comparison": (
+            "GroupComparison", "ReductionSummary", "aggregate_reduction",
+            "average_latency_by_group_size", "compare_group", "enumerate_groups",
+        ),
+        ".ec2": ("EC2_RTT_MS", "EC2_SITES", "ec2_latency_matrix"),
+        ".latency_model": (
+            "clock_rsm_balanced", "clock_rsm_imbalanced", "clock_rsm_light_imbalanced",
+            "max_delay", "median_delay", "mencius_bcast_balanced_bounds",
+            "mencius_bcast_imbalanced", "paxos_bcast_latency", "paxos_latency",
+            "protocol_latency",
+        ),
+    },
 )
 
 __all__ = [

@@ -9,7 +9,14 @@ which paper figure").  :func:`~repro.bench.reporting.format_table` renders
 both, and the CLI's tables.
 """
 
-from .numerical import figure7_data, table2_rows, table4_rows
-from .reporting import format_table
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".numerical": ("figure7_data", "table2_rows", "table4_rows"),
+        ".reporting": ("format_table",),
+    },
+)
 
 __all__ = ["figure7_data", "table2_rows", "table4_rows", "format_table"]

@@ -17,8 +17,15 @@ experiment layer depends on the checker, never the reverse.  To run a spec
 and check its history in one call, use :func:`repro.experiment.check.check_spec`.
 """
 
-from .history import HistoryRecorder, OpHistory, OpRecord
-from .linearizability import CheckReport, CheckerError, check_history
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".history": ("HistoryRecorder", "OpHistory", "OpRecord"),
+        ".linearizability": ("CheckReport", "CheckerError", "check_history"),
+    },
+)
 
 __all__ = [
     "CheckReport",

@@ -195,9 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("spec", help="path to an ExperimentSpec file")
     run.add_argument("--backend", default="sim", choices=sorted(BACKENDS),
                      help="experiment backend (see the listing below)")
-    run.add_argument("--time-scale", type=float, default=20.0,
+    run.add_argument("--time-scale", type=float, default=1.0,
                      help="async/proc backends: divide delays and durations "
-                          "by this factor")
+                          "by this factor (default 1: the spec's own time, "
+                          "so latencies compare with sim)")
     run.add_argument("--batch", type=int, default=None,
                      help="override the spec's [batching] max_batch "
                           "(commands agreed on per protocol round; 1 disables)")
@@ -216,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="backend(s) to run the spec on before checking")
     check.add_argument("--time-scale", type=float, default=20.0,
                        help="async/proc backends: divide delays and durations "
-                            "by this factor")
+                            "by this factor (default 20: a check verifies "
+                            "order, not latency)")
     check.add_argument("--submit-timeout", type=float, default=5.0,
                        help="async/proc backends: per-command commit timeout "
                             "in seconds")

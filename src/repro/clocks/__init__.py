@@ -16,8 +16,15 @@ This package provides:
   the asyncio runtime.
 """
 
-from .base import Clock, MonotonicTimestampSource, TimeSource
-from .physical import DriftingClock, SkewedClock, SystemClock
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".base": ("Clock", "MonotonicTimestampSource", "TimeSource"),
+        ".physical": ("DriftingClock", "SkewedClock", "SystemClock"),
+    },
+)
 
 __all__ = [
     "Clock",

@@ -8,15 +8,16 @@ plus a small manager that multiplexes many instances (one per epoch) over a
 replica's message stream.
 """
 
-from .single_paxos import (
-    ConsensusDecision,
-    InstanceManager,
-    PaxosInstance,
-    PaxosLearn,
-    PaxosP1a,
-    PaxosP1b,
-    PaxosP2a,
-    PaxosP2b,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".single_paxos": (
+            "ConsensusDecision", "InstanceManager", "PaxosInstance", "PaxosLearn",
+            "PaxosP1a", "PaxosP1b", "PaxosP2a", "PaxosP2b",
+        ),
+    },
 )
 
 __all__ = [

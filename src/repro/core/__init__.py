@@ -10,20 +10,20 @@
 * :mod:`repro.core.recovery` — log replay and reintegration.
 """
 
-from .messages import (
-    ClockTime,
-    CommitRecord,
-    Prepare,
-    PrepareOk,
-    PrepareRecord,
-    RetrieveCmds,
-    RetrieveReply,
-    Suspend,
-    SuspendOk,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".messages": (
+            "ClockTime", "CommitRecord", "Prepare", "PrepareOk", "PrepareRecord",
+            "RetrieveCmds", "RetrieveReply", "Suspend", "SuspendOk",
+        ),
+        ".protocol": ("ClockRsmReplica",),
+        ".recovery": ("RecoveredState", "replay_log"),
+        ".state": ("ClockRsmState", "CommitStatus", "PendingCommand"),
+    },
 )
-from .protocol import ClockRsmReplica
-from .recovery import RecoveredState, replay_log
-from .state import ClockRsmState, CommitStatus, PendingCommand
 
 __all__ = [
     "Prepare",

@@ -51,6 +51,7 @@ from .messages import (
     SuspendOk,
 )
 from .reconfig import ReconfigurationManager
+from .recovery import replay_log
 from .state import ClockRsmState, PendingCommand
 
 _LOGGER = logging.getLogger(__name__)
@@ -104,8 +105,6 @@ class ClockRsmReplica(Replica):
 
     def _recover_from_log(self) -> None:
         """Replay the stable log into the state machine (Section V-B)."""
-        from .recovery import replay_log
-
         recovered = replay_log(self.log)
         for record in recovered.executed:
             self.execute_unit(record.command)

@@ -18,21 +18,20 @@ Example::
     print(result.mean_ms("CA"))
 """
 
-from .check import CheckedRun, check_spec
-from .deployment import BACKENDS, Deployment, run_comparison, run_spec
-from .result import ExperimentResult, SiteResult
-from .spec import (
-    APPS,
-    CLOCK_KINDS,
-    FAULT_KINDS,
-    SCENARIOS,
-    BatchingSpec,
-    ClockSpec,
-    CpuSpec,
-    ExperimentSpec,
-    FaultSpec,
-    ProcessesSpec,
-    WorkloadSpec,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".check": ("CheckedRun", "check_spec"),
+        ".deployment": ("BACKENDS", "Deployment", "run_comparison", "run_spec"),
+        ".result": ("ExperimentResult", "SiteResult"),
+        ".spec": (
+            "APPS", "CLOCK_KINDS", "FAULT_KINDS", "SCENARIOS", "BatchingSpec",
+            "ClockSpec", "CpuSpec", "ExperimentSpec", "FaultSpec", "ProcessesSpec",
+            "WorkloadSpec",
+        ),
+    },
 )
 
 __all__ = [

@@ -24,17 +24,18 @@ its own scheduling jitter (the result's metadata records
 from __future__ import annotations
 
 import asyncio
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from ..net.latency import LatencyMatrix
 from ..runtime.local import LocalAsyncCluster
-from ..sim.failures import FailureSchedule
 from ..types import ReplicaId, micros_to_seconds
 from ..workload.apps import state_machine_factory
-from ..workload.live import LiveClients
-from .result import ExperimentResult, build_result, split_metrics
 from .spec import ExperimentSpec
 from .walltime import clock_factory, scaled_batching, scaled_protocol_config
+
+if TYPE_CHECKING:
+    from .result import ExperimentResult
 
 #: Fault kinds this backend knows how to inject.  Kinds outside this set are
 #: a configuration error, so new FAULT_KINDS entries can never be silently
@@ -111,6 +112,13 @@ class AsyncBackend:
         return asyncio.run(self._run(spec))
 
     async def _run(self, spec: ExperimentSpec) -> ExperimentResult:
+        # What only a whole run uses (the workload, the fault schedule, the
+        # result) is imported here, before the cluster starts: building a
+        # cluster does not load it, and nothing is imported inside the run.
+        from ..sim.failures import FailureSchedule
+        from ..workload.live import LiveClients
+        from .result import build_result, split_metrics
+
         cluster = self.build_cluster(spec)  # validates backend support
         loop = asyncio.get_running_loop()
         clients = LiveClients(spec, self.time_scale, self.submit_timeout)

@@ -20,15 +20,28 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError
-from .async_backend import AsyncBackend
 from .result import ExperimentResult
-from .sim_backend import SimBackend
 from .spec import ExperimentSpec
+
+# Each backend is imported when a deployment first asks for it: a simulator
+# run never loads the asyncio runtime, a live run never loads the simulator,
+# and repro.launch builds on this package, so importing it at the top of
+# this module would be circular.
+
+
+def _sim_backend(**options: Any) -> Any:
+    from .sim_backend import SimBackend
+
+    return SimBackend(**options)
+
+
+def _async_backend(**options: Any) -> Any:
+    from .async_backend import AsyncBackend
+
+    return AsyncBackend(**options)
 
 
 def _process_backend(**options: Any) -> Any:
-    # Imported lazily: repro.launch builds on this package, so a top-level
-    # import here would be circular — and most runs never spawn processes.
     from ..launch.backend import ProcessBackend
 
     return ProcessBackend(**options)
@@ -36,8 +49,8 @@ def _process_backend(**options: Any) -> Any:
 
 #: Backend name -> factory; factories accept backend-specific options.
 BACKENDS: dict[str, Callable[..., Any]] = {
-    SimBackend.name: SimBackend,
-    AsyncBackend.name: AsyncBackend,
+    "sim": _sim_backend,
+    "async": _async_backend,
     "proc": _process_backend,
 }
 

@@ -6,9 +6,19 @@ state machine, the command encoding, and client helpers for both the
 simulator and the asyncio runtime.
 """
 
-from .commands import KvOp, decode_op, encode_delete, encode_get, encode_put, random_update
-from .kv import KVStateMachine
-from .client import SimKVClient
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".commands": (
+            "KvOp", "decode_op", "encode_delete", "encode_get", "encode_put",
+            "random_update",
+        ),
+        ".kv": ("KVStateMachine",),
+        ".client": ("SimKVClient",),
+    },
+)
 
 __all__ = [
     "KvOp",

@@ -19,7 +19,14 @@
   payloads to the uniform :class:`~repro.experiment.result.ExperimentResult`.
 """
 
-from .backend import ProcessBackend
-from .supervisor import Supervisor
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".backend": ("ProcessBackend",),
+        ".supervisor": ("Supervisor",),
+    },
+)
 
 __all__ = ["ProcessBackend", "Supervisor"]

@@ -1,7 +1,14 @@
 """Measurement utilities: latency collection, statistics, CDFs."""
 
-from .collector import LatencyCollector
-from .stats import LatencySummary, cdf_points, percentile, summarize_micros
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".collector": ("LatencyCollector",),
+        ".stats": ("LatencySummary", "cdf_points", "percentile", "summarize_micros"),
+    },
+)
 
 __all__ = [
     "LatencyCollector",

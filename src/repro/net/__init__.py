@@ -16,10 +16,19 @@ their messages between replicas:
   implementation; :mod:`repro.net.tcp` adds an asyncio TCP transport.
 """
 
-from .latency import LatencyMatrix
-from .message import Envelope, MessageRegistry, global_registry, register_message
-from .transport import InMemoryNetwork, InMemoryTransport, Transport
-from .wire import WireDecoder, WireEncoder, decode, encode
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".latency": ("LatencyMatrix",),
+        ".message": (
+            "Envelope", "MessageRegistry", "global_registry", "register_message",
+        ),
+        ".transport": ("InMemoryNetwork", "InMemoryTransport", "Transport"),
+        ".wire": ("WireDecoder", "WireEncoder", "decode", "encode"),
+    },
+)
 
 __all__ = [
     "LatencyMatrix",

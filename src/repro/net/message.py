@@ -7,6 +7,12 @@ wire layout (:class:`~repro.net.wire.ObjectPlan`) and refuses a class it
 cannot compile.  It is done with the
 :func:`register_message` decorator; the protocols register all their message
 types at import time.
+
+A process imports only the protocol it runs, yet type ids are positions in
+the sorted table and the TCP hello compares table digests, so
+:data:`global_registry` imports every message-defining module on its first
+use (:func:`_message_modules`): its table is whole whatever the process
+imported before.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Type, TypeVar
+from types import ModuleType
+from typing import Any, Callable, Iterator, Optional, Type, TypeVar
 
 from ..errors import CodecError
 from ..types import ReplicaId
@@ -34,9 +41,14 @@ class MessageRegistry:
     :meth:`digest` covers the whole table — names, ids and every field's
     form — so peers can check they speak the same wire before exchanging
     messages (the TCP transport's hello does).
+
+    *load*, if given, is called once, before the first use of the table or
+    the codec (every method but :meth:`register`), to import the modules
+    whose classes register themselves here.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, load: Optional[Callable[[], Any]] = None) -> None:
+        self._load = load
         # The codec is compiled: one ObjectPlan per registered class, found by
         # the class on encode and by its type id on decode; its reader and
         # writer are generated when the class is first coded.  The codec
@@ -46,9 +58,9 @@ class MessageRegistry:
         self._ids: dict[int, ObjectPlan] = {}
         self._digest: Optional[bytes] = None
         # Reusing the encoder keeps its internal bytearray warm across
-        # frames, which makes ``encode``/``encode_many`` single-threaded
-        # (like the event loop that calls them); the ``*_into`` variants and
-        # the decoder only touch caller-owned state and are reentrant.
+        # frames, which makes ``encode`` single-threaded (like the event
+        # loop that calls it); the ``*_into`` variants and the decoder only
+        # touch caller-owned state and are reentrant.
         self._encoder = WireEncoder(plans=self._plans)
         self._decoder = WireDecoder(plans=self._ids)
 
@@ -80,8 +92,15 @@ class MessageRegistry:
         self._digest = None
         return cls
 
+    def _complete(self) -> None:
+        # Cleared first: the modules it imports call register().
+        load, self._load = self._load, None
+        load()
+
     def table(self) -> list[str]:
         """One line per class in type-id order: ``<id> <name>(<field>:<form>,...)``."""
+        if self._load is not None:
+            self._complete()
         return [f"{type_id} {plan.signature()}" for type_id, plan in sorted(self._ids.items())]
 
     def digest(self) -> bytes:
@@ -93,27 +112,33 @@ class MessageRegistry:
 
     def names(self) -> Iterator[str]:
         """Registered names, in registration order."""
+        if self._load is not None:
+            self._complete()
         return (plan.name for plan in self._plans.values())
 
     def is_registered(self, cls: type) -> bool:
+        if self._load is not None:
+            self._complete()
         return cls in self._plans
 
     # -- public encode/decode ----------------------------------------------
 
     def encode(self, value: Any) -> bytes:
         """Encode a value that may contain registered message instances."""
+        if self._load is not None:
+            self._complete()
         return self._encoder.encode(value)
 
     def decode(self, data: Any) -> Any:
         """Decode wire bytes produced by :meth:`encode` (any bytes-like)."""
+        if self._load is not None:
+            self._complete()
         return self._decoder.decode(data)
 
-    def encode_many(self, values: Any) -> bytes:
-        """Encode an iterable of values as one concatenated stream."""
-        return self._encoder.encode_many(values)
-
     def decode_many(self, data: Any) -> list[Any]:
-        """Decode a concatenated stream produced by :meth:`encode_many`."""
+        """Decode a concatenated stream produced by :meth:`encode_many_into`."""
+        if self._load is not None:
+            self._complete()
         return self._decoder.decode_many(data)
 
     def encode_into(self, buf: bytearray, value: Any) -> int:
@@ -123,15 +148,32 @@ class MessageRegistry:
         prefix in *buf* and encode the body directly after it, with no
         intermediate ``bytes`` object.
         """
+        if self._load is not None:
+            self._complete()
         return self._encoder.encode_into(buf, value)
 
     def encode_many_into(self, buf: bytearray, values: Any) -> int:
         """Append a concatenated value stream to *buf*; returns bytes written."""
+        if self._load is not None:
+            self._complete()
         return self._encoder.encode_many_into(buf, values)
 
 
-#: The library-wide registry used by the default transport.
-global_registry = MessageRegistry()
+def _message_modules() -> tuple[ModuleType, ...]:
+    """Import every module that registers message classes here (one each).
+
+    Clock-RSM's messages with its reconfiguration and consensus, the command
+    units, and the baselines' messages: the whole table a peer may speak.
+    """
+    from ..consensus import single_paxos
+    from ..core import messages, reconfig
+    from ..protocols import mencius, multipaxos, records
+
+    return (messages, reconfig, single_paxos, records, multipaxos, mencius)
+
+
+#: The library-wide registry used by the default transport; whole on first use.
+global_registry = MessageRegistry(load=_message_modules)
 
 
 def register_message(cls: Type[T]) -> Type[T]:

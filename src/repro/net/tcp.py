@@ -11,7 +11,7 @@ of two forms —
 * **single**: the registry-encoded envelope payload
   ``{"src": int, "dst": int, "message": obj}`` (one protocol message);
 * **batch**: a concatenated value stream (see
-  :meth:`~repro.net.message.MessageRegistry.encode_many`) whose first value
+  :meth:`~repro.net.message.MessageRegistry.encode_many_into`) whose first value
   is the header ``{"src": int, "dst": int, "batch": n}`` followed by the
   ``n`` message values — one TCP write, one length prefix, ``n`` messages.
 
@@ -379,6 +379,9 @@ class TcpTransport(Transport):
         """Start listening for inbound peer connections (idempotent)."""
         if self._server is not None:
             return
+        # Every connection opens with the digest of the whole message table;
+        # computing it here imports what it covers before any run starts.
+        self._registry.digest()
         self._stopped = False
         self._server = await asyncio.get_running_loop().create_server(
             self._accept, self._listen_host, self._listen_port

@@ -506,22 +506,6 @@ class WireEncoder:
         self._write(buf, value)
         return bytes(buf)
 
-    def encode_many(self, values: Any) -> bytes:
-        """Encode an iterable of values as a concatenated stream.
-
-        The stream has no outer container: each value is self-delimiting, so
-        decoding with :meth:`WireDecoder.decode_many` recovers the sequence.
-        Multi-message envelopes (one TCP frame carrying a whole batch) are
-        framed this way — one length prefix for the frame, zero per-message
-        framing overhead beyond the values themselves.
-        """
-        buf = self._buf
-        del buf[:]
-        write = self._write
-        for value in values:
-            write(buf, value)
-        return bytes(buf)
-
     def encode_into(self, buf: bytearray, value: Any) -> int:
         """Append the encoding of *value* to *buf*; returns bytes written.
 
@@ -535,7 +519,14 @@ class WireEncoder:
         return len(buf) - start
 
     def encode_many_into(self, buf: bytearray, values: Any) -> int:
-        """Append a concatenated value stream to *buf*; returns bytes written."""
+        """Append a concatenated value stream to *buf*; returns bytes written.
+
+        The stream has no outer container: each value is self-delimiting, so
+        decoding with :meth:`WireDecoder.decode_many` recovers the sequence.
+        Multi-message envelopes (one TCP frame carrying a whole batch) are
+        framed this way — one length prefix for the frame, zero per-message
+        framing overhead beyond the values themselves.
+        """
         start = len(buf)
         write = self._write
         for value in values:
@@ -664,7 +655,7 @@ class WireDecoder:
         return value
 
     def decode_many(self, data: Any) -> list[Any]:
-        """Decode a concatenated stream of values (see ``encode_many``).
+        """Decode a concatenated stream of values (see ``encode_many_into``).
 
         Values are self-delimiting, so the decoder reads until the buffer is
         exhausted; a truncated final value raises
@@ -832,11 +823,6 @@ def decode(data: Any) -> Any:
     return WireDecoder().decode(data)
 
 
-def encode_many(values: Any) -> bytes:
-    """Encode an iterable of primitive-typed values as one stream."""
-    return WireEncoder().encode_many(values)
-
-
 def decode_many(data: Any) -> list[Any]:
     """Decode a stream of concatenated primitive-typed values."""
     return WireDecoder().decode_many(data)
@@ -849,7 +835,6 @@ __all__ = [
     "WireDecoder",
     "encode",
     "decode",
-    "encode_many",
     "decode_many",
     "declared_as_tuple",
 ]

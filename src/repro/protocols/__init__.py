@@ -19,21 +19,22 @@ Implemented protocols:
   broadcast acknowledgements (the paper's latency-optimized baseline).
 """
 
-from .base import (
-    Action,
-    Broadcast,
-    ClientReply,
-    ProtocolName,
-    Replica,
-    Send,
-    SetTimer,
-    Timer,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".base": (
+            "Action", "Broadcast", "ClientReply", "ProtocolName", "Replica", "Send",
+            "SetTimer", "Timer",
+        ),
+        ".mencius": ("MenciusReplica",),
+        ".mencius_bcast": ("MenciusBcastReplica",),
+        ".multipaxos": ("MultiPaxosReplica",),
+        ".paxos_bcast": ("PaxosBcastReplica",),
+        ".registry": ("PROTOCOLS", "create_replica"),
+    },
 )
-from .mencius import MenciusReplica
-from .mencius_bcast import MenciusBcastReplica
-from .multipaxos import MultiPaxosReplica
-from .paxos_bcast import PaxosBcastReplica
-from .registry import PROTOCOLS, create_replica
 
 __all__ = [
     "Action",

@@ -15,16 +15,12 @@ experiment specifications before anything is deployed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Type
+from typing import Any, Callable, Type
 
 from ..config import ClusterSpec
 from ..errors import ConfigurationError
 from ..types import ReplicaId
 from .base import CLOCK_RSM, MENCIUS, MENCIUS_BCAST, PAXOS, PAXOS_BCAST, Replica
-from .mencius import MenciusReplica
-from .mencius_bcast import MenciusBcastReplica
-from .multipaxos import MultiPaxosReplica
-from .paxos_bcast import PaxosBcastReplica
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,21 +56,47 @@ class ProtocolCapabilities:
     batching: bool = True
 
 
-def _clock_rsm_class() -> Type[Replica]:
-    # Imported lazily to keep repro.core and repro.protocols decoupled at
-    # import time (repro.core depends on repro.protocols.base).
+# One loader per protocol: a process imports the protocol it runs and no
+# other, so validating a spec (CAPABILITIES) imports none of them.
+
+
+def _clock_rsm() -> Type[Replica]:
     from ..core.protocol import ClockRsmReplica
 
     return ClockRsmReplica
 
 
-#: Mapping of protocol name to replica class (Clock-RSM resolved lazily).
-PROTOCOLS: dict[str, Any] = {
-    CLOCK_RSM: _clock_rsm_class,
-    PAXOS: MultiPaxosReplica,
-    PAXOS_BCAST: PaxosBcastReplica,
-    MENCIUS: MenciusReplica,
-    MENCIUS_BCAST: MenciusBcastReplica,
+def _paxos() -> Type[Replica]:
+    from .multipaxos import MultiPaxosReplica
+
+    return MultiPaxosReplica
+
+
+def _paxos_bcast() -> Type[Replica]:
+    from .paxos_bcast import PaxosBcastReplica
+
+    return PaxosBcastReplica
+
+
+def _mencius() -> Type[Replica]:
+    from .mencius import MenciusReplica
+
+    return MenciusReplica
+
+
+def _mencius_bcast() -> Type[Replica]:
+    from .mencius_bcast import MenciusBcastReplica
+
+    return MenciusBcastReplica
+
+
+#: Protocol name -> a loader that imports and returns its replica class.
+PROTOCOLS: dict[str, Callable[[], Type[Replica]]] = {
+    CLOCK_RSM: _clock_rsm,
+    PAXOS: _paxos,
+    PAXOS_BCAST: _paxos_bcast,
+    MENCIUS: _mencius,
+    MENCIUS_BCAST: _mencius_bcast,
 }
 
 #: Capability metadata per protocol, keyed like :data:`PROTOCOLS`.
@@ -156,14 +178,12 @@ def protocol_capabilities(name: str) -> ProtocolCapabilities:
 
 def protocol_class(name: str) -> Type[Replica]:
     """Resolve a protocol name to its replica class."""
-    entry = PROTOCOLS.get(name)
-    if entry is None:
+    load = PROTOCOLS.get(name)
+    if load is None:
         raise ConfigurationError(
             f"unknown protocol {name!r}; available: {sorted(PROTOCOLS)}"
         )
-    if entry is _clock_rsm_class:
-        return _clock_rsm_class()
-    return entry
+    return load()
 
 
 def create_replica(

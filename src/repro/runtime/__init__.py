@@ -15,10 +15,17 @@ this package runs the very same protocol objects as live asyncio services:
   "geo-replicated" store live.
 """
 
-from .client import ReplicatedKVClient
-from .driver import AsyncReplicaDriver
-from .local import LocalAsyncCluster
-from .server import ReplicaServer
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".client": ("ReplicatedKVClient",),
+        ".driver": ("AsyncReplicaDriver",),
+        ".local": ("LocalAsyncCluster",),
+        ".server": ("ReplicaServer",),
+    },
+)
 
 __all__ = [
     "AsyncReplicaDriver",

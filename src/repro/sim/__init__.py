@@ -19,11 +19,18 @@ simulation (see docs/ARCHITECTURE.md, "Backends"):
 * :mod:`repro.sim.failures` — crash/recovery/partition fault injection.
 """
 
-from .cluster import ReplyEvent, SimulatedCluster
-from .environment import SimulationEnvironment
-from .network import NetworkOptions, SimulatedNetwork
-from .node import CpuModel, SimulatedNode
-from .scheduler import EventScheduler, LoopTimer, ScheduledEvent, Timer
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".cluster": ("ReplyEvent", "SimulatedCluster"),
+        ".environment": ("SimulationEnvironment",),
+        ".network": ("NetworkOptions", "SimulatedNetwork"),
+        ".node": ("CpuModel", "SimulatedNode"),
+        ".scheduler": ("EventScheduler", "LoopTimer", "ScheduledEvent", "Timer"),
+    },
+)
 
 __all__ = [
     "EventScheduler",

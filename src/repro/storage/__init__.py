@@ -8,8 +8,15 @@ throughput runs to keep the disk out of the measurement; the log survives a
 simulated crash, and recovery replays it.
 """
 
-from .log import LogRecord
-from .memory_log import InMemoryLog
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".log": ("LogRecord",),
+        ".memory_log": ("InMemoryLog",),
+    },
+)
 
 __all__ = [
     "LogRecord",

@@ -7,6 +7,13 @@ commands that the CPU becomes the bottleneck.  The generators here reproduce
 both setups on top of a :class:`~repro.sim.cluster.SimulatedCluster`.
 """
 
-from .generator import ClosedLoopClients, SaturatingClients
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy(
+    globals(),
+    {
+        ".generator": ("ClosedLoopClients", "SaturatingClients"),
+    },
+)
 
 __all__ = ["ClosedLoopClients", "SaturatingClients"]

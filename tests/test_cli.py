@@ -12,6 +12,22 @@ from repro.cli import build_parser, main
 from repro.experiment import ExperimentSpec, WorkloadSpec
 
 PAPER_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs" / "paper"
+GOLDENS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
+#: How far an ``async`` run's per-site mean may sit from the ``sim`` golden.
+#: The live loop adds its own scheduling delay; a run compressed by a
+#: time scale multiplies that delay (2-3x the golden at 20).
+ASYNC_MEAN_BAND = 0.15
+
+
+def _golden_means(figure: str, protocol: str) -> dict[str, float]:
+    """Per-site mean_ms of *protocol* in a committed figure golden."""
+    means = {}
+    for line in (GOLDENS / f"{figure}.txt").read_text().splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if cells[0] == protocol:
+            means[cells[1]] = float(cells[2])
+    return means
 
 
 class TestParser:
@@ -111,3 +127,20 @@ class TestCommands:
         assert float(sg_row.split(" | ")[2]) > 0
         assert ca_row.split(" | ")[1].strip() == "0"
         assert ca_row.split(" | ")[2].strip() == ""
+
+    def test_run_on_async_measures_the_spec_in_real_time_by_default(self, capsys, tmp_path):
+        # Figure 1's Clock-RSM cell, shortened: with no --time-scale, the
+        # async backend runs the spec's own delays and CLOCKTIME interval,
+        # so every site's mean is the simulator's, up to loop overhead.
+        spec = ExperimentSpec.from_file(PAPER_SPECS / "fig1_balanced_5_leader_CA.toml")
+        short = replace(spec.with_protocol("clock-rsm"), duration_s=1.5, warmup_s=0.5)
+        path = tmp_path / "fig1_clock_rsm.json"
+        path.write_text(json.dumps(short.to_dict()))
+        assert main(["run", str(path), "--backend", "async", "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        golden = _golden_means("fig1_balanced_5_leader_CA", "clock-rsm")
+        measured = {site: data["latency"]["mean_ms"] for site, data in result["sites"].items()}
+        assert sorted(measured) == sorted(golden)
+        for site, mean in golden.items():
+            assert abs(measured[site] - mean) <= ASYNC_MEAN_BAND * mean, (site, measured, golden)
+        assert result["metadata"]["time_scale"] == 1

@@ -17,6 +17,7 @@ from repro.net.wire import encode
 from repro.protocols.multipaxos import CommitSlot, Forward, Phase2a, Phase2b
 from repro.protocols.mencius import MenciusAck, MenciusCommit, SkipAnnounce, Suggest
 from repro.types import Command, CommandId, Timestamp
+from tests.wire_reference import library_classes
 
 
 def _command(seq: int = 1, payload: bytes = b"payload") -> Command:
@@ -182,22 +183,49 @@ _PROTOCOL_MODULES = [
 ]
 
 
+# A process that imports only the TCP transport and builds one Clock-RSM
+# server on it (through the lazy package namespaces): it never imports a
+# baseline protocol, yet its table must be the whole one.
+_TCP_SERVER_PROBE = """
+import json
+import repro.net.tcp
+
+spec = repro.config.ClusterSpec.from_sites(["CA", "VA", "IR"])
+repro.runtime.server.ReplicaServer(
+    "clock-rsm", 0, spec, repro.statemachine.NullStateMachine(),
+    transport=repro.net.tcp.TcpTransport(0, "127.0.0.1:0", {}),
+)
+registry = repro.net.message.global_registry
+print(json.dumps({"table": registry.table(), "digest": registry.digest().hex()}))
+"""
+
+
+def _probe(script: str, *args: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    ).stdout
+    return json.loads(out)
+
+
 class TestTypeIds:
     def test_another_import_order_gives_the_same_ids_and_digest(self):
         # Type ids come from the sorted table, never from import order: a
         # process importing the protocol modules the other way round agrees.
-        def probe(modules):
-            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-            out = subprocess.run(
-                [sys.executable, "-c", _TABLE_PROBE, *modules],
-                capture_output=True, text=True, env=env, check=True, timeout=120,
-            ).stdout
-            return json.loads(out)
-
-        forward, backward = probe(_PROTOCOL_MODULES), probe(_PROTOCOL_MODULES[::-1])
+        forward = _probe(_TABLE_PROBE, *_PROTOCOL_MODULES)
+        backward = _probe(_TABLE_PROBE, *_PROTOCOL_MODULES[::-1])
         assert forward == backward
         assert forward == {"table": global_registry.table(), "digest": global_registry.digest().hex()}
         assert [line.split()[0] for line in forward["table"]] == [str(i) for i in range(len(forward["table"]))]
+
+    def test_a_clock_rsm_server_on_tcp_speaks_the_whole_table(self):
+        # The global registry imports every message-defining module on first
+        # use, so a process that loaded one protocol has the table (type ids
+        # and hello digest) of a process that loaded them all.
+        everything = _probe(_TABLE_PROBE, *_PROTOCOL_MODULES)
+        assert _probe(_TCP_SERVER_PROBE) == everything
+        assert len(everything["table"]) == len(library_classes())
 
     def test_the_digest_covers_every_field_form(self):
         def digest_of(name, form):

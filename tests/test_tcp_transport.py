@@ -383,8 +383,10 @@ class TestStopEndsEverythingItStarted:
 
 def _framed(*values) -> bytes:
     """A length prefix, then *values* as one registry value stream."""
-    body = global_registry.encode_many(values)
-    return struct.pack(">I", len(body)) + body
+    frame = bytearray(4)
+    size = global_registry.encode_many_into(frame, values)
+    frame[:4] = struct.pack(">I", size)
+    return bytes(frame)
 
 
 class TestMalformedFrames:

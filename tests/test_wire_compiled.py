@@ -40,6 +40,13 @@ CLASSES: dict[str, type] = library_classes()
 REFERENCE = WireReference(CLASSES)
 
 
+def encode_stream(values) -> bytes:
+    """*values* as one registry value stream (a batch frame's body)."""
+    buf = bytearray()
+    global_registry.encode_many_into(buf, values)
+    return bytes(buf)
+
+
 def outcome(fn, *args):
     """``("ok", repr)`` or ``("error",)``; anything but ``CodecError`` escapes.
 
@@ -260,7 +267,6 @@ class TestByteIdentity:
     @given(st.lists(any_value, max_size=4))
     def test_encode_many_matches_reference(self, values):
         expected = REFERENCE.encode_many(values)
-        assert global_registry.encode_many(values) == expected
         buf = bytearray(b"head")
         assert global_registry.encode_many_into(buf, iter(values)) == len(expected)
         assert bytes(buf) == b"head" + expected
@@ -283,7 +289,7 @@ class TestRoundTrip:
 
     @given(st.lists(any_message, max_size=4))
     def test_stream_round_trip(self, values):
-        assert global_registry.decode_many(global_registry.encode_many(values)) == values
+        assert global_registry.decode_many(encode_stream(values)) == values
 
     @given(any_message)
     def test_any_bytes_like_is_accepted(self, value):
@@ -336,7 +342,7 @@ class TestMalformedInputParity:
 
     @given(st.lists(any_message, min_size=1, max_size=3), st.integers(min_value=0), st.integers(1, 255))
     def test_corrupted_streams(self, values, index, delta):
-        data = bytearray(global_registry.encode_many(values))
+        data = bytearray(encode_stream(values))
         pos = index % len(data)
         data[pos] = (data[pos] + delta) % 256
         assert outcome(global_registry.decode_many, bytes(data)) == outcome(
