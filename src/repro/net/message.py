@@ -9,10 +9,11 @@ cannot compile.  It is done with the
 types at import time.
 
 A process imports only the protocol it runs, yet type ids are positions in
-the sorted table and the TCP hello compares table digests, so
-:data:`global_registry` imports every message-defining module on its first
-use (:func:`_message_modules`): its table is whole whatever the process
-imported before.
+the sorted table and the TCP hello compares table digests, so the first
+:meth:`~MessageRegistry.table` (which :meth:`~MessageRegistry.digest` reads)
+imports every message-defining module (:func:`_message_modules`): the table
+is whole whatever the process imported before.  Every TCP connection reads
+the digest before it encodes or decodes a frame.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Any, Callable, Iterator, Optional, Type, TypeVar
+from typing import Any, Iterator, Optional, Type, TypeVar
 
 from ..errors import CodecError
 from ..types import ReplicaId
@@ -41,14 +42,11 @@ class MessageRegistry:
     :meth:`digest` covers the whole table — names, ids and every field's
     form — so peers can check they speak the same wire before exchanging
     messages (the TCP transport's hello does).
-
-    *load*, if given, is called once, before the first use of the table or
-    the codec (every method but :meth:`register`), to import the modules
-    whose classes register themselves here.
     """
 
-    def __init__(self, load: Optional[Callable[[], Any]] = None) -> None:
-        self._load = load
+    def __init__(self) -> None:
+        # Set once every message-defining module is imported (see table()).
+        self._whole = False
         # The codec is compiled: one ObjectPlan per registered class, found by
         # the class on encode and by its type id on decode; its reader and
         # writer are generated when the class is first coded.  The codec
@@ -92,15 +90,15 @@ class MessageRegistry:
         self._digest = None
         return cls
 
-    def _complete(self) -> None:
-        # Cleared first: the modules it imports call register().
-        load, self._load = self._load, None
-        load()
-
     def table(self) -> list[str]:
-        """One line per class in type-id order: ``<id> <name>(<field>:<form>,...)``."""
-        if self._load is not None:
-            self._complete()
+        """One line per class in type-id order: ``<id> <name>(<field>:<form>,...)``.
+
+        The first call imports every message-defining module, so the table of
+        :data:`global_registry` is whole; it leaves another registry's as is.
+        """
+        if not self._whole:
+            _message_modules()
+            self._whole = True
         return [f"{type_id} {plan.signature()}" for type_id, plan in sorted(self._ids.items())]
 
     def digest(self) -> bytes:
@@ -112,33 +110,23 @@ class MessageRegistry:
 
     def names(self) -> Iterator[str]:
         """Registered names, in registration order."""
-        if self._load is not None:
-            self._complete()
         return (plan.name for plan in self._plans.values())
 
     def is_registered(self, cls: type) -> bool:
-        if self._load is not None:
-            self._complete()
         return cls in self._plans
 
     # -- public encode/decode ----------------------------------------------
 
     def encode(self, value: Any) -> bytes:
         """Encode a value that may contain registered message instances."""
-        if self._load is not None:
-            self._complete()
         return self._encoder.encode(value)
 
     def decode(self, data: Any) -> Any:
         """Decode wire bytes produced by :meth:`encode` (any bytes-like)."""
-        if self._load is not None:
-            self._complete()
         return self._decoder.decode(data)
 
     def decode_many(self, data: Any) -> list[Any]:
         """Decode a concatenated stream produced by :meth:`encode_many_into`."""
-        if self._load is not None:
-            self._complete()
         return self._decoder.decode_many(data)
 
     def encode_into(self, buf: bytearray, value: Any) -> int:
@@ -148,14 +136,10 @@ class MessageRegistry:
         prefix in *buf* and encode the body directly after it, with no
         intermediate ``bytes`` object.
         """
-        if self._load is not None:
-            self._complete()
         return self._encoder.encode_into(buf, value)
 
     def encode_many_into(self, buf: bytearray, values: Any) -> int:
         """Append a concatenated value stream to *buf*; returns bytes written."""
-        if self._load is not None:
-            self._complete()
         return self._encoder.encode_many_into(buf, values)
 
 
@@ -173,7 +157,7 @@ def _message_modules() -> tuple[ModuleType, ...]:
 
 
 #: The library-wide registry used by the default transport; whole on first use.
-global_registry = MessageRegistry(load=_message_modules)
+global_registry = MessageRegistry()
 
 
 def register_message(cls: Type[T]) -> Type[T]:
