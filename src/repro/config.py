@@ -98,12 +98,6 @@ class ClusterSpec:
                 return r
         raise ConfigurationError(f"unknown replica site {site!r}")
 
-    def others(self, replica_id: ReplicaId) -> tuple[ReplicaId, ...]:
-        """All replica ids except *replica_id*."""
-        if replica_id not in self.replica_ids:
-            raise ConfigurationError(f"unknown replica id {replica_id}")
-        return tuple(r for r in self.replica_ids if r != replica_id)
-
 
 @dataclass(frozen=True, slots=True)
 class BatchingOptions:
@@ -158,22 +152,17 @@ class ProtocolConfig:
         clocktime_interval: The paper's Δ — the minimum interval at which a
             Clock-RSM replica broadcasts CLOCKTIME when idle (Algorithm 2).
             The paper's experiments use 5 ms.
-        enable_clocktime_broadcast: Whether Algorithm 2 is enabled at all.
         leader: Designated leader replica id for Paxos / Paxos-bcast.
         wait_for_clock: Whether a Clock-RSM replica faithfully waits until its
             physical clock passes a PREPARE timestamp before acknowledging
             (Algorithm 1 line 8).  Disabling it substitutes the HLC-style
             "bump forward" optimisation discussed in docs/PROTOCOLS.md,
             "When clock quality matters".
-        enable_reconfiguration: Whether replicas handle SUSPEND / consensus
-            messages (Algorithm 3).
     """
 
     clocktime_interval: Micros = ms_to_micros(5.0)
-    enable_clocktime_broadcast: bool = True
     leader: ReplicaId = 0
     wait_for_clock: bool = True
-    enable_reconfiguration: bool = True
 
     def __post_init__(self) -> None:
         if self.clocktime_interval <= 0:

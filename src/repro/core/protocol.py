@@ -45,10 +45,6 @@ from .messages import (
     Prepare,
     PrepareOk,
     PrepareRecord,
-    RetrieveCmds,
-    RetrieveReply,
-    Suspend,
-    SuspendOk,
 )
 from .reconfig import ReconfigurationManager
 from .recovery import replay_log
@@ -59,8 +55,6 @@ _LOGGER = logging.getLogger(__name__)
 #: Timer kinds used by the protocol.
 _TIMER_CLOCK_WAIT = "clock-wait"
 _TIMER_CLOCKTIME = "clocktime"
-
-_RECONFIG_MESSAGES = (Suspend, SuspendOk, RetrieveCmds, RetrieveReply)
 
 
 class ClockRsmReplica(Replica):
@@ -85,9 +79,7 @@ class ClockRsmReplica(Replica):
         self.last_committed_ts: Timestamp = ZERO_TS
         #: Client units received while suspended, replayed on resume.
         self._parked_requests: deque[CommandUnit] = deque()
-        self.reconfig = None
-        if self.config.enable_reconfiguration:
-            self.reconfig = ReconfigurationManager(self)
+        self.reconfig = ReconfigurationManager(self)
         if recover and len(self.log) > 0:
             self._recover_from_log()
 
@@ -96,12 +88,7 @@ class ClockRsmReplica(Replica):
     # ------------------------------------------------------------------
 
     def start(self) -> list[Action]:
-        actions: list[Action] = []
-        if self.config.enable_clocktime_broadcast:
-            actions.append(
-                SetTimer(self.make_timer(_TIMER_CLOCKTIME), self.config.clocktime_interval)
-            )
-        return actions
+        return [SetTimer(self.make_timer(_TIMER_CLOCKTIME), self.config.clocktime_interval)]
 
     def _recover_from_log(self) -> None:
         """Replay the stable log into the state machine (Section V-B)."""
@@ -158,12 +145,9 @@ class ClockRsmReplica(Replica):
             if kind is Prepare:
                 return self._on_prepare(src, message)
             return self._on_clock_time(src, message)
-        if self.reconfig is not None:
-            handled = self.reconfig.handle(src, message)
-            if handled is not None:
-                return handled
-        if isinstance(message, _RECONFIG_MESSAGES):
-            return []  # reconfiguration disabled: ignore
+        handled = self.reconfig.handle(src, message)
+        if handled is not None:
+            return handled
         epoch = getattr(message, "epoch", self.epoch)
         if epoch != self.epoch:
             return self._drop_other_epoch(src, message, epoch)
@@ -256,10 +240,6 @@ class ClockRsmReplica(Replica):
             return actions
         if timer.kind == _TIMER_CLOCKTIME:
             return self._on_clocktime_timer()
-        if self.reconfig is not None:
-            handled = self.reconfig.on_timer(timer)
-            if handled is not None:
-                return handled
         return []
 
     def _on_clocktime_timer(self) -> list[Action]:
@@ -267,8 +247,7 @@ class ClockRsmReplica(Replica):
         actions: list[Action] = []
         interval = self.config.clocktime_interval
         if (
-            self.config.enable_clocktime_broadcast
-            and not self.suspended
+            not self.suspended
             and self.clock.now() >= self.state.latest_tv.get(self.replica_id, 0) + interval
         ):
             reading = self.ts_source.next().micros

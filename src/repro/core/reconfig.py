@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from ..config import validate_active_config
 from ..consensus.single_paxos import ConsensusDecision, InstanceManager, Outgoing, PaxosMessage
 from ..net.message import register_message
-from ..protocols.base import Action, Send, Timer
+from ..protocols.base import Action, Send
 from ..types import ReplicaId, Timestamp, majority
 from .messages import PrepareRecord, RetrieveCmds, RetrieveReply, Suspend, SuspendOk
 
@@ -137,10 +137,6 @@ class ReconfigurationManager:
             return self._on_epoch_hint(src, message)
         if isinstance(message, PaxosMessage):
             return self._on_consensus(src, message)
-        return None
-
-    def on_timer(self, timer: Timer) -> Optional[list[Action]]:
-        """Reconfiguration owns no timers yet; present for interface symmetry."""
         return None
 
     # ------------------------------------------------------------------

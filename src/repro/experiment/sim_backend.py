@@ -8,7 +8,6 @@ from typing import Optional
 from ..checker.history import HistoryRecorder
 from ..sim.cluster import SimulatedCluster
 from ..sim.failures import FailureSchedule
-from ..sim.network import NetworkOptions
 from ..sim.node import CpuModel
 from ..types import ReplicaId
 from ..workload.apps import state_machine_factory
@@ -55,12 +54,7 @@ class SimBackend:
             spec.protocol,
             spec.protocol_config(),
             seed=spec.seed,
-            # Partitions buffer (and re-deliver on heal) rather than drop:
-            # the paper assumes quasi-reliable TCP channels, where an outage
-            # delays messages between correct replicas but never loses them.
-            network_options=NetworkOptions(
-                jitter_fraction=spec.jitter_fraction, partition_mode="buffer"
-            ),
+            jitter_fraction=spec.jitter_fraction,
             clock_offsets=spec.clock_offsets(),
             clock_drift_ppm=spec.clock_drift_ppm(),
             cpu_model=_cpu_model(spec.cpu) if spec.cpu is not None else None,

@@ -30,13 +30,19 @@ _LENGTH = struct.Struct(">I")
 MAX_CONTROL_FRAME = 256 * 1024 * 1024
 
 
-async def send_json(writer: asyncio.StreamWriter, message: dict[str, Any]) -> None:
-    """Write one length-prefixed JSON control message."""
+async def send_json(
+    writer: asyncio.StreamWriter, message: dict[str, Any], who: str = "peer"
+) -> None:
+    """Write one length-prefixed JSON control message; raises
+    :class:`LaunchError` if the connection to *who* is gone."""
     body = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_CONTROL_FRAME:
         raise LaunchError(f"control message too large: {len(body)} bytes")
-    writer.write(_LENGTH.pack(len(body)) + body)
-    await writer.drain()
+    try:
+        writer.write(_LENGTH.pack(len(body)) + body)
+        await writer.drain()
+    except OSError as exc:
+        raise LaunchError(f"control connection to {who} closed unexpectedly: {exc}") from exc
 
 
 async def read_json(
@@ -54,7 +60,7 @@ async def read_json(
         body = await asyncio.wait_for(reader.readexactly(length), timeout)
     except asyncio.TimeoutError as exc:
         raise LaunchError(f"timed out waiting for a control message from {who}") from exc
-    except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
+    except (asyncio.IncompleteReadError, OSError) as exc:
         raise LaunchError(f"control connection to {who} closed unexpectedly") from exc
     try:
         message = json.loads(body.decode("utf-8"))

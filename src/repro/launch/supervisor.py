@@ -240,10 +240,17 @@ class Supervisor:
             messages[handle.replica_id] = outcome
         return messages
 
+    async def _send(self, handle: _WorkerHandle, message: dict[str, Any]) -> None:
+        """Send one control message; a dead worker's stderr joins the error."""
+        assert handle.writer is not None
+        try:
+            await send_json(handle.writer, message, who=self._who(handle.replica_id))
+        except LaunchError as exc:
+            raise self._fail(handle.replica_id, str(exc)) from exc
+
     async def _send_all(self, message: dict[str, Any]) -> None:
         for handle in self._handles.values():
-            assert handle.writer is not None
-            await send_json(handle.writer, message)
+            await self._send(handle, message)
 
     # ------------------------------------------------------------------
     # The deployment itself
@@ -269,9 +276,8 @@ class Supervisor:
 
             spec_dict = spec.to_dict()
             for rid, handle in self._handles.items():
-                assert handle.writer is not None
-                await send_json(
-                    handle.writer,
+                await self._send(
+                    handle,
                     {
                         "type": "setup",
                         "spec": spec_dict,
@@ -314,7 +320,7 @@ class Supervisor:
             if handle.writer is not None and not handle.writer.is_closing():
                 try:
                     await send_json(handle.writer, {"type": "exit"})
-                except (ConnectionResetError, LaunchError, OSError):
+                except LaunchError:
                     pass
 
         async def reap(handle: _WorkerHandle) -> None:

@@ -5,8 +5,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Optional
 
-from ..types import CommandId, Micros, ReplicaId, micros_to_ms
-from .stats import LatencySummary, cdf_points, summarize_micros
+from ..types import CommandId, Micros, ReplicaId
+from .stats import LatencySummary, summarize_micros
 
 
 class LatencyCollector:
@@ -62,10 +62,6 @@ class LatencyCollector:
 
     def summary(self, replica_id: ReplicaId) -> LatencySummary:
         return summarize_micros(self.latencies_micros(replica_id))
-
-    def cdf_ms(self, replica_id: ReplicaId) -> list[tuple[float, float]]:
-        """Empirical latency CDF at a replica, values in milliseconds."""
-        return cdf_points([micros_to_ms(v) for v in self.latencies_micros(replica_id)])
 
 
 __all__ = ["LatencyCollector"]

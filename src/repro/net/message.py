@@ -22,7 +22,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Any, Iterator, Optional, Type, TypeVar
+from typing import Any, Optional, Type, TypeVar
 
 from ..errors import CodecError
 from ..types import ReplicaId
@@ -107,10 +107,6 @@ class MessageRegistry:
             text = "\n".join(self.table()).encode("utf-8")
             self._digest = hashlib.sha256(text).digest()[:16]
         return self._digest
-
-    def names(self) -> Iterator[str]:
-        """Registered names, in registration order."""
-        return (plan.name for plan in self._plans.values())
 
     def is_registered(self, cls: type) -> bool:
         return cls in self._plans

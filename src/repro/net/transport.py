@@ -45,6 +45,13 @@ class Transport(ABC):
     def send(self, envelope: Envelope) -> None:
         """Queue *envelope* for delivery to ``envelope.dst``."""
 
+    async def start(self) -> None:
+        """Open what the transport needs before the replica runs (a socket
+        transport listens); nothing for an in-process one."""
+
+    async def stop(self) -> None:
+        """Release what :meth:`start` opened; nothing for an in-process one."""
+
     def close(self) -> None:
         """The replica host is going away (it stopped, as in a crash).
 
@@ -58,17 +65,15 @@ class InMemoryNetwork:
     """A hub connecting :class:`InMemoryTransport` instances in one process.
 
     Delivery is either immediate (``auto_deliver=True``) or deferred until
-    :meth:`deliver_all` / :meth:`deliver_one` is called, which lets unit tests
-    interleave message deliveries deterministically, drop messages, or
-    reorder them between replicas (FIFO per channel is always preserved, as
-    the paper's model assumes).
+    :meth:`deliver_all` / :meth:`deliver_one` is called, which lets a caller
+    interleave message deliveries deterministically between replicas (FIFO
+    per channel is always preserved, as the paper's model assumes).
     """
 
     def __init__(self, auto_deliver: bool = True) -> None:
         self._auto_deliver = auto_deliver
         self._transports: dict[ReplicaId, "InMemoryTransport"] = {}
         self._queues: dict[tuple[ReplicaId, ReplicaId], deque[Envelope]] = {}
-        self._partitions: set[frozenset[ReplicaId]] = set()
 
     # -- wiring ------------------------------------------------------------
 
@@ -82,26 +87,9 @@ class InMemoryNetwork:
         self.attach(transport)
         return transport
 
-    # -- fault injection ----------------------------------------------------
-
-    def partition(self, a: ReplicaId, b: ReplicaId) -> None:
-        """Silently drop all traffic between *a* and *b* until healed."""
-        self._partitions.add(frozenset((a, b)))
-
-    def heal(self, a: ReplicaId, b: ReplicaId) -> None:
-        self._partitions.discard(frozenset((a, b)))
-
-    def heal_all(self) -> None:
-        self._partitions.clear()
-
-    def is_partitioned(self, a: ReplicaId, b: ReplicaId) -> bool:
-        return frozenset((a, b)) in self._partitions
-
     # -- delivery ------------------------------------------------------------
 
     def submit(self, envelope: Envelope) -> None:
-        if self.is_partitioned(envelope.src, envelope.dst):
-            return
         if envelope.dst not in self._transports:
             raise TransportError(f"unknown destination replica {envelope.dst}")
         key = (envelope.src, envelope.dst)

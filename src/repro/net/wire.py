@@ -823,11 +823,6 @@ def decode(data: Any) -> Any:
     return WireDecoder().decode(data)
 
 
-def decode_many(data: Any) -> list[Any]:
-    """Decode a stream of concatenated primitive-typed values."""
-    return WireDecoder().decode_many(data)
-
-
 __all__ = [
     "MAX_DEPTH",
     "ObjectPlan",
@@ -835,6 +830,5 @@ __all__ = [
     "WireDecoder",
     "encode",
     "decode",
-    "decode_many",
     "declared_as_tuple",
 ]

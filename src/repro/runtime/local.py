@@ -19,7 +19,7 @@ from ..errors import ConfigurationError
 from ..net.latency import LatencyMatrix
 from ..net.message import Envelope
 from ..net.transport import Transport
-from ..sim.network import NetworkOptions, SimulatedNetwork
+from ..sim.network import SimulatedNetwork
 from ..sim.scheduler import LoopTimer
 from ..kvstore.kv import KVStateMachine
 from ..types import Command, CommandId, Micros, ReplicaId, next_command_uid
@@ -66,14 +66,12 @@ class LocalAsyncCluster:
     ) -> None:
         self.protocol = protocol
         self.spec = spec
-        self.latency = latency
         self.batching = batching
         self.servers: dict[ReplicaId, ReplicaServer] = {}
         self._state_machine_factory = state_machine_factory
         self.network = SimulatedNetwork(
             LoopTimer(),
             latency if latency is not None else LatencyMatrix.uniform(spec.sites, 0),
-            NetworkOptions(partition_mode="buffer"),
         )
         for replica_spec in spec.replicas:
             rid = replica_spec.replica_id
@@ -123,7 +121,7 @@ class LocalAsyncCluster:
         server = self.servers[replica_id]
         server.restart(self._state_machine_factory(replica_id))
         replica = server.replica
-        if rejoin and getattr(replica, "reconfig", None) is not None:
+        if rejoin and hasattr(replica, "reconfig"):
             server.driver._perform(replica.reconfig.trigger(tuple(self.spec.replica_ids)))
 
     def partition(self, a: ReplicaId, b: ReplicaId) -> None:
@@ -131,12 +129,6 @@ class LocalAsyncCluster:
 
     def heal(self, a: ReplicaId, b: ReplicaId) -> None:
         self.network.heal(a, b)
-
-    def isolate(self, replica_id: ReplicaId) -> None:
-        self.network.isolate(replica_id)
-
-    def heal_all(self) -> None:
-        self.network.heal_all()
 
     def clock_jump(self, replica_id: ReplicaId, delta: Micros) -> None:
         """Step one replica's clock by *delta* µs (needs an adjustable clock)."""

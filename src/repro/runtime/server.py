@@ -21,7 +21,6 @@ from ..clocks.physical import SystemClock
 from ..config import BatchingOptions, ClusterSpec, ProtocolConfig
 from ..errors import RequestTimeout
 from ..net.message import MessageRegistry, global_registry
-from ..net.tcp import TcpTransport
 from ..protocols.registry import create_replica
 from ..statemachine import StateMachine
 from ..storage.memory_log import InMemoryLog
@@ -85,8 +84,7 @@ class ReplicaServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        if isinstance(self.transport, TcpTransport):
-            await self.transport.start()
+        await self.transport.start()
         self.driver.start()
         _LOGGER.info("replica %s (%s) started", self.replica_id, self.replica.protocol_name)
 
@@ -125,8 +123,7 @@ class ReplicaServer:
 
     async def stop(self) -> None:
         self.driver.stop()
-        if isinstance(self.transport, TcpTransport):
-            await self.transport.stop()
+        await self.transport.stop()
         for future in self._pending.values():
             if not future.done():
                 future.cancel()

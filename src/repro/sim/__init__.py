@@ -26,7 +26,7 @@ __getattr__, __dir__ = _lazy(
     {
         ".cluster": ("ReplyEvent", "SimulatedCluster"),
         ".environment": ("SimulationEnvironment",),
-        ".network": ("NetworkOptions", "SimulatedNetwork"),
+        ".network": ("SimulatedNetwork",),
         ".node": ("CpuModel", "SimulatedNode"),
         ".scheduler": ("EventScheduler", "LoopTimer", "ScheduledEvent", "Timer"),
     },
@@ -39,7 +39,6 @@ __all__ = [
     "Timer",
     "SimulationEnvironment",
     "SimulatedNetwork",
-    "NetworkOptions",
     "SimulatedNode",
     "CpuModel",
     "SimulatedCluster",

@@ -18,7 +18,7 @@ from ..statemachine import AppendLogStateMachine, StateMachine
 from ..storage.memory_log import InMemoryLog
 from ..types import Command, CommandId, Micros, ReplicaId, check_seqno
 from .environment import SimulationEnvironment
-from .network import NetworkOptions, SimulatedNetwork
+from .network import SimulatedNetwork
 from .node import CpuModel, SimulatedNode
 
 
@@ -47,7 +47,9 @@ class SimulatedCluster:
         protocol: Protocol name (see :mod:`repro.protocols.registry`).
         protocol_config: Protocol tunables (leader, Δ, ...).
         seed: Seed for all randomness (jitter, workloads built on top).
-        network_options: Jitter / loss configuration.
+        jitter_fraction: Uniform jitter per message, as a fraction of its
+            channel's one-way delay (see
+            :class:`~repro.sim.network.SimulatedNetwork`).
         clock_offsets: Optional per-replica clock skew in µs; replicas not
             listed get a perfect clock.
         clock_drift_ppm: Optional per-replica drift (µs gained per second).
@@ -64,7 +66,7 @@ class SimulatedCluster:
         protocol_config: Optional[ProtocolConfig] = None,
         *,
         seed: int = 0,
-        network_options: NetworkOptions = NetworkOptions(),
+        jitter_fraction: float = 0.0,
         clock_offsets: Optional[dict[ReplicaId, Micros]] = None,
         clock_drift_ppm: Optional[dict[ReplicaId, float]] = None,
         cpu_model: Optional[CpuModel] = None,
@@ -74,11 +76,10 @@ class SimulatedCluster:
         if tuple(latency.sites) != tuple(spec.sites):
             latency = latency.restricted_to(spec.sites)
         self.spec = spec
-        self.latency = latency
         self.protocol = protocol
         self.protocol_config = protocol_config or ProtocolConfig()
         self.env = SimulationEnvironment(seed=seed)
-        self.network = SimulatedNetwork(self.env, latency, network_options)
+        self.network = SimulatedNetwork(self.env, latency, jitter_fraction)
         self.cpu_model = cpu_model
         self._clock_offsets = dict(clock_offsets or {})
         self._clock_drift = dict(clock_drift_ppm or {})
@@ -175,10 +176,6 @@ class SimulatedCluster:
         self.start()
         self.env.run_for(duration)
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        self.start()
-        self.env.run_until_idle(max_events=max_events)
-
     # ------------------------------------------------------------------
     # Client interaction
     # ------------------------------------------------------------------
@@ -244,7 +241,7 @@ class SimulatedCluster:
         node = self.nodes[replica_id]
         node.set_replica(replica)
         node.start()
-        if rejoin and getattr(replica, "reconfig", None) is not None:
+        if rejoin and hasattr(replica, "reconfig"):
             node._perform(replica.reconfig.trigger(tuple(self.spec.replica_ids)))
         return replica
 
@@ -253,12 +250,6 @@ class SimulatedCluster:
 
     def heal(self, a: ReplicaId, b: ReplicaId) -> None:
         self.network.heal(a, b)
-
-    def isolate(self, replica_id: ReplicaId) -> None:
-        self.network.isolate(replica_id)
-
-    def heal_all(self) -> None:
-        self.network.heal_all()
 
     def clock_jump(self, replica_id: ReplicaId, delta: Micros) -> None:
         """Step one replica's physical clock by *delta* microseconds.

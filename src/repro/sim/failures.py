@@ -171,7 +171,7 @@ class FailureSchedule:
     @staticmethod
     def _reconfigure(cluster: Any, event: ReconfigureEvent) -> None:
         replica = cluster.replica(event.initiator)
-        if not hasattr(replica, "reconfig") or replica.reconfig is None:
+        if not hasattr(replica, "reconfig"):
             raise ValueError(
                 f"protocol {replica.protocol_name!r} does not support reconfiguration"
             )

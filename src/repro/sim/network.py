@@ -2,9 +2,10 @@
 
 Delivers envelopes between replicas with per-pair one-way delays taken from a
 :class:`~repro.net.latency.LatencyMatrix` (e.g. the paper's Table III EC2
-measurements), optional jitter, message loss, and partitions.  Delivery per
-(source, destination) channel is FIFO even under jitter, matching the
-paper's system model and the behaviour of a TCP connection.
+measurements) and optional jitter.  Channels are quasi-reliable, as in the
+paper's system model: delivery per (source, destination) channel is FIFO
+even under jitter, as over a TCP connection; a partition parks traffic and
+its heal re-delivers it; only a crashed endpoint loses it.
 
 Time comes from a :class:`~repro.sim.scheduler.Timer`: the simulation
 environment for :class:`~repro.sim.cluster.SimulatedCluster`, a
@@ -15,7 +16,6 @@ model under both clocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from random import Random
 from typing import Any, Callable, Optional
@@ -23,39 +23,6 @@ from typing import Any, Callable, Optional
 from ..net.latency import LatencyMatrix
 from ..types import Micros, ReplicaId
 from .scheduler import Timer
-
-
-@dataclass(frozen=True, slots=True)
-class NetworkOptions:
-    """Tunables of the simulated network.
-
-    Attributes:
-        jitter_fraction: Uniform jitter as a fraction of the base one-way
-            delay (0.05 adds up to ±5%).  The paper reports average RTTs;
-            a small jitter makes percentile plots meaningful.
-        jitter_floor: Absolute jitter bound (µs) added even on zero-latency
-            (local) links.
-        loss_probability: Probability of silently dropping a message
-            (independently per message); 0 for all paper experiments.
-        partition_mode: What a partition does to traffic.  ``"drop"`` loses
-            messages silently (a hard fault, the historical behaviour);
-            ``"buffer"`` parks them and re-delivers after the partition
-            heals, matching the paper's quasi-reliable (TCP) channels where
-            an outage delays messages but correct endpoints eventually
-            receive them.  Messages to or from crashed replicas are always
-            dropped.
-    """
-
-    jitter_fraction: float = 0.0
-    jitter_floor: Micros = 0
-    loss_probability: float = 0.0
-    partition_mode: str = "drop"
-
-    def __post_init__(self) -> None:
-        if self.partition_mode not in ("drop", "buffer"):
-            raise ValueError(
-                f"unknown partition_mode {self.partition_mode!r}; 'drop' or 'buffer'"
-            )
 
 
 class InFlight:
@@ -86,8 +53,8 @@ class InFlight:
         the send drops or parks the message."""
         network = self.network
         if (network._down or network._partitions) and network._handle_blocked(self):
-            # The destination crashed or was partitioned while the message
-            # was in flight (parked until heal in ``buffer`` mode).
+            # The destination crashed (dropped) or was partitioned (parked
+            # until heal) while the message was in flight.
             return
         handler = network._handlers.get(self.dst)
         if handler is None:
@@ -117,11 +84,11 @@ class _Channel:
         self.sent = 0
         #: Last scheduled delivery time, for FIFO enforcement.
         self.last_delivery: Micros = 0
-        #: Messages held back by a partition in ``buffer`` mode, released in
-        #: send order (``InFlight.seq``) on heal.  A message may be parked at
-        #: send time or — if it was already in flight when the partition
-        #: started — at delivery time; the send sequence keeps the channel
-        #: FIFO across both cases.
+        #: Messages held back by a partition, released in send order
+        #: (``InFlight.seq``) on heal.  A message may be parked at send time
+        #: or — if it was already in flight when the partition started — at
+        #: delivery time; the send sequence keeps the channel FIFO across
+        #: both cases.
         self.parked: list[InFlight] = []
 
     def sample_delay(self, rng: Random) -> Micros:
@@ -143,17 +110,17 @@ class _Channel:
 
 
 class SimulatedNetwork:
-    """Schedules envelope deliveries on a timer (virtual or event-loop time)."""
+    """Schedules envelope deliveries on a timer (virtual or event-loop time).
 
-    def __init__(
-        self,
-        env: Timer,
-        latency: LatencyMatrix,
-        options: NetworkOptions = NetworkOptions(),
-    ) -> None:
+    *jitter_fraction* adds a uniform jitter of up to that fraction of each
+    channel's one-way delay (0.05: up to +5%).  The paper reports average
+    RTTs; a small jitter makes percentile plots meaningful.
+    """
+
+    def __init__(self, env: Timer, latency: LatencyMatrix, jitter_fraction: float = 0.0) -> None:
         self._env = env
         self._latency = latency
-        self._options = options
+        self._jitter_fraction = jitter_fraction
         self._handlers: dict[ReplicaId, Callable[[InFlight, Micros], None]] = {}
         self._partitions: set[frozenset[ReplicaId]] = set()
         self._down: set[ReplicaId] = set()
@@ -172,10 +139,6 @@ class SimulatedNetwork:
         with the :class:`InFlight` record, which reads as an envelope)."""
         self._handlers[replica_id] = handler
 
-    @property
-    def latency(self) -> LatencyMatrix:
-        return self._latency
-
     # -- fault injection -----------------------------------------------------------
 
     def partition(self, a: ReplicaId, b: ReplicaId) -> None:
@@ -186,23 +149,10 @@ class SimulatedNetwork:
         self._release_parked(a, b)
         self._release_parked(b, a)
 
-    def isolate(self, replica_id: ReplicaId) -> None:
-        """Partition *replica_id* from every other replica."""
-        for other in self._handlers:
-            if other != replica_id:
-                self.partition(replica_id, other)
-
-    def heal_all(self) -> None:
-        pairs = [tuple(pair) for pair in self._partitions]
-        self._partitions.clear()
-        for a, b in pairs:
-            self._release_parked(a, b)
-            self._release_parked(b, a)
-
     def _open_channel(self, src: ReplicaId, dst: ReplicaId) -> _Channel:
         """Fill in the (src, dst) entry of the channel table on first use."""
         base = self._latency.delay(src, dst)
-        bound = int(base * self._options.jitter_fraction) + self._options.jitter_floor
+        bound = int(base * self._jitter_fraction)
         channel = self._channels[src, dst] = _Channel(base, bound + 1 if bound > 0 else 0)
         return channel
 
@@ -222,15 +172,11 @@ class SimulatedNetwork:
         else:
             self._down.discard(replica_id)
 
-    def _blocked(self, src: ReplicaId, dst: ReplicaId) -> bool:
-        if src in self._down or dst in self._down:
-            return True
-        return frozenset((src, dst)) in self._partitions
-
     # -- sending -------------------------------------------------------------------
 
     def _handle_blocked(self, record: InFlight) -> bool:
-        """Drop or park *record* if its channel is blocked; True if handled.
+        """Drop *record* if an endpoint is down, park it if its channel is
+        partitioned; True if handled.
 
         Only reached while a fault is armed: :meth:`send` and the delivery
         skip the call when nothing is down and nothing is partitioned.
@@ -240,10 +186,7 @@ class SimulatedNetwork:
             self.dropped_count += 1
             return True
         if frozenset((src, dst)) in self._partitions:
-            if self._options.partition_mode == "buffer":
-                self._channels[src, dst].parked.append(record)
-            else:
-                self.dropped_count += 1
+            self._channels[src, dst].parked.append(record)
             return True
         return False
 
@@ -268,10 +211,6 @@ class SimulatedNetwork:
         channel.sent = seq + 1
         if (self._down or self._partitions) and self._handle_blocked(record):
             return
-        loss = self._options.loss_probability
-        if loss > 0.0 and self._env.random.random() < loss:
-            self.dropped_count += 1
-            return
         now = self._env.now
         self._schedule_delivery(
             record, channel, now if send_time is None or send_time < now else send_time
@@ -286,4 +225,4 @@ class SimulatedNetwork:
         self._env.enqueue(delivery, record)
 
 
-__all__ = ["InFlight", "SimulatedNetwork", "NetworkOptions"]
+__all__ = ["InFlight", "SimulatedNetwork"]

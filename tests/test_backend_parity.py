@@ -21,7 +21,7 @@ from repro.experiment.sim_backend import SimBackend
 from repro.experiment.spec import FAULT_KINDS
 from repro.sim.failures import FailureSchedule
 
-FAULT_METHODS = ("crash", "recover", "partition", "heal", "isolate", "clock_jump")
+FAULT_METHODS = ("crash", "recover", "partition", "heal", "clock_jump")
 
 #: Every kind a spec can express; sites CA, VA, IR are replicas 0, 1, 2.
 FAULTS = (

@@ -36,14 +36,12 @@ skew_sets = st.dictionaries(
 
 
 def run_schedule(schedule, skews, seed, jitter=0.0):
-    from repro.sim.network import NetworkOptions
-
     cluster = make_cluster(
         "clock-rsm",
         sites=("CA", "VA", "IR"),
         seed=seed,
         clock_offsets=skews,
-        network_options=NetworkOptions(jitter_fraction=jitter),
+        jitter_fraction=jitter,
     )
     cluster.start()
     commands = []

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import logging
 
-import pytest
-
 from tests.helpers import ManualClock
 from repro.config import ClusterSpec, ProtocolConfig
 from repro.consensus.single_paxos import PaxosP1a, PaxosP1b
@@ -157,44 +155,33 @@ class TestPrepareHandling:
         assert replica.state.latest_tv == {0: 7_000, 1: 0, 2: 8_000}
         assert replica.state.ack_count(ts) == 1
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_reconfiguration_messages_reach_the_manager_only_when_enabled(self, enabled):
-        replica, _, _ = build_replica(
-            replica_id=1, clock_start=10_000, enable_reconfiguration=enabled
-        )
+    def test_reconfiguration_messages_reach_the_manager(self):
+        replica, _, _ = build_replica(replica_id=1, clock_start=10_000)
         cut = Timestamp(0, -1)
         retrieve = replica.on_message(0, RetrieveCmds(cut, Timestamp(9_000, 0)))
         suspend = replica.on_message(0, Suspend(1, cut))
         suspend_ok = replica.on_message(0, SuspendOk(1, ()))
         reply = replica.on_message(0, RetrieveReply((), cut, Timestamp(9_000, 0)))
-        if enabled:
-            assert [(a.dst, type(a.message)) for a in retrieve] == [(0, RetrieveReply)]
-            assert [(a.dst, type(a.message)) for a in suspend] == [(0, SuspendOk)]
-            assert replica.suspended
-        else:
-            assert retrieve == suspend == [] and not replica.suspended
-        # Nothing was collected or decided here: both are ignored either way.
+        assert [(a.dst, type(a.message)) for a in retrieve] == [(0, RetrieveReply)]
+        assert [(a.dst, type(a.message)) for a in suspend] == [(0, SuspendOk)]
+        assert replica.suspended
+        # Nothing was collected or decided here: both are ignored.
         assert suspend_ok == reply == []
 
-    def test_epoch_hint_and_consensus_with_reconfiguration_disabled(self, caplog):
-        replica, _, log = build_replica(
-            replica_id=1, clock_start=10_000, enable_reconfiguration=False
-        )
+    def test_a_stale_epoch_hint_is_dropped(self, caplog):
+        replica, _, log = build_replica(replica_id=1, clock_start=10_000)
         replica.epoch = 2
         with caplog.at_level(logging.DEBUG, logger="repro.core.protocol"):
-            # An EpochHint carries an epoch: another epoch's is dropped as
-            # stale, one for the replica's own epoch is an unknown message.
-            assert replica.on_message(0, EpochHint(5)) == []
-            assert "drops EpochHint" in caplog.text
-            assert "unknown message" not in caplog.text
-            caplog.clear()
+            # A hint at or below the replica's epoch tells it nothing.
+            assert replica.on_message(0, EpochHint(1)) == []
             assert replica.on_message(0, EpochHint(2)) == []
-            assert "unknown message EpochHint(epoch=2)" in caplog.text
-            caplog.clear()
-            # Consensus messages carry no epoch: unknown without a manager.
-            assert replica.on_message(0, PaxosP1a(1, 3)) == []
-            assert "unknown message PaxosP1a" in caplog.text
-        assert len(log) == 0 and not replica.suspended
+            assert replica.reconfig._epoch_floor < 2
+            # A newer one raises the floor the next reconfiguration it starts
+            # must clear; with none of its own to retry, it sends nothing.
+            assert replica.on_message(0, EpochHint(5)) == []
+            assert replica.reconfig._epoch_floor == 5
+        assert "unknown message" not in caplog.text
+        assert len(log) == 0 and not replica.suspended and replica.epoch == 2
 
     def test_consensus_messages_reach_the_manager_when_enabled(self):
         replica, _, _ = build_replica(replica_id=1, clock_start=10_000)
@@ -364,10 +351,6 @@ class TestClockTimeExtension:
         actions = replica.on_timer(timer)
         clock_times = [a for a in only(actions, Broadcast) if isinstance(a.message, ClockTime)]
         assert clock_times == []
-
-    def test_disabled_extension_never_broadcasts(self):
-        replica, clock, _ = build_replica(enable_clocktime_broadcast=False)
-        assert replica.start() == []
 
     def test_clock_time_message_updates_latest_tv(self):
         replica, _, _ = build_replica(replica_id=0)

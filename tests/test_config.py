@@ -57,12 +57,6 @@ class TestClusterSpec:
         with pytest.raises(ConfigurationError):
             spec.by_site("XX")
 
-    def test_others(self):
-        spec = ClusterSpec.from_sites(["CA", "VA", "IR"])
-        assert spec.others(1) == (0, 2)
-        with pytest.raises(ConfigurationError):
-            spec.others(7)
-
     def test_spec_is_immutable(self):
         # Reconfiguration changes the active set, never the spec itself.
         spec = ClusterSpec.from_sites(["CA", "VA"])
@@ -81,7 +75,6 @@ class TestProtocolConfig:
     def test_defaults_match_paper(self):
         config = ProtocolConfig()
         assert config.clocktime_interval == 5_000  # 5 ms, the paper's Δ
-        assert config.enable_clocktime_broadcast is True
         assert config.wait_for_clock is True
 
     @pytest.mark.parametrize(

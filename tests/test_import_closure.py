@@ -35,6 +35,7 @@ NOT_FOR_A_LIVE_CLOCK_RSM_CLUSTER = (
     "repro.protocols.multipaxos",
     "repro.protocols.mencius",
     "repro.launch",
+    "repro.net.tcp",
 )
 
 _PROBE = r'''

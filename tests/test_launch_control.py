@@ -84,6 +84,30 @@ class TestFraming:
 
         run(scenario())
 
+    def test_writing_to_a_closed_peer_is_a_launch_error(self):
+        # A worker that died resets its control connection: the next write
+        # or drain fails with an OSError, which must reach the caller typed
+        # and naming the peer, not as a bare ConnectionResetError.
+        async def scenario():
+            server, _cr, cw, _sr, sw = await _pipe()
+            sw.transport.abort()
+            server.close()
+            with pytest.raises(LaunchError, match="worker 4 closed unexpectedly"):
+                for _ in range(200):
+                    await send_json(cw, {"type": "run"}, who="worker 4")
+                    await asyncio.sleep(0.005)
+            cw.close()
+
+        run(scenario())
+
+    def test_a_read_failing_with_any_os_error_is_a_launch_error(self):
+        class _BrokenReader:
+            async def readexactly(self, _n):
+                raise BrokenPipeError("worker gone")
+
+        with pytest.raises(LaunchError, match="worker 3 closed unexpectedly"):
+            run(read_json(_BrokenReader(), timeout=1.0, who="worker 3"))
+
     def test_malformed_json_rejected(self):
         async def scenario():
             server, _cr, cw, sr, sw = await _pipe()

@@ -28,7 +28,7 @@ import pytest
 from repro.net.latency import LatencyMatrix
 from repro.net.message import Envelope
 from repro.sim.environment import SimulationEnvironment
-from repro.sim.network import NetworkOptions, SimulatedNetwork
+from repro.sim.network import SimulatedNetwork
 from repro.sim.scheduler import LoopTimer
 
 SITES = ("a", "b", "c", "d")
@@ -94,9 +94,7 @@ def _script(timer, network: SimulatedNetwork, gap: int, finish) -> dict:
 
 
 def _network(timer, delay: int) -> SimulatedNetwork:
-    return SimulatedNetwork(
-        timer, LatencyMatrix.uniform(SITES, delay), NetworkOptions(partition_mode="buffer")
-    )
+    return SimulatedNetwork(timer, LatencyMatrix.uniform(SITES, delay))
 
 
 def _on_simulator(delay: int, gap: int) -> dict:

@@ -11,6 +11,7 @@ from repro.config import ClusterSpec, ProtocolConfig
 from repro.errors import TransportError
 from repro.net.message import Envelope, global_registry
 from repro.net.tcp import decode_frame_envelopes, encode_frame
+from repro.net.transport import InMemoryNetwork, Transport
 from repro.protocols.multipaxos import Phase2a
 from repro.runtime.client import ReplicatedKVClient
 from repro.runtime.local import LocalAsyncCluster
@@ -169,3 +170,52 @@ class TestTcpServers:
 
         with pytest.raises(TypeError, match="transport"):
             ReplicaServer("clock-rsm", 0, _spec(3), KVStateMachine())
+
+
+class _RecordingTransport(Transport):
+    """An in-process transport that records its lifecycle calls."""
+
+    def __init__(self, local_id: int) -> None:
+        super().__init__(local_id)
+        self.calls: list[str] = []
+
+    def send(self, envelope: Envelope) -> None:
+        pass
+
+    async def start(self) -> None:
+        self.calls.append("start")
+
+    async def stop(self) -> None:
+        self.calls.append("stop")
+
+
+class TestTransportLifecycle:
+    def test_a_server_starts_and_stops_whatever_transport_it_is_given(self):
+        from repro.kvstore.kv import KVStateMachine
+        from repro.runtime.server import ReplicaServer
+
+        async def scenario():
+            transport = _RecordingTransport(0)
+            server = ReplicaServer(
+                "clock-rsm", 0, _spec(1), KVStateMachine(), transport=transport
+            )
+            await server.start()
+            assert transport.calls == ["start"]
+            await server.stop()
+            return transport.calls
+
+        assert run(scenario()) == ["start", "stop"]
+
+    def test_an_in_process_transport_needs_no_start_or_stop(self):
+        async def scenario():
+            network = InMemoryNetwork()
+            transport = network.transport_for(0)
+            received = []
+            transport.set_handler(received.append)
+            await transport.start()
+            transport.send(Envelope(0, 0, "self"))
+            await transport.stop()
+            transport.send(Envelope(0, 0, "still usable"))
+            return [envelope.message for envelope in received]
+
+        assert run(scenario()) == ["self", "still usable"]

@@ -18,7 +18,7 @@ from repro.errors import SimulationError
 from repro.net.latency import LatencyMatrix
 from repro.net.message import Envelope
 from repro.sim.environment import SimulationEnvironment
-from repro.sim.network import NetworkOptions, SimulatedNetwork, _Channel
+from repro.sim.network import SimulatedNetwork, _Channel
 from repro.sim.scheduler import EventScheduler
 
 # ---------------------------------------------------------------------------
@@ -321,15 +321,22 @@ def _one_way_delay(network: SimulatedNetwork, src: int, dst: int) -> int:
 def test_one_way_delay_draws_base_plus_uniform_jitter():
     matrix = LatencyMatrix.uniform(["A", "B"], one_way=10_000)
     env = SimulationEnvironment(seed=5)
-    network = SimulatedNetwork(env, matrix, NetworkOptions(jitter_fraction=0.1, jitter_floor=3))
+    network = SimulatedNetwork(env, matrix, jitter_fraction=0.1)
     twin = random.Random(5)
     for _ in range(200):
-        assert _one_way_delay(network, 0, 1) == 10_000 + twin.randint(0, 1_003)
-    # The local link has base 0: only the floor jitters it, both ends of the
-    # range inclusive (an off-by-one span would never draw the 3).
-    local = [_one_way_delay(network, 0, 0) for _ in range(200)]
-    assert local == [twin.randint(0, 3) for _ in range(200)]
-    assert set(local) == {0, 1, 2, 3}
+        assert _one_way_delay(network, 0, 1) == 10_000 + twin.randint(0, 1_000)
+    # The local link has base 0, so its jitter bound is 0: no draw at all.
+    assert [_one_way_delay(network, 0, 0) for _ in range(20)] == [0] * 20
+    assert env.random.random() == twin.random()
+    # Both ends of the range are drawn (an off-by-one span would never
+    # draw the 3 of a 30 µs link's 10 %).
+    short = SimulatedNetwork(
+        SimulationEnvironment(seed=5), LatencyMatrix.uniform(["A", "B"], 30), 0.1
+    )
+    twin = random.Random(5)
+    delays = [_one_way_delay(short, 0, 1) for _ in range(200)]
+    assert delays == [30 + twin.randint(0, 3) for _ in range(200)]
+    assert set(delays) == {30, 31, 32, 33}
 
 
 def test_no_jitter_consumes_no_randomness():
@@ -354,8 +361,8 @@ class _ReferenceNetwork:
     message and jitter is a ``randint`` — as the executable specification the
     optimised :class:`SimulatedNetwork` is compared against."""
 
-    def __init__(self, env, latency, options) -> None:
-        self.env, self.latency, self.options = env, latency, options
+    def __init__(self, env, latency, jitter_fraction) -> None:
+        self.env, self.latency, self.jitter_fraction = env, latency, jitter_fraction
         self.handlers = {}
         self.partitions: set[frozenset] = set()
         self.down: set[int] = set()
@@ -375,18 +382,6 @@ class _ReferenceNetwork:
         self._release(a, b)
         self._release(b, a)
 
-    def isolate(self, replica_id) -> None:
-        for other in self.handlers:
-            if other != replica_id:
-                self.partition(replica_id, other)
-
-    def heal_all(self) -> None:
-        pairs = [tuple(pair) for pair in self.partitions]
-        self.partitions.clear()
-        for a, b in pairs:
-            self._release(a, b)
-            self._release(b, a)
-
     def set_down(self, replica_id, down) -> None:
         (self.down.add if down else self.down.discard)(replica_id)
 
@@ -400,10 +395,7 @@ class _ReferenceNetwork:
             self.dropped_count += 1
             return True
         if frozenset((src, dst)) in self.partitions:
-            if self.options.partition_mode == "buffer":
-                self.parked.setdefault((src, dst), []).append((seq, envelope))
-            else:
-                self.dropped_count += 1
+            self.parked.setdefault((src, dst), []).append((seq, envelope))
             return True
         return False
 
@@ -415,16 +407,12 @@ class _ReferenceNetwork:
         self.send_seq[key] = seq + 1
         if self._blocked(envelope, seq):
             return
-        if self.options.loss_probability > 0.0:
-            if self.env.random.random() < self.options.loss_probability:
-                self.dropped_count += 1
-                return
         departure = self.env.now if send_time is None else max(send_time, self.env.now)
         self._schedule(envelope, departure, seq)
 
     def _schedule(self, envelope, departure, seq) -> None:
         base = self.latency.delay(envelope.src, envelope.dst)
-        bound = int(base * self.options.jitter_fraction) + self.options.jitter_floor
+        bound = int(base * self.jitter_fraction)
         delay = base if bound <= 0 else base + self.env.random.randint(0, bound)
         key = (envelope.src, envelope.dst)
         delivery = max(departure + delay, self.last_delivery.get(key, 0))
@@ -449,10 +437,10 @@ _MATRIX = LatencyMatrix.from_rtt_ms(_SITES, {
 })
 
 
-def _play(network_class, options, seed, script):
+def _play(network_class, jitter_fraction, seed, script):
     """Run *script* on a fresh network; return its delivery log and counters."""
     env = SimulationEnvironment(seed=seed)
-    network = network_class(env, _MATRIX, options)
+    network = network_class(env, _MATRIX, jitter_fraction)
     log = []
     for rid in range(3):  # replica 3 never attaches: "no handler" drops
         network.attach(rid, lambda e, t, r=rid: log.append((r, e.src, e.message, t, env.now)))
@@ -468,10 +456,6 @@ def _play(network_class, options, seed, script):
             network.partition(a, b)
         elif name == "heal":
             network.heal(a, b)
-        elif name == "isolate":
-            network.isolate(a)
-        elif name == "heal_all":
-            network.heal_all()
         elif name == "down":
             network.set_down(a, True)
         elif name == "up":
@@ -492,32 +476,25 @@ _SCRIPT = st.lists(
         st.tuples(st.sampled_from(["partition", "heal"]), _REPLICA, _REPLICA).filter(
             lambda step: step[1] != step[2]  # a pair is two replicas
         ),
-        st.tuples(st.sampled_from(["isolate", "down", "up"]), _REPLICA, st.just(0)),
-        st.tuples(st.just("heal_all"), st.just(0), st.just(0)),
+        st.tuples(st.sampled_from(["down", "up"]), _REPLICA, st.just(0)),
         st.tuples(st.just("run"), st.integers(0, 40_000), st.just(0)),
     ),
     max_size=80,
 )
-_OPTIONS = st.builds(
-    NetworkOptions,
-    jitter_fraction=st.sampled_from([0.0, 0.02, 0.5]),
-    jitter_floor=st.sampled_from([0, 25]),
-    loss_probability=st.sampled_from([0.0, 0.0, 0.2]),
-    partition_mode=st.sampled_from(["drop", "buffer"]),
-)
+_JITTER = st.sampled_from([0.0, 0.02, 0.5])
 
 
 @settings(max_examples=150, deadline=None)
-@given(_OPTIONS, st.integers(0, 2**16), _SCRIPT)
-def test_network_matches_the_always_checking_reference(options, seed, script):
-    assert _play(SimulatedNetwork, options, seed, script) == _play(
-        _ReferenceNetwork, options, seed, script
+@given(_JITTER, st.integers(0, 2**16), _SCRIPT)
+def test_network_matches_the_always_checking_reference(jitter_fraction, seed, script):
+    assert _play(SimulatedNetwork, jitter_fraction, seed, script) == _play(
+        _ReferenceNetwork, jitter_fraction, seed, script
     )
 
 
-def _network(**options):
-    env = SimulationEnvironment(seed=options.pop("seed", 0))
-    network = SimulatedNetwork(env, _MATRIX, NetworkOptions(**options))
+def _network(jitter_fraction=0.0, seed=0):
+    env = SimulationEnvironment(seed=seed)
+    network = SimulatedNetwork(env, _MATRIX, jitter_fraction)
     received = []
     for rid in range(4):
         network.attach(rid, lambda e, t, r=rid: received.append((r, e.message, t)))
@@ -526,7 +503,7 @@ def _network(**options):
 
 class TestFaultsArmedMidRun:
     def test_fifo_per_channel_under_jitter_across_a_fault(self):
-        env, network, received = _network(jitter_fraction=0.5, seed=3, partition_mode="buffer")
+        env, network, received = _network(jitter_fraction=0.5, seed=3)
         for index in range(40):
             network.send(Envelope(0, 1, index))
             env.run_for(300)
@@ -540,7 +517,7 @@ class TestFaultsArmedMidRun:
         assert times == sorted(times)
 
     def test_buffer_mode_parks_in_flight_and_new_messages_then_releases_in_send_order(self):
-        env, network, received = _network(partition_mode="buffer")
+        env, network, received = _network()
         network.send(Envelope(0, 1, "in-flight-1"))
         network.send(Envelope(0, 1, "in-flight-2"))
         env.run_for(5_000)  # one-way A->B is 10 ms: both still in flight
@@ -555,20 +532,6 @@ class TestFaultsArmedMidRun:
         assert all(t == healed_at + 10_000 for _, _, t in received)
         assert network.delivered_count == 3
 
-    def test_drop_mode_loses_what_a_mid_run_partition_catches(self):
-        env, network, received = _network(partition_mode="drop")
-        network.send(Envelope(0, 1, "caught-in-flight"))
-        network.send(Envelope(0, 2, "other-channel"))
-        env.run_for(5_000)
-        network.partition(0, 1)
-        network.send(Envelope(0, 1, "caught-at-send"))
-        env.run_until_idle()
-        assert [m for _, m, _ in received] == ["other-channel"]
-        assert network.dropped_count == 2
-        network.heal(0, 1)
-        env.run_until_idle()
-        assert [m for _, m, _ in received] == ["other-channel"]  # nothing was parked
-
     def test_crash_mid_flight_drops_at_delivery_and_at_send(self):
         env, network, received = _network()
         network.send(Envelope(0, 1, "to-the-crashed"))
@@ -582,17 +545,3 @@ class TestFaultsArmedMidRun:
         network.send(Envelope(0, 1, "after-recovery"))
         env.run_until_idle()
         assert [m for _, m, _ in received] == ["after-recovery"]
-
-    def test_loss_draws_interleave_with_jitter_draws_on_one_stream(self):
-        env, network, received = _network(jitter_fraction=0.1, loss_probability=0.3, seed=8)
-        twin = random.Random(8)
-        expected = []
-        for index in range(200):
-            network.send(Envelope(0, 2, index))
-            if twin.random() >= 0.3:
-                expected.append(index)
-                twin.randint(0, 3_000)  # A->C is 30 ms one way, 10% jitter
-        env.run_until_idle()
-        assert [m for _, m, _ in received] == expected
-        assert network.dropped_count == 200 - len(expected)
-        assert env.random.random() == twin.random()

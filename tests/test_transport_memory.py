@@ -59,28 +59,6 @@ class TestInMemoryNetwork:
         network.deliver_all()
         assert [e.message for e in received] == list(range(10))
 
-    def test_partition_drops_messages(self):
-        network = InMemoryNetwork()
-        t0, t1 = network.transport_for(0), network.transport_for(1)
-        received, handler = _collector()
-        t0.set_handler(lambda e: None)
-        t1.set_handler(handler)
-        network.partition(0, 1)
-        t0.send(Envelope(0, 1, "lost"))
-        assert received == []
-        network.heal(0, 1)
-        t0.send(Envelope(0, 1, "found"))
-        assert [e.message for e in received] == ["found"]
-
-    def test_heal_all(self):
-        network = InMemoryNetwork()
-        network.transport_for(0).set_handler(lambda e: None)
-        network.transport_for(1).set_handler(lambda e: None)
-        network.partition(0, 1)
-        assert network.is_partitioned(0, 1)
-        network.heal_all()
-        assert not network.is_partitioned(0, 1)
-
     def test_unknown_destination_rejected(self):
         network = InMemoryNetwork()
         t0 = network.transport_for(0)

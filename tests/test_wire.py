@@ -18,7 +18,6 @@ from repro.net.wire import (
     WireEncoder,
     declared_as_tuple,
     decode,
-    decode_many,
     encode,
 )
 
@@ -171,7 +170,7 @@ class TestHardening:
     def test_truncated_stream_raises(self):
         data = _stream([1, "two", [3]])
         with pytest.raises(CodecError):
-            decode_many(data[:-2])
+            WireDecoder().decode_many(data[:-2])
 
 
 # A recursive strategy of encodable values (no objects).
@@ -247,7 +246,7 @@ class TestCodecProperties:
     @given(st.lists(_values, max_size=5))
     @example([False, 0, 0.0, -0.0])
     def test_stream_round_trip_property(self, values):
-        decoded = decode_many(_stream(values))
+        decoded = WireDecoder().decode_many(_stream(values))
         assert decoded == values
         assert _typed(decoded) == _typed(values)
 

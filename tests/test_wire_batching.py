@@ -31,7 +31,7 @@ from repro.net.tcp import (
     encode_frame,
     encode_hello,
 )
-from repro.net.wire import WireEncoder, decode_many
+from repro.net.wire import WireDecoder, WireEncoder
 from repro.protocols.records import CommandBatch, make_unit, unit_commands
 from repro.types import Command, CommandId, Timestamp
 
@@ -75,10 +75,10 @@ class TestWireStream:
         values = [1, "two", b"three", [4, 5], {"six": 7}, None, True]
         buf = bytearray()
         WireEncoder().encode_many_into(buf, values)
-        assert decode_many(bytes(buf)) == values
+        assert WireDecoder().decode_many(bytes(buf)) == values
 
     def test_decode_many_empty(self):
-        assert decode_many(b"") == []
+        assert WireDecoder().decode_many(b"") == []
 
 
 class TestBatchFrames:

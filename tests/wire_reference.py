@@ -69,6 +69,11 @@ def library_classes() -> dict[str, type]:
     }
 
 
+def registered_names(registry) -> list[str]:
+    """The class names in *registry*'s table, in type-id order (sorted)."""
+    return [line.split(" ", 1)[1].partition("(")[0] for line in registry.table()]
+
+
 class WireReference:
     """Encoder and decoder for primitives and the registered *classes* (name -> class)."""
 
